@@ -34,8 +34,11 @@ EXIT_USAGE = 2
 
 
 def _parse_partition(text: str) -> Partition:
+    fields = text.split(",")
+    if any(not field.strip() for field in fields):
+        raise InvalidPartitionError(f"empty part in partition {text!r}")
     try:
-        parts = [int(x) for x in text.split(",") if x.strip() != ""]
+        parts = [int(field) for field in fields]
     except ValueError as exc:
         raise InvalidPartitionError(f"cannot parse partition {text!r}") from exc
     return new_partition(parts)
@@ -72,18 +75,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if method in ("oracle", "both"):
         oracle_dim = ext1_dim_oracle(lam, p)
 
+    report = closed
     if method == "oracle":
-        payload = {
-            "p": p,
-            "lambda": list(lam.parts),
-            "h0": h0_dim(lam, p),
-            "ext1_B": oracle_dim,
-            "h1": {"value": oracle_dim, "exact": p != 2},
-            "case": "oracle",
-            "witness": None,
-        }
-    else:
-        payload = _classification_json(closed)
+        report = Classification(p, lam, h0_dim(lam, p), oracle_dim, p != 2, "oracle", None)
+    payload = _classification_json(report)
 
     if args.json:
         print(json.dumps(payload))

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .padic import binom_mod_p, digit_p, validate_prime
+from .padic import _binom_mod_p, digit_p, validate_prime
 from .partitions import Partition, is_james_partition, james_index, row_len, row_val
 
 
@@ -52,6 +52,38 @@ def slot_count(lam: Partition) -> int:
     )
 
 
+def _pair_offsets(lam: Partition) -> list[list[int]]:
+    """``offsets[r][s]``: canonical position of slot (r, s, 1), for r < s.
+
+    Slot (r, s, i) then sits at ``offsets[r][s] + i - 1``.
+    """
+    n = lam.n
+    offsets = [[0] * (n + 1) for _ in range(n + 1)]
+    pos = 0
+    for r in range(1, n + 1):
+        for s in range(r + 1, n + 1):
+            offsets[r][s] = pos
+            pos += lam.parts[s - 1]
+    return offsets
+
+
+def _nonzero_entries(
+    lam: Partition, values: tuple[int, ...]
+) -> Iterator[tuple[int, int, int, int]]:
+    """(r, s, i, value) for every nonzero slot, in canonical slot order."""
+    n = lam.n
+    pos = 0
+    for r in range(1, n + 1):
+        for s in range(r + 1, n + 1):
+            width = lam.parts[s - 1]
+            block = values[pos : pos + width]
+            if any(block):
+                for k, value in enumerate(block):
+                    if value:
+                        yield r, s, k + 1, value
+            pos += width
+
+
 @dataclass(frozen=True)
 class MultiSequence:
     """Dense vector of F_p slot values in canonical slot order."""
@@ -70,8 +102,8 @@ class MultiSequence:
         return not any(self.values)
 
     def nonzero_slots(self) -> list[tuple[SlotIndex, int]]:
-        slots = canonical_slot_order(self.lam)
-        return [(slots[k], v) for k, v in enumerate(self.values) if v]
+        entries = _nonzero_entries(self.lam, self.values)
+        return [(SlotIndex(r, s, i), v) for r, s, i, v in entries]
 
 
 def multisequence_from_slots(
@@ -79,13 +111,14 @@ def multisequence_from_slots(
 ) -> MultiSequence:
     """Build a MultiSequence from a sparse {(r, s, i): value} mapping."""
     validate_prime(p)
-    positions = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
-    values = [0] * len(positions)
+    offsets = _pair_offsets(lam)
+    values = [0] * slot_count(lam)
     for slot, value in entries.items():
         key = SlotIndex(*slot)
-        if key not in positions:
+        r, s, i = key
+        if not (1 <= r < s <= lam.n and 1 <= i <= lam.part(s)):
             raise ValueError(f"slot {key} does not exist for {lam}")
-        values[positions[key]] = value % p
+        values[offsets[r][s] + i - 1] = value % p
     return MultiSequence(lam, p, tuple(values))
 
 
@@ -93,7 +126,7 @@ def standard_multisequence(lam: Partition, p: int) -> MultiSequence:
     """Slot (r, s, i) holds C(part_r + i, i) mod p; zero iff lam is James."""
     validate_prime(p)
     values = tuple(
-        binom_mod_p(lam.part(slot.r) + slot.i, slot.i, p)
+        _binom_mod_p(lam.part(slot.r) + slot.i, slot.i, p)
         for slot in canonical_slot_order(lam)
     )
     return MultiSequence(lam, p, values)
@@ -111,17 +144,18 @@ def canonical_multisequence(lam: Partition, p: int) -> MultiSequence:
     if lam.n < 2:
         raise ValueError("canonical_multisequence requires at least two rows")
     ji = james_index(lam, p)  # also rejects non-James input
-    values = []
-    for slot in canonical_slot_order(lam):
-        vr = row_val(lam, slot.r, p)
-        ls = row_len(lam, slot.s, p)
-        step = p**ls
-        if vr - ls == ji and slot.i % step == 0:
-            t = slot.i // step
-            num = digit_p(lam.part(slot.r), vr, p) + 1
-            values.append(num * pow(t % p, p - 2, p) % p)
-        else:
-            values.append(0)
+    offsets = _pair_offsets(lam)
+    values = [0] * slot_count(lam)
+    for r in range(1, lam.n):
+        vr = row_val(lam, r, p)
+        num = digit_p(lam.part(r), vr, p) + 1
+        for s in range(r + 1, lam.n + 1):
+            ls = row_len(lam, s, p)
+            if vr - ls != ji:
+                continue
+            step = p**ls
+            for t in range(1, lam.part(s) // step + 1):
+                values[offsets[r][s] + t * step - 1] = num * pow(t % p, p - 2, p) % p
     return MultiSequence(lam, p, tuple(values))
 
 
@@ -143,102 +177,180 @@ class RelationSystem:
     row_tags: tuple[RowTag, ...]
 
 
-def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
-    """Yield (tag, {slot position: coefficient}) rows, zero entries omitted.
+def _relation_tags(lam: Partition) -> Iterator[RowTag]:
+    """Tags (family, indices) of every candidate relation row.
 
-    Family order is (E), (T1), (T2), (T3a), (T3b), (C), each instantiated
-    in ascending lexicographic index order, so the emitted row order is
+    (E) for every pair, then (T1), (T2), (T3a), (T3b) for every triple,
+    then (C) for every two disjoint pairs, with pairs, triples and row
+    indices in ascending lexicographic order, so the row order is
     deterministic.
     """
     n = lam.n
     part = lam.part
-    positions = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
     pairs = [(r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
-    triples = [
-        (r, s, t)
-        for r in range(1, n + 1)
-        for s in range(r + 1, n + 1)
-        for t in range(s + 1, n + 1)
-    ]
 
-    def row_entry(row: dict[int, int], slot: tuple[int, int, int], coef: int) -> None:
-        coef %= p
-        if not coef:
-            return
-        pos = positions[SlotIndex(*slot)]
-        total = (row.get(pos, 0) + coef) % p
-        if total:
-            row[pos] = total
-        else:
-            row.pop(pos, None)
-
-    # (E): C(a+i+j, j) y(r,s)_i - C(i+j, i) y(r,s)_{i+j} = 0 over ordered (i, j).
     for r, s in pairs:
-        a, b = part(r), part(s)
+        b = part(s)
         for i in range(1, b):
             for j in range(1, b - i + 1):
-                row: dict[int, int] = {}
-                row_entry(row, (r, s, i), binom_mod_p(a + i + j, j, p))
-                row_entry(row, (r, s, i + j), -binom_mod_p(i + j, i, p))
-                yield ("E", r, s, i, j), row
+                yield ("E", r, s, i, j)
 
-    for r, s, t in triples:
-        a, b, c = part(r), part(s), part(t)
+    for r, s in pairs:
+        for t in range(s + 1, n + 1):
+            b, c = part(s), part(t)
+            for i in range(1, b + 1):
+                for k in range(1, c + 1):
+                    yield ("T1", r, s, t, i, k)
+            for j in range(1, c + 1):
+                for k in range(1, c - j + 1):
+                    yield ("T2", r, s, t, j, k)
+            for j in range(1, c + 1):
+                for i in range(1, j + 1):
+                    yield ("T3a", r, s, t, i, j)
+            for j in range(1, c + 1):
+                for i in range(j + 1, b + j + 1):
+                    yield ("T3b", r, s, t, j, i)
 
-        # (T1): C(a+i+k, k) x_i - C(a+i+k, i) z_k = 0.
-        for i in range(1, b + 1):
-            for k in range(1, c + 1):
-                row = {}
-                row_entry(row, (r, s, i), binom_mod_p(a + i + k, k, p))
-                row_entry(row, (r, t, k), -binom_mod_p(a + i + k, i, p))
-                yield ("T1", r, s, t, i, k), row
-
-        # (T2): C(a+k, k) y_j - C(b+j, j) z_k = 0 for j + k <= c.
-        for j in range(1, c + 1):
-            for k in range(1, c - j + 1):
-                row = {}
-                row_entry(row, (s, t, j), binom_mod_p(a + k, k, p))
-                row_entry(row, (r, t, k), -binom_mod_p(b + j, j, p))
-                yield ("T2", r, s, t, j, k), row
-
-        # (T3a): C(a+i, i) y_j = sum_{h<i} C(b+j-i, j-h) C(a+i, h) x_{i-h}
-        #        + C(b+j-i, j-i) z_i, for 1 <= i <= j <= c.
-        for j in range(1, c + 1):
-            for i in range(1, j + 1):
-                row = {}
-                row_entry(row, (s, t, j), binom_mod_p(a + i, i, p))
-                for h in range(i):
-                    coef = binom_mod_p(b + j - i, j - h, p) * binom_mod_p(a + i, h, p)
-                    row_entry(row, (r, s, i - h), -coef)
-                row_entry(row, (r, t, i), -binom_mod_p(b + j - i, j - i, p))
-                yield ("T3a", r, s, t, i, j), row
-
-        # (T3b): C(a+i, i) y_j = sum_{h<=j} C(b+j-i, j-h) C(a+i, h) x_{i-h},
-        #        for 1 <= j <= c, j < i <= b + j; x_m vanishes outside [1, b].
-        for j in range(1, c + 1):
-            for i in range(j + 1, b + j + 1):
-                row = {}
-                row_entry(row, (s, t, j), binom_mod_p(a + i, i, p))
-                for h in range(j + 1):
-                    m = i - h
-                    if not 1 <= m <= b:
-                        continue
-                    coef = binom_mod_p(b + j - i, j - h, p) * binom_mod_p(a + i, h, p)
-                    row_entry(row, (r, s, m), -coef)
-                yield ("T3b", r, s, t, j, i), row
-
-    # (C): C(part_s + i, i) y(q,r)_j - C(part_q + j, j) y(s,t)_i = 0 for
-    # disjoint pairs; both orders are emitted, the redundancy is harmless.
+    # Both orders of each disjoint pair are emitted; the redundancy is harmless.
     for q, r in pairs:
         for s, t in pairs:
             if len({q, r, s, t}) != 4:
                 continue
             for i in range(1, part(t) + 1):
                 for j in range(1, part(r) + 1):
-                    row = {}
-                    row_entry(row, (q, r, j), binom_mod_p(part(s) + i, i, p))
-                    row_entry(row, (s, t, i), -binom_mod_p(part(q) + j, j, p))
-                    yield ("C", q, r, s, t, i, j), row
+                    yield ("C", q, r, s, t, i, j)
+
+
+def _row_terms(lam: Partition, tag: RowTag) -> Iterator[tuple[int, ...]]:
+    """The terms of one relation row as (r, s, i, sign, a1, b1, a2, b2).
+
+    The term's coefficient on slot (r, s, i) is sign * C(a1, b1) * C(a2, b2)
+    mod p; ``_coefficient`` evaluates it, so a caller pays for binomials
+    only on the terms it needs.  Single-binomial terms carry b2 = 0, as
+    C(a2, 0) = 1.  No row has two terms on the same slot.
+    """
+    family = tag[0]
+    parts = lam.parts
+    if family == "E":
+        # C(a+i+j, j) y(r,s)_i - C(i+j, i) y(r,s)_{i+j} = 0 over ordered (i, j).
+        _, r, s, i, j = tag
+        yield r, s, i, 1, parts[r - 1] + i + j, j, 0, 0
+        yield r, s, i + j, -1, i + j, i, 0, 0
+        return
+    if family == "C":
+        # C(part_s + i, i) y(q,r)_j - C(part_q + j, j) y(s,t)_i = 0 for
+        # disjoint pairs (q, r) and (s, t).
+        _, q, r, s, t, i, j = tag
+        yield q, r, j, 1, parts[s - 1] + i, i, 0, 0
+        yield s, t, i, -1, parts[q - 1] + j, j, 0, 0
+        return
+    # Triple relations tie x = y(r,s), y = y(s,t) and z = y(r,t).
+    r, s, t = tag[1:4]
+    a, b = parts[r - 1], parts[s - 1]
+    if family == "T1":
+        # C(a+i+k, k) x_i - C(a+i+k, i) z_k = 0.
+        i, k = tag[4:]
+        yield r, s, i, 1, a + i + k, k, 0, 0
+        yield r, t, k, -1, a + i + k, i, 0, 0
+    elif family == "T2":
+        # C(a+k, k) y_j - C(b+j, j) z_k = 0 for j + k <= c.
+        j, k = tag[4:]
+        yield s, t, j, 1, a + k, k, 0, 0
+        yield r, t, k, -1, b + j, j, 0, 0
+    elif family == "T3a":
+        # C(a+i, i) y_j = sum_{h<i} C(b+j-i, j-h) C(a+i, h) x_{i-h}
+        #                 + C(b+j-i, j-i) z_i, for 1 <= i <= j <= c.
+        i, j = tag[4:]
+        yield s, t, j, 1, a + i, i, 0, 0
+        for h in range(i):
+            yield r, s, i - h, -1, b + j - i, j - h, a + i, h
+        yield r, t, i, -1, b + j - i, j - i, 0, 0
+    else:
+        # (T3b): C(a+i, i) y_j = sum_{h<=j} C(b+j-i, j-h) C(a+i, h) x_{i-h},
+        # for 1 <= j <= c, j < i <= b + j; x_m vanishes outside [1, b].
+        j, i = tag[4:]
+        yield s, t, j, 1, a + i, i, 0, 0
+        for h in range(max(0, i - b), j + 1):
+            yield r, s, i - h, -1, b + j - i, j - h, a + i, h
+
+
+def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
+    """sign * C(a1, b1) * C(a2, b2) mod p, for a term of ``_row_terms``."""
+    coef = _binom_mod_p(a1, b1, p)
+    if coef and b2:
+        coef *= _binom_mod_p(a2, b2, p)
+    return sign * coef % p
+
+
+def _tags_touching(lam: Partition, slot: tuple[int, int, int]) -> Iterator[RowTag]:
+    """Tags of the candidate rows with a term on ``slot`` = (x, y, m).
+
+    Each family's index ranges in ``_relation_tags``, solved for the
+    indices that put (x, y, m) into one term position of ``_row_terms``.
+    Every such row is yielded once; the order is unspecified.
+    """
+    x, y, m = slot
+    n = lam.n
+    part = lam.part
+    width = part(y)  # slots on pair (x, y)
+
+    # (E) on pair (x, y): the slot is y_i with i = m, or y_{i+j} with i + j = m.
+    for j in range(1, width - m + 1):
+        yield ("E", x, y, m, j)
+    for i in range(1, m):
+        yield ("E", x, y, i, m - i)
+
+    # Triples (x, y, t): the slot is x_i = y(r,s)_i.
+    for t in range(y + 1, n + 1):
+        c = part(t)
+        for k in range(1, c + 1):
+            yield ("T1", x, y, t, m, k)
+        for j in range(m, c + 1):
+            for i in range(m, j + 1):
+                yield ("T3a", x, y, t, i, j)
+        for j in range(1, c + 1):
+            for i in range(max(j + 1, m), m + j + 1):
+                yield ("T3b", x, y, t, j, i)
+
+    # Triples (x, s, y): the slot is z_k = y(r,t)_k.
+    for s in range(x + 1, y):
+        for i in range(1, part(s) + 1):
+            yield ("T1", x, s, y, i, m)
+        for j in range(1, width - m + 1):
+            yield ("T2", x, s, y, j, m)
+        for j in range(m, width + 1):
+            yield ("T3a", x, s, y, m, j)
+
+    # Triples (r, x, y): the slot is y_j = y(s,t)_j.
+    for r in range(1, x):
+        for k in range(1, width - m + 1):
+            yield ("T2", r, x, y, m, k)
+        for i in range(1, m + 1):
+            yield ("T3a", r, x, y, i, m)
+        for i in range(m + 1, part(x) + m + 1):
+            yield ("T3b", r, x, y, m, i)
+
+    # (C): (x, y) as the first pair, slot y(q,r)_j, or as the second, y(s,t)_i.
+    for u in range(1, n + 1):
+        for w in range(u + 1, n + 1):
+            if u in (x, y) or w in (x, y):
+                continue
+            for i in range(1, part(w) + 1):
+                yield ("C", x, y, u, w, i, m)
+            for j in range(1, part(w) + 1):
+                yield ("C", u, w, x, y, m, j)
+
+
+def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
+    """Yield (tag, {slot position: coefficient}) rows, zero entries omitted."""
+    offsets = _pair_offsets(lam)
+    for tag in _relation_tags(lam):
+        row = {}
+        for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag):
+            coef = _coefficient(p, sign, a1, b1, a2, b2)
+            if coef:
+                row[offsets[r][s] + i - 1] = coef
+        yield tag, row
 
 
 def build_relation_system(lam: Partition, p: int) -> RelationSystem:
@@ -319,16 +431,34 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
 
 
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
-    """True iff the multi-sequence satisfies every relation row."""
+    """True iff the multi-sequence satisfies every relation row.
+
+    Only the rows with a term on a nonzero slot of ``ms`` are evaluated,
+    and in them only the terms on nonzero slots.  This is the full check:
+    every other row sums zero values and instantiates to 0 = 0, whatever
+    its coefficients.  The cost grows with the rows touching the nonzero
+    slots, not with the whole system.
+    """
     validate_prime(p)
     if len(ms.values) != slot_count(lam):
         raise ValueError(
             f"multi-sequence has {len(ms.values)} values, expected {slot_count(lam)}"
         )
     values = ms.values
-    for _tag, sparse in _iter_relation_rows(lam, p):
-        if sum(coef * values[pos] for pos, coef in sparse.items()) % p:
-            return False
+    offsets = _pair_offsets(lam)
+    seen: set[RowTag] = set()
+    for x, y, m, _value in _nonzero_entries(lam, values):
+        for tag in _tags_touching(lam, (x, y, m)):
+            if tag in seen:
+                continue
+            seen.add(tag)
+            total = 0
+            for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag):
+                value = values[offsets[r][s] + i - 1]
+                if value:
+                    total += value * _coefficient(p, sign, a1, b1, a2, b2)
+            if total % p:
+                return False
     return True
 
 

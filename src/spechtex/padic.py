@@ -129,6 +129,15 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
     validate_prime(p)
     if a < 0 or b < 0:
         raise ValueError("binom_mod_p requires non-negative arguments")
+    return _binom_mod_p(a, b, p)
+
+
+def _binom_mod_p(a: int, b: int, p: int) -> int:
+    """``binom_mod_p`` without argument checks: p prime, a and b non-negative.
+
+    For hot loops whose caller has validated ``p`` once and whose
+    arguments are non-negative by construction.
+    """
     fact, invfact = _factorial_tables(p)
     result = 1
     while b:

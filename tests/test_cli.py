@@ -70,8 +70,10 @@ def test_classify_oracle_method(capsys):
         capsys, "classify", "--p", "2", "--lambda", "2,1,1,1", "--method", "oracle", "--json"
     )
     assert code == 0
-    payload = json.loads(out)
-    assert payload["ext1_B"] == 0 and payload["case"] == "oracle"
+    assert out == (
+        '{"p": 2, "lambda": [2, 1, 1, 1], "h0": 0, "ext1_B": 0, '
+        '"h1": {"value": 0, "exact": false}, "case": "oracle", "witness": null}\n'
+    )
 
 
 def test_usage_error_bad_partition(capsys):
@@ -89,6 +91,13 @@ def test_usage_error_bad_prime(capsys):
 def test_usage_error_unparseable(capsys):
     code, _, err = run_cli(capsys, "classify", "--p", "3", "--lambda", "1,x")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["3,,2", "3,2,", ",3", "3, ,2", ""])
+def test_usage_error_empty_field(capsys, text):
+    code, out, err = run_cli(capsys, "classify", "--p", "3", "--lambda", text)
+    assert code == 2
+    assert out == "" and "empty part" in err
 
 
 def test_missing_subcommand_exits_2():

@@ -1,9 +1,17 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import int_val, pascal_binom
+from spechtex.classifier import ext1_dim
 from spechtex.coherence import (
     MultiSequence,
     SlotIndex,
+    _iter_relation_rows,
+    _row_terms,
+    _tags_touching,
     build_relation_system,
     canonical_multisequence,
     canonical_slot_order,
@@ -187,3 +195,99 @@ def test_standard_in_kernel_small_range():
         for d in range(0, 11):
             for lam in enumerate_partitions(d, max(d, 1)):
                 assert is_coherent(standard_multisequence(lam, p), lam, p)
+
+
+def dense_is_coherent(ms, lam, p):
+    """The full check: every kept row of the relation system against the values."""
+    rows = build_relation_system(lam, p).rows
+    return all(sum(c * v for c, v in zip(row, ms.values)) % p == 0 for row in rows)
+
+
+def dense_row(lam, p, tag):
+    """One row from its `_row_terms`, with exact binomials from the Pascal triangle."""
+    position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
+    row = [0] * len(position)
+    for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag):
+        row[position[(r, s, i)]] += sign * pascal_binom(a1, b1) * pascal_binom(a2, b2)
+    return tuple(c % p for c in row)
+
+
+def test_tags_touching_cover_every_kept_row_on_a_slot():
+    for p in (2, 3, 5):
+        for d in range(10):
+            for lam in enumerate_partitions(d, max(d, 1)):
+                system = build_relation_system(lam, p)
+                kept = dict(zip(system.row_tags, system.rows))
+                candidates = {tag for tag, _row in _iter_relation_rows(lam, p)}
+                zero = (0,) * system.num_slots
+                for pos, slot in enumerate(canonical_slot_order(lam)):
+                    touching = list(_tags_touching(lam, slot))
+                    assert len(set(touching)) == len(touching), (lam.parts, slot)
+                    assert set(touching) <= candidates, (lam.parts, slot)
+                    for tag in touching:
+                        term_slots = [term[:3] for term in _row_terms(lam, tag)]
+                        assert tuple(slot) in term_slots, tag
+                        assert len(set(term_slots)) == len(term_slots), tag
+                        assert dense_row(lam, p, tag) == kept.get(tag, zero), tag
+                    on_slot = {tag for tag, row in kept.items() if row[pos]}
+                    assert on_slot <= set(touching), (p, lam.parts, slot)
+
+
+def test_is_coherent_matches_dense_check_on_every_witness():
+    witnesses = 0
+    for p in (2, 3, 5, 7):
+        for d in range(15):
+            for lam in enumerate_partitions(d, max(d, 1)):
+                witness = ext1_dim(lam, p).witness
+                if witness is None:
+                    continue
+                witnesses += 1
+                assert is_coherent(witness, lam, p)
+                assert dense_is_coherent(witness, lam, p), (p, lam.parts)
+    # Every non-split instance of the acceptance range carries one.
+    assert witnesses == 335
+
+
+def test_is_coherent_matches_dense_check_on_sparse_random_vectors():
+    rng = random.Random(2)
+    verdicts = []
+    for p in (2, 3, 5, 7):
+        for d in range(2, 12):
+            for lam in enumerate_partitions(d, d):
+                vdim = slot_count(lam)
+                if not vdim:
+                    continue
+                values = [0] * vdim
+                for k in rng.sample(range(vdim), min(vdim, rng.randint(1, 4))):
+                    values[k] = rng.randrange(1, p)
+                ms = MultiSequence(lam, p, tuple(values))
+                verdict = is_coherent(ms, lam, p)
+                assert verdict == dense_is_coherent(ms, lam, p), (p, lam.parts, values)
+                verdicts.append(verdict)
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    top=st.integers(1, 10**6),
+    lower=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    p=st.sampled_from((2, 3, 5, 7)),
+    data=st.data(),
+)
+def test_is_coherent_matches_dense_check_with_a_deep_top_part(top, lower, p, data):
+    lower.sort(reverse=True)
+    lam = Partition((max(top, lower[0]), *lower))
+    entries = data.draw(
+        st.dictionaries(
+            st.integers(0, slot_count(lam) - 1), st.integers(1, p - 1), min_size=1, max_size=4
+        )
+    )
+    values = [0] * slot_count(lam)
+    for k, v in entries.items():
+        values[k] = v
+    vectors = [MultiSequence(lam, p, tuple(values)), standard_multisequence(lam, p)]
+    witness = ext1_dim(lam, p).witness
+    if witness is not None:
+        vectors.append(witness)
+    for ms in vectors:
+        assert is_coherent(ms, lam, p) == dense_is_coherent(ms, lam, p)

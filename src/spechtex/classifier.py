@@ -17,7 +17,6 @@ group cohomology; for odd p it is exact.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .coherence import (
@@ -40,9 +39,6 @@ from .partitions import (
     row_len,
     row_val,
 )
-
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class TripleVerdict:
@@ -163,74 +159,46 @@ def _pointed_head_case(a: int, b: int, c: int, p: int, beta: int):
     return None
 
 
+def _triple_case(a: int, b: int, c: int, p: int):
+    """Case table for a triple whose head pair (a, b) is not James.
+
+    Returns (case tag, witness slots on rows 1..3), the slots None when
+    the triple splits.
+    """
+    head = classify_two_part(a, b, p)
+    if head.kind == SPLIT:
+        kind, hit = "split-head", _split_head_case(a, b, c, p)
+    else:
+        kind, hit = "pointed-head", _pointed_head_case(a, b, c, p, head.beta)
+    if hit is None:
+        return f"split:{kind}", None
+    case, slots = hit
+    return f"{kind}-{case}", slots
+
+
+# ext1_dim's tag for a triple with a James head pair, as triple_verdict reports it.
+_JAMES_HEAD_TAGS = {
+    "james": "james-triple",
+    "pointed-pair": "james-head-pointed-tail",
+    "split": "split:james-head",
+}
+
+
 def triple_verdict(a: int, b: int, c: int, p: int) -> TripleVerdict:
     """Split/non-split dispatch for a three-part partition a >= b >= c >= 1."""
     validate_prime(p)
     if not a >= b >= c >= 1:
         raise ValueError(f"triple_verdict requires a >= b >= c >= 1, got ({a},{b},{c})")
     lam = Partition((a, b, c))
-    head = classify_two_part(a, b, p)
-    if head.kind == JAMES:
-        if is_james_pair(b, c, p):
-            # A James partition of length three is never split.
-            witness = _verified(canonical_multisequence(lam, p), lam, p)
-            return TripleVerdict(True, "james-triple", witness)
-        gamma = len_p(c, p)
-        tail = classify_two_part(b, c, p)
-        if tail.kind == POINTED and val_p(a + 1, p) > len_p(b + p**gamma, p):
-            witness = _verified(
-                multisequence_from_slots(lam, p, {(2, 3, p**gamma): 1}), lam, p
-            )
-            return TripleVerdict(True, "james-head-pointed-tail", witness)
-        return TripleVerdict(False, "split:james-head", None)
-    if head.kind == SPLIT:
-        hit = _split_head_case(a, b, c, p)
-        if hit is None:
-            return TripleVerdict(False, "split:split-head", None)
-        case, slots = hit
-        witness = _verified(multisequence_from_slots(lam, p, slots), lam, p)
-        return TripleVerdict(True, f"split-head-{case}", witness)
-    hit = _pointed_head_case(a, b, c, p, head.beta)
-    if hit is None:
-        return TripleVerdict(False, "split:pointed-head", None)
-    case, slots = hit
+    if is_james_pair(a, b, p):
+        report = ext1_dim(lam, p)
+        nonsplit = report.witness is not None
+        return TripleVerdict(nonsplit, _JAMES_HEAD_TAGS[report.case_tag], report.witness)
+    tag, slots = _triple_case(a, b, c, p)
+    if slots is None:
+        return TripleVerdict(False, tag, None)
     witness = _verified(multisequence_from_slots(lam, p, slots), lam, p)
-    return TripleVerdict(True, f"pointed-head-{case}", witness)
-
-
-def _embed_triple_witness(
-    lam: Partition, p: int, r: int, triple_witness: MultiSequence
-) -> MultiSequence:
-    """Place a three-row witness on rows (r, r+1, r+2) of ``lam``."""
-    offset = r - 1
-    entries = {
-        (slot.r + offset, slot.s + offset, slot.i): value
-        for slot, value in triple_witness.nonzero_slots()
-    }
-    return multisequence_from_slots(lam, p, entries)
-
-
-def _no_earlier_row_obstruction(lam: Partition, p: int, r: int) -> bool:
-    """No row q < r has v_q equal to len_p(part_r + p**l_{r+1}).
-
-    For r = n - 1 the equivalent tail form (v_{r-1} strictly larger than
-    the length, vacuous for r = 1) is used; both formulations are
-    evaluated there and any divergence is logged.
-    """
-    target = len_p(lam.part(r) + p ** row_len(lam, r + 1, p), p)
-    enumerated = all(row_val(lam, q, p) != target for q in range(1, r))
-    if r == lam.n - 1:
-        tail_form = r == 1 or row_val(lam, r - 1, p) > target
-        if tail_form != enumerated:
-            logger.warning(
-                "pointed-pair criteria disagree for %s at p=%d: tail=%s enumerated=%s",
-                lam,
-                p,
-                tail_form,
-                enumerated,
-            )
-        return tail_form
-    return enumerated
+    return TripleVerdict(True, tag, witness)
 
 
 def _quadruple_conditions(lam: Partition, p: int, r: int) -> bool:
@@ -260,7 +228,19 @@ def _quadruple_conditions(lam: Partition, p: int, r: int) -> bool:
 
 
 def ext1_dim(lam: Partition, p: int) -> Classification:
-    """Classify (p, lam): fixed points, extension dimension, case, witness."""
+    """Classify (p, lam): fixed points, extension dimension, case, witness.
+
+    Each non-split case yields witness slots relative to the first
+    non-James row r; they are shifted onto rows r.. of ``lam``, built and
+    verified once.
+
+    The pointed-pair rule (only pair r non-James, pointed) asks that no
+    row q < r have v_q = len_p(part_r + p**beta), beta = l_{r+1}.  Rows
+    1..r form a James chain, along which v_q weakly decreases, and
+    part_r < p**v_{r-1} with p**beta <= part_{r+1} <= part_r, so that
+    length is at most v_{r-1}.  The rule is therefore exactly
+    r == 1 or v_{r-1} > len_p(part_r + p**beta).
+    """
     validate_prime(p)
     h1_exact = p != 2
     if lam.n <= 1:
@@ -274,47 +254,34 @@ def ext1_dim(lam: Partition, p: int) -> Classification:
     njp = non_james_pairs(lam, p)
     r = njp[0]
     n = lam.n
-    case_tag: str | None = None
-    witness: MultiSequence | None = None
-
-    if njp == [r, r + 1] and r < n - 1:
+    rows = lam.parts[r - 1 : r + 2]
+    case_tag, slots = "split", None
+    if njp == [r, r + 1]:
         # Two adjacent non-James pairs and nothing else: the three rows
         # starting at r decide.
-        tv = triple_verdict(lam.part(r), lam.part(r + 1), lam.part(r + 2), p)
-        if tv.nonsplit:
-            case_tag = f"adjacent-pairs/{tv.case_tag}"
-            witness = _embed_triple_witness(lam, p, r, tv.witness)
+        case, slots = _triple_case(*rows, p)
+        case_tag = f"adjacent-pairs/{case}"
     elif njp == [r]:
         head = classify_two_part(lam.part(r), lam.part(r + 1), p)
         if head.kind == SPLIT and r < n - 1:
-            tv = triple_verdict(lam.part(r), lam.part(r + 1), lam.part(r + 2), p)
-            deeper_ok = True
-            if p == 2 and r < n - 2:
-                deeper_ok = row_len(lam, r + 3, p) < row_len(lam, r + 2, p)
-            if tv.nonsplit and deeper_ok:
-                case_tag = f"split-pair/{tv.case_tag}"
-                witness = _embed_triple_witness(lam, p, r, tv.witness)
-        elif head.kind == POINTED and _no_earlier_row_obstruction(lam, p, r):
-            case_tag = "pointed-pair"
-            point = p ** row_len(lam, r + 1, p)
-            witness = multisequence_from_slots(lam, p, {(r, r + 1, point): 1})
+            case, slots = _triple_case(*rows, p)
+            case_tag = f"split-pair/{case}"
+            if p == 2 and r < n - 2 and row_len(lam, r + 3, p) >= row_len(lam, r + 2, p):
+                slots = None
+        elif head.kind == POINTED and (
+            r == 1 or row_val(lam, r - 1, p) > len_p(lam.part(r) + p**head.beta, p)
+        ):
+            case_tag, slots = "pointed-pair", {(1, 2, p**head.beta): 1}
     elif _quadruple_conditions(lam, p, r):
-        case_tag = "quadruple"
         pv = p ** row_val(lam, r, p)
-        witness = multisequence_from_slots(
-            lam,
-            p,
-            {
-                (r, r + 2, pv): 1,
-                (r + 1, r + 3, pv): 1,
-                (r + 1, r + 2, pv): -1,
-                (r, r + 3, pv): -1,
-            },
-        )
+        case_tag = "quadruple"
+        slots = {(1, 3, pv): 1, (2, 4, pv): 1, (2, 3, pv): -1, (1, 4, pv): -1}
 
-    if case_tag is None:
+    if slots is None:
         return Classification(p, lam, 0, 0, h1_exact, "split", None)
-    return Classification(p, lam, 0, 1, h1_exact, case_tag, _verified(witness, lam, p))
+    shifted = {(x + r - 1, y + r - 1, i): value for (x, y, i), value in slots.items()}
+    witness = _verified(multisequence_from_slots(lam, p, shifted), lam, p)
+    return Classification(p, lam, 0, 1, h1_exact, case_tag, witness)
 
 
 def witness_multisequence(lam: Partition, p: int) -> MultiSequence | None:
@@ -339,11 +306,18 @@ def gl2_ext_dim(r: int, s: int, t: int, u: int, p: int) -> int:
     return 1 if classify_two_part(a, b, p).kind in (JAMES, POINTED) else 0
 
 
+_SL2_VERDICTS = {
+    JAMES: (1, "james-window"),
+    POINTED: (1, "pointed-window"),
+    SPLIT: (0, "split"),
+}
+
+
 def sl2_verdict(r: int, s: int, p: int) -> tuple[int, str]:
     """(dimension, reason) for extensions between SL2 symmetric powers.
 
-    Nonzero iff r - s = 2m is a positive even number and either m < p**v
-    or m - p**l < p**v < p**l, with v = val_p(s + m + 1) and l = len_p(m).
+    Nonzero iff r - s = 2m is a positive even number and the two-part
+    partition (s + m, m) is James or pointed.
     """
     validate_prime(p)
     if r < 0 or s < 0:
@@ -354,13 +328,7 @@ def sl2_verdict(r: int, s: int, p: int) -> tuple[int, str]:
     if diff % 2:
         return 0, "parity"
     m = diff // 2
-    v = val_p(s + m + 1, p)
-    if m < p**v:
-        return 1, "james-window"
-    l = len_p(m, p)
-    if m - p**l < p**v < p**l:
-        return 1, "pointed-window"
-    return 0, "split"
+    return _SL2_VERDICTS[classify_two_part(s + m, m, p).kind]
 
 
 def sl2_ext_dim(r: int, s: int, p: int) -> int:

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from .classifier import Classification, ext1_dim, h0_dim, sl2_verdict
 from .coherence import (
     build_relation_system,
-    canonical_slot_order,
     ext1_dim_oracle,
     nullspace,
 )
@@ -140,7 +139,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "d_max": args.d_max,
         "parts_max": args.parts_max,
         "instances": len(results),
-        "mismatches": mismatches,
+        "mismatches": len(mismatches),
         "elapsed": round(time.monotonic() - started, 3),
     }
     print(json.dumps(report))
@@ -158,13 +157,11 @@ def cmd_basis(args: argparse.Namespace) -> int:
     lam = _parse_partition(args.lam)
     system = build_relation_system(lam, args.p)
     basis = nullspace(system)
-    slots = canonical_slot_order(lam)
     print(f"dim E = {len(basis)}")
     for k, vector in enumerate(basis):
         print(f"basis[{k}]:")
-        for slot, value in zip(slots, vector.values):
-            if value:
-                print(f"  y({slot.r},{slot.s})_{slot.i} = {value}")
+        for slot, value in vector.nonzero_slots():
+            print(f"  y({slot.r},{slot.s})_{slot.i} = {value}")
     return EXIT_OK
 
 

@@ -461,18 +461,3 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
                 return False
     return True
 
-
-def format_relation_system(system: RelationSystem) -> str:
-    """Debug dump: one kept row per line, `tag: c*y(r,s)_i + ... = 0`."""
-    slots = canonical_slot_order(system.lam)
-    lines = []
-    for tag, row in zip(system.row_tags, system.rows):
-        family, *indices = tag
-        label = f"{family}({','.join(str(k) for k in indices)})"
-        terms = [
-            f"{coef}*y({slots[pos].r},{slots[pos].s})_{slots[pos].i}"
-            for pos, coef in enumerate(row)
-            if coef
-        ]
-        lines.append(f"{label}: {' + '.join(terms)} = 0")
-    return "\n".join(lines)

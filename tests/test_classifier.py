@@ -17,9 +17,15 @@ from spechtex.coherence import (
     standard_multisequence,
 )
 from spechtex.partitions import (
+    JAMES,
+    POINTED,
+    SPLIT,
     Partition,
+    classify_two_part,
     enumerate_partitions,
+    is_james_pair,
     is_james_partition,
+    non_james_pairs,
 )
 
 
@@ -72,6 +78,15 @@ def test_triple_verdict_james_triple_always_nonsplit():
     assert is_coherent(tv.witness, Partition((2, 2, 2)), 3)
 
 
+def test_triple_verdict_james_head_pointed_tail():
+    # (26,11) is James at p=3 and (11,11) = 2 + 9 is pointed; v(27) = 3
+    # exceeds len_3(11 + 9) = 2, so the tail's point carries the witness.
+    tv = triple_verdict(26, 11, 11, 3)
+    assert tv.nonsplit and tv.case_tag == "james-head-pointed-tail"
+    assert dict(tv.witness.nonzero_slots()) == {(2, 3, 9): 1}
+    assert ext1_dim_oracle(Partition((26, 11, 11)), 3) == 1
+
+
 def test_triple_verdict_rejects_bad_order():
     with pytest.raises(ValueError):
         triple_verdict(1, 2, 1, 3)
@@ -104,6 +119,44 @@ def test_ext1_dim_examples():
 
     c = ext1_dim(Partition((9, 3)), 3)
     assert c.ext1_dim == 1 and c.case_tag == "pointed-pair"
+
+
+def _pointed_second_pair_with_rows_below(p, top_max):
+    # Four rows: (a, b) James, (b, c) pointed, (c, e) James.
+    for a in range(1, top_max + 1):
+        for b in range(1, a + 1):
+            if not is_james_pair(a, b, p):
+                continue
+            for c in range(1, b + 1):
+                if classify_two_part(b, c, p).kind != POINTED:
+                    continue
+                for e in range(1, c + 1):
+                    if is_james_pair(c, e, p):
+                        yield Partition((a, b, c, e))
+
+
+@pytest.mark.parametrize(
+    "p, top_max, extra",
+    [
+        (2, 16, []),
+        (3, 27, []),
+        # At p = 5 the shape first needs a top row of 124; one instance.
+        (5, 0, [(124, 29, 29, 1)]),
+    ],
+)
+def test_pointed_pair_above_james_rows_matches_oracle(p, top_max, extra):
+    # The pointed pair at r = 2 with a James row below it (r < n - 1),
+    # which the acceptance sweep never reaches; e.g. (15,5,5,1) at p=2 and
+    # (26,11,11,1) at p=3 are pointed-pair, (7,5,5,1) at p=2 splits.
+    lams = list(_pointed_second_pair_with_rows_below(p, top_max))
+    lams += [Partition(parts) for parts in extra]
+    tags = set()
+    for lam in lams:
+        assert non_james_pairs(lam, p) == [2]
+        c = ext1_dim(lam, p)
+        assert c.ext1_dim == ext1_dim_oracle(lam, p), (p, lam.parts)
+        tags.add(c.case_tag)
+    assert tags == ({"pointed-pair"} if p == 5 else {"pointed-pair", "split"})
 
 
 def test_ext1_dim_trivial_rows():
@@ -207,9 +260,14 @@ def test_sl2_example():
     assert sl2_verdict(4, 0, 2)[1] == "pointed-window"
 
 
+SL2_REASONS = {JAMES: "james-window", POINTED: "pointed-window", SPLIT: "split"}
+
+
 def test_sl2_equals_gl2_reduction():
     for p in (2, 3, 5):
         for r in range(0, 25):
             for s in range(r % 2, r, 2):
                 m = (r - s) // 2
                 assert sl2_ext_dim(r, s, p) == gl2_ext_dim(r, 0, s + m, m, p)
+                kind = classify_two_part(s + m, m, p).kind
+                assert sl2_verdict(r, s, p)[1] == SL2_REASONS[kind]

@@ -17,7 +17,6 @@ from spechtex.coherence import (
     canonical_slot_order,
     dim_E,
     ext1_dim_oracle,
-    format_relation_system,
     is_coherent,
     multisequence_from_slots,
     nullspace,
@@ -108,14 +107,6 @@ def test_relation_system_single_row_example():
     assert len(system.rows) == 1
     assert system.row_tags == (("T3a", 1, 2, 3, 1, 1),)
     assert system.rows[0] == (2, 2, 2)
-
-
-def test_relation_system_golden_dump():
-    system = build_relation_system(Partition((1, 1, 1)), 3)
-    assert (
-        format_relation_system(system)
-        == "T3a(1,2,3,1,1): 2*y(1,2)_1 + 2*y(1,3)_1 + 2*y(2,3)_1 = 0"
-    )
 
 
 def test_relation_system_empty_cases():

@@ -162,19 +162,33 @@ def canonical_multisequence(lam: Partition, p: int) -> MultiSequence:
 RowTag = tuple
 
 
-@dataclass(frozen=True)
+#: Largest system ``build_relation_system`` accepts, in candidate rows x slots.
+MAX_CELLS = 2**25
+
+
+class SystemTooLargeError(ValueError):
+    """The relation system would exceed ``MAX_CELLS`` candidate rows x slots."""
+
+
+@dataclass(frozen=True, eq=False)
 class RelationSystem:
-    """Dense F_p matrix whose nullspace is the coherent multi-sequence space.
+    """F_p matrix whose nullspace is the coherent multi-sequence space.
 
     Zero rows (relations that instantiate to 0 = 0) are dropped; row_tags
-    keep the (family, indices) provenance of every kept row.
+    keep the (family, indices) provenance of every kept row.  ``matrix``
+    is the read-only int64 array of the kept rows, entries in [0, p).
     """
 
     lam: Partition
     p: int
     num_slots: int
-    rows: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray
     row_tags: tuple[RowTag, ...]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The kept rows as tuples of ints, in ``row_tags`` order."""
+        return tuple(map(tuple, self.matrix.tolist()))
 
 
 def _relation_tags(lam: Partition) -> Iterator[RowTag]:
@@ -186,18 +200,18 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
     deterministic.
     """
     n = lam.n
-    part = lam.part
+    part = (0,) + lam.parts  # part[r] = part_r
     pairs = [(r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
 
     for r, s in pairs:
-        b = part(s)
+        b = part[s]
         for i in range(1, b):
             for j in range(1, b - i + 1):
                 yield ("E", r, s, i, j)
 
     for r, s in pairs:
         for t in range(s + 1, n + 1):
-            b, c = part(s), part(t)
+            b, c = part[s], part[t]
             for i in range(1, b + 1):
                 for k in range(1, c + 1):
                     yield ("T1", r, s, t, i, k)
@@ -214,10 +228,10 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
     # Both orders of each disjoint pair are emitted; the redundancy is harmless.
     for q, r in pairs:
         for s, t in pairs:
-            if len({q, r, s, t}) != 4:
+            if s in (q, r) or t in (q, r):
                 continue
-            for i in range(1, part(t) + 1):
-                for j in range(1, part(r) + 1):
+            for i in range(1, part[t] + 1):
+                for j in range(1, part[r] + 1):
                     yield ("C", q, r, s, t, i, j)
 
 
@@ -344,82 +358,180 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int]) -> Iterator[RowTa
 def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
     """Yield (tag, {slot position: coefficient}) rows, zero entries omitted."""
     offsets = _pair_offsets(lam)
+    binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
+    cached = binom.get
     for tag in _relation_tags(lam):
         row = {}
         for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag):
-            coef = _coefficient(p, sign, a1, b1, a2, b2)
-            if coef:
-                row[offsets[r][s] + i - 1] = coef
+            coef = cached((a1, b1))
+            if coef is None:
+                coef = binom[a1, b1] = _binom_mod_p(a1, b1, p)
+            if not coef:
+                continue
+            if b2:
+                coef2 = cached((a2, b2))
+                if coef2 is None:
+                    coef2 = binom[a2, b2] = _binom_mod_p(a2, b2, p)
+                if not coef2:
+                    continue
+                coef *= coef2
+            row[offsets[r][s] + i - 1] = sign * coef % p
         yield tag, row
 
 
+def _candidate_row_count(lam: Partition) -> int:
+    """Rows ``_relation_tags`` yields, in closed form over the parts.
+
+    With c = part_t: (E) gives c(c-1)/2 for each of the t-1 pairs (r, t);
+    each triple (r, s, t) gives part_s c for (T1) and for (T3b) and c**2
+    for (T2) and (T3a) together; (C) gives part_s c for each ordered pair
+    of disjoint pairs (q, s), (u, t) or (u, t), (q, s) with s < t, of
+    which there are (s-1)(t-3) each.  Summing over r < s leaves the
+    prefix sums of (s-1) and (s-1) part_s.
+    """
+    total = 0
+    below = 0  # sum of (s-1) over s < t
+    weighted = 0  # sum of (s-1) part_s over s < t
+    for t, c in enumerate(lam.parts, start=1):
+        total += (t - 1) * c * (c - 1) // 2 + c * c * below + 2 * (t - 2) * c * weighted
+        below += t - 1
+        weighted += (t - 1) * c
+    return total
+
+
 def build_relation_system(lam: Partition, p: int) -> RelationSystem:
-    """Instantiate every relation family and drop the zero rows."""
+    """Instantiate every relation family and drop the zero rows.
+
+    Raises ``SystemTooLargeError`` before generating any row when the
+    candidate rows times the slots exceed ``MAX_CELLS``.
+    """
     validate_prime(p)
     vdim = slot_count(lam)
-    rows: list[tuple[int, ...]] = []
+    cells = _candidate_row_count(lam) * vdim
+    if cells > MAX_CELLS:
+        raise SystemTooLargeError(
+            f"relation system for {lam} has {cells} candidate cells "
+            f"(rows x slots), above the budget of {MAX_CELLS}"
+        )
+    widths: list[int] = []
+    cols: list[int] = []
+    coefs: list[int] = []
     tags: list[RowTag] = []
     for tag, sparse in _iter_relation_rows(lam, p):
-        if not sparse:
-            continue
-        dense = [0] * vdim
-        for pos, coef in sparse.items():
-            dense[pos] = coef
-        rows.append(tuple(dense))
-        tags.append(tag)
-    return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags))
+        if sparse:
+            widths.append(len(sparse))
+            cols.extend(sparse)
+            coefs.extend(sparse.values())
+            tags.append(tag)
+    matrix = np.zeros((len(tags), vdim), dtype=np.int64)
+    matrix[np.repeat(np.arange(len(tags)), widths), cols] = coefs
+    matrix.flags.writeable = False
+    return RelationSystem(lam, p, vdim, matrix, tuple(tags))
 
 
-def nullspace(system: RelationSystem) -> list[MultiSequence]:
-    """Basis of the solution space via deterministic row reduction.
+def _reduce_block(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """RREF of the nonzero rows ``block``: (rows, pivot columns).
 
-    Pivoting is first-nonzero-column with smallest row index; basis
-    vectors correspond to free columns in ascending order, so identical
-    inputs always produce identical bases.
+    Pivoting is first-nonzero-column with smallest row index, over the
+    columns where the block has a nonzero entry; the others stay zero.
     """
-    p = system.p
-    vdim = system.num_slots
-    if vdim == 0:
-        return []
-    if system.rows:
-        mat = np.array(system.rows, dtype=np.int64) % p
-    else:
-        mat = np.zeros((0, vdim), dtype=np.int64)
-    nrows = mat.shape[0]
-    pivot_cols: list[int] = []
+    cols = np.flatnonzero(block.any(axis=0))
+    sub = block[:, cols]
+    nrows = sub.shape[0]
+    pivots: list[int] = []
     rank = 0
-    for col in range(vdim):
+    for k in range(cols.size):
         if rank == nrows:
             break
-        hits = np.nonzero(mat[rank:, col])[0]
+        hits = np.flatnonzero(sub[rank:, k])
         if hits.size == 0:
             continue
         lead = rank + int(hits[0])
         if lead != rank:
-            mat[[rank, lead]] = mat[[lead, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = mat[rank] * inv % p
-        colvals = mat[:, col].copy()
+            sub[[rank, lead]] = sub[[lead, rank]]
+        inv = pow(int(sub[rank, k]), p - 2, p)
+        sub[rank] = sub[rank] * inv % p
+        colvals = sub[:, k].copy()
         colvals[rank] = 0
-        nz = np.nonzero(colvals)[0]
+        nz = np.flatnonzero(colvals)
         if nz.size:
-            mat[nz] = (mat[nz] - np.outer(colvals[nz], mat[rank])) % p
-        pivot_cols.append(col)
+            sub[nz] = (sub[nz] - np.outer(colvals[nz], sub[rank])) % p
+        pivots.append(k)
         rank += 1
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in (c for c in range(vdim) if c not in pivot_set):
-        vec = [0] * vdim
-        vec[free] = 1
-        for ridx, pcol in enumerate(pivot_cols):
-            vec[pcol] = (-int(mat[ridx, free])) % p
-        basis.append(MultiSequence(system.lam, p, tuple(vec)))
-    return basis
+    rows = np.zeros((rank, block.shape[1]), dtype=np.int64)
+    rows[:, cols] = sub[:rank]
+    return rows, cols[pivots]
+
+
+def _mul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 matrices with entries in [0, p), through float64.
+
+    Exact: each product is below p**2 < 2**30 (p < 2**15) and a sum of at
+    most V of them stays below 2**53 while V < 2**23.  ``MAX_CELLS`` keeps
+    V far below that: V >= 2**23 needs five or more candidate rows (ten
+    (T1) rows once there are five parts, else a second part of at least
+    2**20 and its (E) rows), so at least 5 * 2**23 > MAX_CELLS cells.
+    """
+    prod = a.astype(np.float64) @ b.astype(np.float64)
+    return prod.astype(np.int64) % p
+
+
+def _echelon(system: RelationSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF of the system's rows and its pivot columns, ascending.
+
+    Rows are fed in blocks of ``max(64, 2 V)``.  Each block is reduced
+    against the running RREF by one matmul, its surviving rows are
+    row-reduced among themselves, and the new pivot columns are cleared
+    from the running RREF by a second matmul.  Memory stays at one block
+    plus at most V echelon rows.  The RREF of a row space is unique, so
+    the result does not depend on the block size.
+    """
+    p = system.p
+    vdim = system.num_slots
+    matrix = system.matrix
+    rref = np.zeros((0, vdim), dtype=np.int64)
+    pivots = np.zeros(0, dtype=np.intp)
+    step = max(64, 2 * vdim)
+    for start in range(0, matrix.shape[0], step):
+        block = matrix[start : start + step]
+        if pivots.size:
+            block = (block - _mul_mod_p(block[:, pivots], rref, p)) % p
+        block = block[block.any(axis=1)]
+        if block.shape[0] == 0:
+            continue
+        new_rows, new_pivots = _reduce_block(block, p)
+        if pivots.size:
+            rref = (rref - _mul_mod_p(rref[:, new_pivots], new_rows, p)) % p
+        rref = np.concatenate((rref, new_rows))
+        pivots = np.concatenate((pivots, new_pivots))
+        order = np.argsort(pivots)
+        rref, pivots = rref[order], pivots[order]
+        if pivots.size == vdim:
+            break
+    return rref, pivots
+
+
+def nullspace(system: RelationSystem) -> list[MultiSequence]:
+    """Basis of the solution space, read off the unique RREF.
+
+    Basis vectors correspond to free columns in ascending order: the
+    vector for free column f has 1 there and -rref[k, f] on the k-th
+    pivot column, so identical inputs always produce identical bases.
+    """
+    p = system.p
+    vdim = system.num_slots
+    rref, pivots = _echelon(system)
+    free = np.setdiff1d(np.arange(vdim), pivots)
+    basis = np.zeros((free.size, vdim), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -rref[:, free].T % p
+    return [MultiSequence(system.lam, p, tuple(vec)) for vec in basis.tolist()]
 
 
 def dim_E(lam: Partition, p: int) -> int:
     """Dimension of the space of coherent multi-sequences."""
-    return len(nullspace(build_relation_system(lam, p)))
+    system = build_relation_system(lam, p)
+    return system.num_slots - _echelon(system)[1].size
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:

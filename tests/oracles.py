@@ -2,7 +2,8 @@
 
 Nothing here imports from the package's computation paths under test:
 binomials come from the Pascal recurrence on exact big integers, the
-partition function from the pentagonal-number recurrence.
+partition function from the pentagonal-number recurrence, and row
+reduction over F_p is plain Python on lists, without numpy.
 """
 
 from __future__ import annotations
@@ -64,3 +65,50 @@ def james_index_by_divisibility(parts: tuple[int, ...], p: int) -> int:
         for j in range(1, parts[r + 1] + 1)
     ]
     return min(vals)
+
+
+def rref_mod_p(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p of integer rows: (rref rows, pivots).
+
+    Rows are taken one at a time.  Each is reduced against the echelon
+    rows kept so far (every one has a 1 on its pivot and 0 on the other
+    pivots), normalised to lead with 1, and then cleared from the earlier
+    rows, so the kept rows are always in reduced form.  The result is
+    sorted by pivot column.
+    """
+    echelon: dict[int, list[int]] = {}
+    for row in rows:
+        vec = [x % p for x in row]
+        for col, prow in echelon.items():
+            f = vec[col]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, prow)]
+        lead = next((c for c, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        inv = pow(vec[lead], p - 2, p)
+        vec = [x * inv % p for x in vec]
+        for col, prow in echelon.items():
+            f = prow[lead]
+            if f:
+                echelon[col] = [(x - f * y) % p for x, y in zip(prow, vec)]
+        echelon[lead] = vec
+    pivots = sorted(echelon)
+    return [echelon[c] for c in pivots], pivots
+
+
+def nullspace_from_rref(
+    rref: list[list[int]], pivots: list[int], ncols: int, p: int
+) -> list[tuple[int, ...]]:
+    """Nullspace basis read off an RREF: one vector per free column, ascending.
+
+    The vector for free column f has 1 on f and -rref[k][f] on pivot k.
+    """
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, col in zip(rref, pivots):
+            vec[col] = -row[free] % p
+        basis.append(tuple(vec))
+    return basis

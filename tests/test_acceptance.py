@@ -5,10 +5,7 @@ offending instance in the message.  Everything here is exact integer
 equality — no numerical tolerances are involved.
 """
 
-import os
 import time
-
-import pytest
 
 from oracles import int_val, pascal_binom
 from spechtex.classifier import ext1_dim, gl2_ext_dim, h0_dim, james_ext_dim
@@ -190,10 +187,6 @@ def test_criterion_10_fixed_points():
     print("ACCEPTANCE 10: PASS - h0 is the James indicator on the full sweep range")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SPECHTEX_NIGHTLY"),
-    reason="extended sweep; set SPECHTEX_NIGHTLY=1 to run",
-)
 def test_nightly_extended_sweep():
     for p in SWEEP_PRIMES:
         for lam in all_partitions(18, parts_cap=6):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_usage_error_empty_field(capsys, text):
     code, out, err = run_cli(capsys, "classify", "--p", "3", "--lambda", text)
     assert code == 2
     assert out == "" and "empty part" in err
+
+
+def test_oversized_oracle_system_exits_2(capsys):
+    # About 1.35e10 candidate cells: refused before any row is generated.
+    started = time.monotonic()
+    code, out, err = run_cli(
+        capsys, "classify", "--p", "3", "--lambda", "1000,1000,1000", "--method", "oracle"
+    )
+    assert time.monotonic() - started < 1.0
+    assert code == 2
+    assert out == "" and "budget" in err
+    code, _, _ = run_cli(
+        capsys, "classify", "--p", "3", "--lambda", "1000,1000,1000", "--method", "closed"
+    )
+    assert code == 0
 
 
 def test_missing_subcommand_exits_2():

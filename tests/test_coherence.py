@@ -1,15 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import int_val, pascal_binom
+from oracles import int_val, nullspace_from_rref, pascal_binom, rref_mod_p
 from spechtex.classifier import ext1_dim
 from spechtex.coherence import (
+    MAX_CELLS,
     MultiSequence,
     SlotIndex,
+    SystemTooLargeError,
+    _candidate_row_count,
+    _echelon,
     _iter_relation_rows,
+    _relation_tags,
     _row_terms,
     _tags_touching,
     build_relation_system,
@@ -147,6 +153,71 @@ def test_nullspace_deterministic():
         s2 = build_relation_system(lam, p)
         assert s1.rows == s2.rows and s1.row_tags == s2.row_tags
         assert [v.values for v in nullspace(s1)] == [v.values for v in nullspace(s2)]
+
+
+def assert_matches_python_rref(lam, p):
+    """The RREF, nullspace and dim_E agree with the pure-Python elimination."""
+    system = build_relation_system(lam, p)
+    rref, pivots = rref_mod_p(system.rows, p)
+    fast_rref, fast_pivots = _echelon(system)
+    assert (fast_rref.tolist(), fast_pivots.tolist()) == (rref, pivots), (p, lam.parts)
+    expected = nullspace_from_rref(rref, pivots, system.num_slots, p)
+    assert [v.values for v in nullspace(system)] == expected, (p, lam.parts)
+    assert dim_E(lam, p) == len(expected), (p, lam.parts)
+    return system, pivots
+
+
+def test_nullspace_matches_independent_elimination():
+    for p in (2, 3, 5, 7):
+        for d in range(11):
+            for lam in enumerate_partitions(d, max(d, 1)):
+                assert_matches_python_rref(lam, p)
+    # The range has systems whose pivots arrive in more than one block of
+    # 64 rows, so clearing new pivots from the running RREF is exercised.
+    system, pivots = assert_matches_python_rref(Partition((1,) * 9), 2)
+    assert len(rref_mod_p(system.rows[:64], 2)[1]) < len(pivots)
+
+
+def test_nullspace_matches_independent_elimination_across_blocks():
+    # 6370 rows are fed in 35 blocks of 2 * 91 rows.
+    system, _ = assert_matches_python_rref(Partition((1,) * 14), 3)
+    assert system.matrix.shape == (6370, 91)
+
+
+@pytest.mark.parametrize("parts", [(3, 2, 1), (1,) * 7, (1,) * 9, (40000, 6, 3)])
+def test_nullspace_matches_independent_elimination_at_the_largest_prime(parts):
+    # Products of entries below 32749 come near 2**30: the float64 matmul
+    # stays exact only while its sums stay below 2**53.
+    assert_matches_python_rref(Partition(parts), 32749)
+
+
+def test_nullspace_with_a_top_part_beyond_int64():
+    lam = Partition((10**30 + 7, 4, 2, 1))
+    for p in (2, 3, 5, 7):
+        assert ext1_dim_oracle(lam, p) == ext1_dim(lam, p).ext1_dim
+        matrix = build_relation_system(lam, p).matrix
+        assert matrix.dtype == np.int64 and ((0 <= matrix) & (matrix < p)).all()
+        assert_matches_python_rref(lam, p)
+
+
+def test_candidate_row_count_matches_the_tags():
+    shapes = [lam.parts for d in range(13) for lam in enumerate_partitions(d, max(d, 1))]
+    shapes += [(50, 20, 7, 3, 1), (9, 9, 9, 9, 9), (100, 1, 1, 1, 1, 1, 1)]
+    for parts in shapes:
+        lam = Partition(parts)
+        assert _candidate_row_count(lam) == sum(1 for _ in _relation_tags(lam)), parts
+
+
+def test_oversized_system_is_refused_up_front():
+    # 4,498,500 candidate rows x 3000 slots; the largest system in the
+    # tests, (1^16), has 1.5M cells.
+    lam = Partition((1000, 1000, 1000))
+    assert _candidate_row_count(lam) * slot_count(lam) > MAX_CELLS
+    with pytest.raises(SystemTooLargeError):
+        build_relation_system(lam, 3)
+    with pytest.raises(SystemTooLargeError):
+        dim_E(lam, 3)
+    assert issubclass(SystemTooLargeError, ValueError)
 
 
 def test_ext1_dim_oracle_examples():

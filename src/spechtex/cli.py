@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -116,8 +117,20 @@ def _sweep_instance(task: tuple[int, tuple[int, ...]]) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     p = args.p
+    if args.d_max < 0:
+        raise ValueError(f"--d-max must be non-negative, got {args.d_max}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     started = time.monotonic()
     tasks = []
     for d in range(args.d_max + 1):
@@ -125,8 +138,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for lam in enumerate_partitions(d, parts_max):
             tasks.append((p, lam.parts))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_instance, tasks, chunksize=16))
     else:
         results = [_sweep_instance(task) for task in tasks]

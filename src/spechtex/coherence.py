@@ -19,12 +19,13 @@ the standard multi-sequence is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .padic import _binom_mod_p, digit_p, validate_prime
 from .partitions import Partition, is_james_partition, james_index, row_len, row_val
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SlotIndex(NamedTuple):
@@ -175,20 +176,38 @@ class RelationSystem:
     """F_p matrix whose nullspace is the coherent multi-sequence space.
 
     Zero rows (relations that instantiate to 0 = 0) are dropped; row_tags
-    keep the (family, indices) provenance of every kept row.  ``matrix``
-    is the read-only int64 array of the kept rows, entries in [0, p).
+    keep the (family, indices) provenance of every kept row.
+    ``sparse_rows`` holds each kept row as {slot position: coefficient},
+    coefficients in [1, p); ``rows`` and ``matrix`` expand them on demand.
     """
 
     lam: Partition
     p: int
     num_slots: int
-    matrix: np.ndarray
+    sparse_rows: tuple[dict[int, int], ...]
     row_tags: tuple[RowTag, ...]
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The kept rows as tuples of ints, in ``row_tags`` order."""
-        return tuple(map(tuple, self.matrix.tolist()))
+        """The kept rows as dense tuples of ints, in ``row_tags`` order."""
+        zero = [0] * self.num_slots
+        dense = []
+        for sparse in self.sparse_rows:
+            row = zero.copy()
+            for col, coef in sparse.items():
+                row[col] = coef
+            dense.append(tuple(row))
+        return tuple(dense)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The kept rows as a new read-only int64 array (needs numpy)."""
+        import numpy as np
+
+        shape = (len(self.sparse_rows), self.num_slots)
+        matrix = np.array(self.rows, dtype=np.int64).reshape(shape)
+        matrix.flags.writeable = False
+        return matrix
 
 
 def _relation_tags(lam: Partition) -> Iterator[RowTag]:
@@ -413,125 +432,81 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
             f"relation system for {lam} has {cells} candidate cells "
             f"(rows x slots), above the budget of {MAX_CELLS}"
         )
-    widths: list[int] = []
-    cols: list[int] = []
-    coefs: list[int] = []
+    rows: list[dict[int, int]] = []
     tags: list[RowTag] = []
     for tag, sparse in _iter_relation_rows(lam, p):
         if sparse:
-            widths.append(len(sparse))
-            cols.extend(sparse)
-            coefs.extend(sparse.values())
+            rows.append(sparse)
             tags.append(tag)
-    matrix = np.zeros((len(tags), vdim), dtype=np.int64)
-    matrix[np.repeat(np.arange(len(tags)), widths), cols] = coefs
-    matrix.flags.writeable = False
-    return RelationSystem(lam, p, vdim, matrix, tuple(tags))
+    return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags))
 
 
-def _reduce_block(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of the nonzero rows ``block``: (rows, pivot columns).
+def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
+    """The RREF of the system's rows as {pivot column: {free column: coef}}.
 
-    Pivoting is first-nonzero-column with smallest row index, over the
-    columns where the block has a nonzero entry; the others stay zero.
-    """
-    cols = np.flatnonzero(block.any(axis=0))
-    sub = block[:, cols]
-    nrows = sub.shape[0]
-    pivots: list[int] = []
-    rank = 0
-    for k in range(cols.size):
-        if rank == nrows:
-            break
-        hits = np.flatnonzero(sub[rank:, k])
-        if hits.size == 0:
-            continue
-        lead = rank + int(hits[0])
-        if lead != rank:
-            sub[[rank, lead]] = sub[[lead, rank]]
-        inv = pow(int(sub[rank, k]), p - 2, p)
-        sub[rank] = sub[rank] * inv % p
-        colvals = sub[:, k].copy()
-        colvals[rank] = 0
-        nz = np.flatnonzero(colvals)
-        if nz.size:
-            sub[nz] = (sub[nz] - np.outer(colvals[nz], sub[rank])) % p
-        pivots.append(k)
-        rank += 1
-    rows = np.zeros((rank, block.shape[1]), dtype=np.int64)
-    rows[:, cols] = sub[:rank]
-    return rows, cols[pivots]
-
-
-def _mul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 matrices with entries in [0, p), through float64.
-
-    Exact: each product is below p**2 < 2**30 (p < 2**15) and a sum of at
-    most V of them stays below 2**53 while V < 2**23.  ``MAX_CELLS`` keeps
-    V far below that: V >= 2**23 needs five or more candidate rows (ten
-    (T1) rows once there are five parts, else a second part of at least
-    2**20 and its (E) rows), so at least 5 * 2**23 > MAX_CELLS cells.
-    """
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    return prod.astype(np.int64) % p
-
-
-def _echelon(system: RelationSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The RREF of the system's rows and its pivot columns, ascending.
-
-    Rows are fed in blocks of ``max(64, 2 V)``.  Each block is reduced
-    against the running RREF by one matmul, its surviving rows are
-    row-reduced among themselves, and the new pivot columns are cleared
-    from the running RREF by a second matmul.  Memory stays at one block
-    plus at most V echelon rows.  The RREF of a row space is unique, so
-    the result does not depend on the block size.
+    Exact sparse Gauss-Jordan over F_p.  Each row in turn has the running
+    RREF substituted for its pivot columns; a surviving row becomes the
+    pivot row of its smallest column, scaled so that column holds 1 (kept
+    implicit), and that column is cleared from the earlier pivot rows.  A
+    pivot row thus never has an entry on another pivot column, and the
+    result is the unique RREF of the row space.  Keys are in the order the
+    pivots were found; memory is at most one sparse row per slot.
     """
     p = system.p
-    vdim = system.num_slots
-    matrix = system.matrix
-    rref = np.zeros((0, vdim), dtype=np.int64)
-    pivots = np.zeros(0, dtype=np.intp)
-    step = max(64, 2 * vdim)
-    for start in range(0, matrix.shape[0], step):
-        block = matrix[start : start + step]
-        if pivots.size:
-            block = (block - _mul_mod_p(block[:, pivots], rref, p)) % p
-        block = block[block.any(axis=1)]
-        if block.shape[0] == 0:
+    rref: dict[int, dict[int, int]] = {}
+    for sparse in system.sparse_rows:
+        row = sparse.copy()
+        for col in [col for col in sparse if col in rref]:
+            _subtract(row, row.pop(col), rref[col], p)
+        if not row:
             continue
-        new_rows, new_pivots = _reduce_block(block, p)
-        if pivots.size:
-            rref = (rref - _mul_mod_p(rref[:, new_pivots], new_rows, p)) % p
-        rref = np.concatenate((rref, new_rows))
-        pivots = np.concatenate((pivots, new_pivots))
-        order = np.argsort(pivots)
-        rref, pivots = rref[order], pivots[order]
-        if pivots.size == vdim:
+        lead = min(row)
+        inv = pow(row.pop(lead), p - 2, p)
+        pivot_row = {col: coef * inv % p for col, coef in row.items()}
+        for earlier in rref.values():
+            factor = earlier.pop(lead, 0)
+            if factor:
+                _subtract(earlier, factor, pivot_row, p)
+        rref[lead] = pivot_row
+        if len(rref) == system.num_slots:
             break
-    return rref, pivots
+    return rref
+
+
+def _subtract(row: dict[int, int], factor: int, pivot_row: dict[int, int], p: int) -> None:
+    """row -= factor * pivot_row over F_p in place, dropping zero entries."""
+    for col, coef in pivot_row.items():
+        value = (row.get(col, 0) - factor * coef) % p
+        if value:
+            row[col] = value
+        else:
+            del row[col]
 
 
 def nullspace(system: RelationSystem) -> list[MultiSequence]:
     """Basis of the solution space, read off the unique RREF.
 
     Basis vectors correspond to free columns in ascending order: the
-    vector for free column f has 1 there and -rref[k, f] on the k-th
-    pivot column, so identical inputs always produce identical bases.
+    vector for free column f has 1 there and -rref[c][f] on every pivot
+    column c, so identical inputs always produce identical bases.
     """
     p = system.p
     vdim = system.num_slots
-    rref, pivots = _echelon(system)
-    free = np.setdiff1d(np.arange(vdim), pivots)
-    basis = np.zeros((free.size, vdim), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -rref[:, free].T % p
-    return [MultiSequence(system.lam, p, tuple(vec)) for vec in basis.tolist()]
+    rref = _echelon(system)
+    free = [col for col in range(vdim) if col not in rref]
+    basis = {col: [0] * vdim for col in free}
+    for col, vec in basis.items():
+        vec[col] = 1
+    for pivot, row in rref.items():
+        for col, coef in row.items():
+            basis[col][pivot] = -coef % p
+    return [MultiSequence(system.lam, p, tuple(vec)) for vec in basis.values()]
 
 
 def dim_E(lam: Partition, p: int) -> int:
     """Dimension of the space of coherent multi-sequences."""
     system = build_relation_system(lam, p)
-    return system.num_slots - _echelon(system)[1].size
+    return system.num_slots - len(_echelon(system))
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import spechtex.cli
 from spechtex.cli import main
 
 
@@ -136,6 +137,73 @@ def test_sweep_check_clean(capsys):
     # Mismatch lines would precede the report; none expected.
     assert len(lines) == 1
     assert json.dumps(report) == lines[-1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_refuses_fewer_than_one_job(capsys, jobs):
+    code, out, err = run_cli(capsys, "sweep", "--p", "3", "--d-max", "4", "--jobs", jobs)
+    assert code == 2
+    assert out == "" and "--jobs" in err
+
+
+def test_sweep_refuses_negative_degree(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--p", "3", "--d-max", "-1")
+    assert code == 2
+    assert out == "" and "--d-max" in err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def sweep_lines(capsys, *argv):
+    code, out, _ = run_cli(capsys, "sweep", "--p", "3", *argv)
+    assert code == 0
+    *mismatches, report = out.splitlines()
+    report = json.loads(report)
+    del report["elapsed"]
+    return mismatches, report
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, d_max, workers",
+    [
+        ("100000", 2, "6", 2),  # capped by the usable CPUs
+        ("8", 64, "6", 8),  # the README's --jobs 8
+        ("100000", 64, "3", 7),  # capped by the 7 instances of d <= 3
+        ("3", 1, "6", None),  # one usable CPU: no pool at all
+        ("1", 64, "6", None),
+        ("100000", 64, "0", None),  # one instance
+    ],
+)
+def test_sweep_starts_at_most_one_worker_per_task_and_cpu(
+    capsys, monkeypatch, jobs, cpus, d_max, workers
+):
+    expected = sweep_lines(capsys, "--d-max", d_max)
+    monkeypatch.setattr(spechtex.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(spechtex.cli, "_usable_cpus", lambda: cpus)
+    RecordingPool.sizes = []
+    assert sweep_lines(capsys, "--d-max", d_max, "--jobs", jobs) == expected
+    assert RecordingPool.sizes == ([] if workers is None else [workers])
+
+
+def test_sweep_with_two_processes_keeps_the_output(capsys):
+    expected = sweep_lines(capsys, "--d-max", "7", "--parts-max", "3")
+    assert sweep_lines(capsys, "--d-max", "7", "--parts-max", "3", "--jobs", "2") == expected
 
 
 def test_sweep_parts_max(capsys):

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spechtex
 from oracles import int_val, nullspace_from_rref, pascal_binom, rref_mod_p
 from spechtex.classifier import ext1_dim
 from spechtex.coherence import (
@@ -122,6 +127,28 @@ def test_relation_system_empty_cases():
     assert system.rows == ()
 
 
+def test_matrix_is_a_read_only_int64_view_of_the_rows():
+    for parts, p in (((3, 2, 1), 3), ((1,) * 6, 2), ((9, 3), 3), ((9,), 3), ((4, 4, 2), 7)):
+        system = build_relation_system(Partition(parts), p)
+        matrix = system.matrix
+        assert matrix.dtype == np.int64 and matrix.flags.writeable is False
+        assert matrix.shape == (len(system.row_tags), system.num_slots)
+        assert system.rows == tuple(map(tuple, matrix.tolist())), (parts, p)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(spechtex.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, spechtex; print(spechtex.__file__); print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    imported_from, numpy_loaded = result.stdout.splitlines()
+    assert Path(imported_from).resolve() == Path(spechtex.__file__).resolve()
+    assert numpy_loaded == "False"
+
+
 def test_nullspace_dimensions():
     assert dim_E(Partition((1, 1, 1)), 3) == 2
     assert dim_E(Partition((8, 1)), 3) == 1
@@ -155,12 +182,25 @@ def test_nullspace_deterministic():
         assert [v.values for v in nullspace(s1)] == [v.values for v in nullspace(s2)]
 
 
+def dense_echelon(system):
+    """`_echelon`'s sparse RREF as dense rows sorted by pivot, and the pivots."""
+    echelon = _echelon(system)
+    pivots = sorted(echelon)
+    rows = []
+    for pivot in pivots:
+        row = [0] * system.num_slots
+        row[pivot] = 1
+        for col, coef in echelon[pivot].items():
+            row[col] = coef
+        rows.append(row)
+    return rows, pivots
+
+
 def assert_matches_python_rref(lam, p):
     """The RREF, nullspace and dim_E agree with the pure-Python elimination."""
     system = build_relation_system(lam, p)
     rref, pivots = rref_mod_p(system.rows, p)
-    fast_rref, fast_pivots = _echelon(system)
-    assert (fast_rref.tolist(), fast_pivots.tolist()) == (rref, pivots), (p, lam.parts)
+    assert dense_echelon(system) == (rref, pivots), (p, lam.parts)
     expected = nullspace_from_rref(rref, pivots, system.num_slots, p)
     assert [v.values for v in nullspace(system)] == expected, (p, lam.parts)
     assert dim_E(lam, p) == len(expected), (p, lam.parts)
@@ -172,22 +212,21 @@ def test_nullspace_matches_independent_elimination():
         for d in range(11):
             for lam in enumerate_partitions(d, max(d, 1)):
                 assert_matches_python_rref(lam, p)
-    # The range has systems whose pivots arrive in more than one block of
-    # 64 rows, so clearing new pivots from the running RREF is exercised.
+    # Pivots keep arriving after the first 64 rows, so new pivot columns
+    # are cleared from a running RREF that already has many rows.
     system, pivots = assert_matches_python_rref(Partition((1,) * 9), 2)
     assert len(rref_mod_p(system.rows[:64], 2)[1]) < len(pivots)
 
 
 def test_nullspace_matches_independent_elimination_across_blocks():
-    # 6370 rows are fed in 35 blocks of 2 * 91 rows.
+    # 6370 rows into a running RREF of up to 91 pivot rows.
     system, _ = assert_matches_python_rref(Partition((1,) * 14), 3)
     assert system.matrix.shape == (6370, 91)
 
 
 @pytest.mark.parametrize("parts", [(3, 2, 1), (1,) * 7, (1,) * 9, (40000, 6, 3)])
 def test_nullspace_matches_independent_elimination_at_the_largest_prime(parts):
-    # Products of entries below 32749 come near 2**30: the float64 matmul
-    # stays exact only while its sums stay below 2**53.
+    # Products of entries below 32749 come near 2**30.
     assert_matches_python_rref(Partition(parts), 32749)
 
 

@@ -6,8 +6,9 @@ first extension group the classification splits into:
 * James partitions: the dimension is the p-segment count, minus one when
   the top two rows have different p-lengths (at most n - 1 overall);
 * non-James partitions: the dimension is 0 or 1, decided by a case table
-  on the first non-James pair of rows (and, in one configuration, the
-  three rows that follow it).
+  on the first non-James pair (a, b) and the row c below it, whose half
+  is picked by whether the tail pair (b, c) is James, or by one
+  four-row case.
 
 Every non-split verdict constructs an explicit witness multi-sequence
 and verifies it against the coherence relations before returning.  For
@@ -44,9 +45,8 @@ from .partitions import (
 class TripleVerdict:
     """Split/non-split verdict for a three-part partition.
 
-    ``witness`` is a coherent multi-sequence on the three rows spanning
-    the solution space together with the standard one; present exactly
-    when the verdict is non-split.
+    ``witness`` is ``ext1_dim``'s witness on the three rows, present
+    exactly when the verdict is non-split.
     """
 
     nonsplit: bool
@@ -103,9 +103,16 @@ def _verified(witness: MultiSequence, lam: Partition, p: int) -> MultiSequence:
 
 
 def _split_head_case(a: int, b: int, c: int, p: int):
-    """Case table for (a, b) split: (case number, witness slots) or None.
+    """Cases 1, 2, 3, 5 for a split head (a, b) over a non-James tail (b, c).
 
-    All five cases additionally require (a + p**v, b) to be James.
+    Returns (case number, witness slots) or None.  All cases additionally
+    require (a + p**v, b) to be James.  With v = val_p(a+1),
+    w = val_p(b+1) and gamma = len_p(c), the tail is James iff c < p**w,
+    that is iff gamma < w; so here gamma >= w, and case 4 (gamma = v < w)
+    lives in ``_split_pair_case``.  Case 2 needs p >= 3: when w = v the
+    digits of b + 1 below v are 0 and digit_v(b+1) >= 1, so
+    digit_v(b) = digit_v(b+1) - 1 <= p - 2, and at p = 2 its condition
+    digit_v(b) != 0 fails.
     """
     v = val_p(a + 1, p)
     w = val_p(b + 1, p)
@@ -125,12 +132,6 @@ def _split_head_case(a: int, b: int, c: int, p: int):
     ):
         return 3, {(1, 2, pv): 1, (2, 3, p**gamma): -digit_p(b, gamma, p)}
     if (
-        gamma == v < w
-        and digit_p(c, gamma, p) == 1
-        and len_p(b + pv, p) < val_p(a + pv + 1, p)
-    ):
-        return 4, {(2, 3, pv): 1, (1, 3, pv): -1}
-    if (
         gamma == v > w
         and c - pv < p**w
         and len_p(b + pv, p) < val_p(a + pv + 1, p)
@@ -139,8 +140,37 @@ def _split_head_case(a: int, b: int, c: int, p: int):
     return None
 
 
+def _split_pair_case(a: int, b: int, c: int, p: int):
+    """Split case 4, the only one for a split head (a, b) over a James tail.
+
+    Returns the witness slots or None.  The tail is James, so
+    gamma = len_p(c) < w = val_p(b+1); cases 1-3 need gamma >= v = w and
+    case 5 needs gamma = v > w, so only case 4 (gamma = v < w) can fire.
+    """
+    v = val_p(a + 1, p)
+    gamma = len_p(c, p)
+    pv = p**v
+    if (
+        gamma == v
+        and digit_p(c, gamma, p) == 1
+        and is_james_pair(a + pv, b, p)
+        and len_p(b + pv, p) < val_p(a + pv + 1, p)
+    ):
+        return {(2, 3, pv): 1, (1, 3, pv): -1}
+    return None
+
+
 def _pointed_head_case(a: int, b: int, c: int, p: int, beta: int):
-    """Case table for (a, b) pointed: (case number, witness slots) or None."""
+    """Cases 1, 2, 3, 5 for a pointed head (a, b) over a non-James tail (b, c).
+
+    Returns (case number, witness slots) or None.  A pointed head
+    b = b_hat + p**beta with b_hat < p**v < p**beta has w <= v:
+    b + 1 = (b_hat + 1) + p**beta with b_hat + 1 <= p**v, so
+    val_p(b+1) = val_p(b_hat+1) <= v.  Case 4 (v >= w > gamma, witness
+    {(1,2,p**beta): 1}) therefore asks only for a James tail, and over a
+    James tail the pair is decided by ``ext1_dim``'s pointed-pair rule,
+    which at r = 1 is that case.
+    """
     v = val_p(a + 1, p)
     w = val_p(b + 1, p)
     gamma = len_p(c, p)
@@ -152,53 +182,19 @@ def _pointed_head_case(a: int, b: int, c: int, p: int, beta: int):
         return 2, {(1, 2, pv): 1, (2, 3, pb): -1}
     if beta == gamma > v == w and len_p(b + pb, p) < val_p(a + pv + pb + 1, p):
         return 3, {(1, 2, pv): 1, (2, 3, pb): -1, (1, 3, pb): 1}
-    if v >= w > gamma:
-        return 4, {(1, 2, pb): 1}
     if gamma == v > w and val_p(a + pv + 1, p) > beta and c - pv < p**w:
         return 5, {(2, 3, pv): 1, (1, 3, pv): -1}
     return None
 
 
-def _triple_case(a: int, b: int, c: int, p: int):
-    """Case table for a triple whose head pair (a, b) is not James.
-
-    Returns (case tag, witness slots on rows 1..3), the slots None when
-    the triple splits.
-    """
-    head = classify_two_part(a, b, p)
-    if head.kind == SPLIT:
-        kind, hit = "split-head", _split_head_case(a, b, c, p)
-    else:
-        kind, hit = "pointed-head", _pointed_head_case(a, b, c, p, head.beta)
-    if hit is None:
-        return f"split:{kind}", None
-    case, slots = hit
-    return f"{kind}-{case}", slots
-
-
-# ext1_dim's tag for a triple with a James head pair, as triple_verdict reports it.
-_JAMES_HEAD_TAGS = {
-    "james": "james-triple",
-    "pointed-pair": "james-head-pointed-tail",
-    "split": "split:james-head",
-}
-
-
 def triple_verdict(a: int, b: int, c: int, p: int) -> TripleVerdict:
-    """Split/non-split dispatch for a three-part partition a >= b >= c >= 1."""
-    validate_prime(p)
-    if not a >= b >= c >= 1:
-        raise ValueError(f"triple_verdict requires a >= b >= c >= 1, got ({a},{b},{c})")
-    lam = Partition((a, b, c))
-    if is_james_pair(a, b, p):
-        report = ext1_dim(lam, p)
-        nonsplit = report.witness is not None
-        return TripleVerdict(nonsplit, _JAMES_HEAD_TAGS[report.case_tag], report.witness)
-    tag, slots = _triple_case(a, b, c, p)
-    if slots is None:
-        return TripleVerdict(False, tag, None)
-    witness = _verified(multisequence_from_slots(lam, p, slots), lam, p)
-    return TripleVerdict(True, tag, witness)
+    """``ext1_dim`` on the partition (a, b, c), a >= b >= c >= 1.
+
+    The case tag is ``ext1_dim``'s; the triple is non-split exactly when
+    ``ext1_dim`` returns a witness.
+    """
+    report = ext1_dim(Partition((a, b, c)), p)
+    return TripleVerdict(report.witness is not None, report.case_tag, report.witness)
 
 
 def _quadruple_conditions(lam: Partition, p: int, r: int) -> bool:
@@ -255,17 +251,21 @@ def ext1_dim(lam: Partition, p: int) -> Classification:
     r = njp[0]
     n = lam.n
     rows = lam.parts[r - 1 : r + 2]
+    head = classify_two_part(rows[0], rows[1], p)
     case_tag, slots = "split", None
     if njp == [r, r + 1]:
         # Two adjacent non-James pairs and nothing else: the three rows
-        # starting at r decide.
-        case, slots = _triple_case(*rows, p)
-        case_tag = f"adjacent-pairs/{case}"
+        # starting at r decide, the tail (r+1, r+2) being non-James.
+        if head.kind == SPLIT:
+            kind, hit = "split-head", _split_head_case(*rows, p)
+        else:
+            kind, hit = "pointed-head", _pointed_head_case(*rows, p, head.beta)
+        if hit is not None:
+            case, slots = hit
+            case_tag = f"adjacent-pairs/{kind}-{case}"
     elif njp == [r]:
-        head = classify_two_part(lam.part(r), lam.part(r + 1), p)
         if head.kind == SPLIT and r < n - 1:
-            case, slots = _triple_case(*rows, p)
-            case_tag = f"split-pair/{case}"
+            case_tag, slots = "split-pair/split-head-4", _split_pair_case(*rows, p)
             if p == 2 and r < n - 2 and row_len(lam, r + 3, p) >= row_len(lam, r + 2, p):
                 slots = None
         elif head.kind == POINTED and (

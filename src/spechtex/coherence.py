@@ -19,13 +19,10 @@ the standard multi-sequence is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .padic import _binom_mod_p, digit_p, validate_prime
 from .partitions import Partition, is_james_partition, james_index, row_len, row_val
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class SlotIndex(NamedTuple):
@@ -178,7 +175,7 @@ class RelationSystem:
     Zero rows (relations that instantiate to 0 = 0) are dropped; row_tags
     keep the (family, indices) provenance of every kept row.
     ``sparse_rows`` holds each kept row as {slot position: coefficient},
-    coefficients in [1, p); ``rows`` and ``matrix`` expand them on demand.
+    coefficients in [1, p); ``rows`` expands them on demand.
     """
 
     lam: Partition
@@ -198,16 +195,6 @@ class RelationSystem:
                 row[col] = coef
             dense.append(tuple(row))
         return tuple(dense)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The kept rows as a new read-only int64 array (needs numpy)."""
-        import numpy as np
-
-        shape = (len(self.sparse_rows), self.num_slots)
-        matrix = np.array(self.rows, dtype=np.int64).reshape(shape)
-        matrix.flags.writeable = False
-        return matrix
 
 
 def _relation_tags(lam: Partition) -> Iterator[RowTag]:

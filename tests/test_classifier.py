@@ -1,6 +1,6 @@
-import numpy as np
 import pytest
 
+from oracles import rref_mod_p
 from spechtex.classifier import (
     ext1_dim,
     gl2_ext_dim,
@@ -51,7 +51,7 @@ def test_james_ext_dim_rejects_non_james():
 
 def test_triple_verdict_all_ones_p3():
     tv = triple_verdict(1, 1, 1, 3)
-    assert tv.nonsplit and tv.case_tag == "split-head-2"
+    assert tv.nonsplit and tv.case_tag == "adjacent-pairs/split-head-2"
     # Witness x_1 = 1, z_1 = -b_0 = -1; y = 0.
     assert dict(tv.witness.nonzero_slots()) == {(1, 2, 1): 1, (1, 3, 1): 2}
     assert is_coherent(tv.witness, Partition((1, 1, 1)), 3)
@@ -59,22 +59,23 @@ def test_triple_verdict_all_ones_p3():
 
 def test_triple_verdict_2_1_1_p2():
     tv = triple_verdict(2, 1, 1, 2)
-    assert tv.nonsplit and tv.case_tag == "split-head-4"
+    assert tv.nonsplit and tv.case_tag == "split-pair/split-head-4"
     assert ext1_dim_oracle(Partition((2, 1, 1)), 2) == 1
 
 
 def test_triple_verdict_8_1_1_p3_splits():
     # (8,1) is James but (1,1) is not at p=3, and (1,1) is a split pair,
     # so the triple splits; the oracle agrees.
+    assert is_james_pair(8, 1, 3)
     tv = triple_verdict(8, 1, 1, 3)
     assert not tv.nonsplit and tv.witness is None
-    assert tv.case_tag == "split:james-head"
+    assert tv.case_tag == "split"
     assert ext1_dim_oracle(Partition((8, 1, 1)), 3) == 0
 
 
 def test_triple_verdict_james_triple_always_nonsplit():
     tv = triple_verdict(2, 2, 2, 3)
-    assert tv.nonsplit and tv.case_tag == "james-triple"
+    assert tv.nonsplit and tv.case_tag == "james"
     assert is_coherent(tv.witness, Partition((2, 2, 2)), 3)
 
 
@@ -82,7 +83,7 @@ def test_triple_verdict_james_head_pointed_tail():
     # (26,11) is James at p=3 and (11,11) = 2 + 9 is pointed; v(27) = 3
     # exceeds len_3(11 + 9) = 2, so the tail's point carries the witness.
     tv = triple_verdict(26, 11, 11, 3)
-    assert tv.nonsplit and tv.case_tag == "james-head-pointed-tail"
+    assert tv.nonsplit and tv.case_tag == "pointed-pair"
     assert dict(tv.witness.nonzero_slots()) == {(2, 3, 9): 1}
     assert ext1_dim_oracle(Partition((26, 11, 11)), 3) == 1
 
@@ -159,6 +160,55 @@ def test_pointed_pair_above_james_rows_matches_oracle(p, top_max, extra):
     assert tags == ({"pointed-pair"} if p == 5 else {"pointed-pair", "split"})
 
 
+# Every tag ext1_dim can return at p = 2, 3, 5, 7.  Split case 2 needs
+# digit_v(b) != 0 where digit_v(b) <= p - 2, and the quadruple needs a digit
+# equal to p - 2 != 0, so neither fires at p = 2.
+REACHABLE_AT_EVERY_P = {
+    *(f"adjacent-pairs/{head}-head-{k}" for head in ("split", "pointed") for k in (1, 2, 3, 5)),
+    "split-pair/split-head-4",
+    "pointed-pair",
+    "james",
+    "split",
+    "trivial",
+}
+REACHABLE = {
+    2: REACHABLE_AT_EVERY_P - {"adjacent-pairs/split-head-2"},
+    **{p: REACHABLE_AT_EVERY_P | {"quadruple"} for p in (3, 5, 7)},
+}
+
+# One instance per tag at each prime of CASE_PRIMES (None where the tag
+# cannot fire).
+CASE_PRIMES = (2, 3, 5, 7)
+CASE_INSTANCES = {
+    "adjacent-pairs/pointed-head-1": ((2, 2, 1), (4, 3, 1), (8, 5, 1), (12, 7, 1)),
+    "adjacent-pairs/pointed-head-2": ((6, 2, 2), (7, 3, 3), (23, 5, 5), (47, 7, 7)),
+    "adjacent-pairs/pointed-head-3": ((4, 2, 2), (4, 3, 3), (18, 5, 5), (40, 7, 7)),
+    "adjacent-pairs/pointed-head-5": ((5, 4, 2), (23, 9, 3), (119, 25, 5), (335, 49, 7)),
+    "adjacent-pairs/split-head-1": ((6, 6, 1), (7, 6, 1), (23, 10, 1), (47, 14, 1)),
+    "adjacent-pairs/split-head-2": (None, (1, 1, 1), (3, 1, 1), (5, 1, 1)),
+    "adjacent-pairs/split-head-3": ((14, 6, 2), (25, 6, 3), (23, 10, 5), (47, 14, 7)),
+    "adjacent-pairs/split-head-5": ((5, 2, 2), (5, 3, 3), (19, 5, 5), (41, 7, 7)),
+    "split-pair/split-head-4": ((2, 1, 1), (7, 2, 1), (23, 4, 1), (47, 6, 1)),
+    "pointed-pair": ((7, 2, 2), (8, 3, 3), (24, 5, 5), (48, 7, 7)),
+    "quadruple": (None, (1, 1, 1, 1), (3, 3, 1, 1), (5, 5, 1, 1)),
+    "james": ((1, 1), (2, 1), (4, 1), (6, 1)),
+    "split": ((2, 1), (3, 1), (5, 1), (7, 1)),
+    "trivial": ((2,), (3,), (5,), (7,)),
+}
+
+
+@pytest.mark.parametrize("p", CASE_PRIMES)
+def test_every_reachable_case_tag_is_hit_and_matches_oracle(p):
+    column = CASE_PRIMES.index(p)
+    pinned = {tag: row[column] for tag, row in CASE_INSTANCES.items() if row[column]}
+    assert set(pinned) == REACHABLE[p]
+    for tag, parts in pinned.items():
+        lam = Partition(parts)
+        c = ext1_dim(lam, p)
+        assert c.case_tag == tag, (p, parts)
+        assert c.ext1_dim == ext1_dim_oracle(lam, p), (p, parts)
+
+
 def test_ext1_dim_trivial_rows():
     assert ext1_dim(Partition((7,)), 3).case_tag == "trivial"
     assert ext1_dim(Partition(()), 3).ext1_dim == 0
@@ -189,13 +239,8 @@ def test_witness_independent_of_standard():
             continue
         std = standard_multisequence(lam, p).values
         wit = c.witness.values
-        stack = np.array([std, wit], dtype=np.int64) % p
-        # Rank over F_p via elimination on the 2-row stack.
-        r0 = next((k for k, x in enumerate(stack[0]) if x), None)
-        assert r0 is not None
-        factor = int(stack[1][r0]) * pow(int(stack[0][r0]), p - 2, p) % p
-        reduced = (stack[1] - factor * stack[0]) % p
-        assert reduced.any(), f"witness for {lam} at p={p} is a standard multiple"
+        _, pivots = rref_mod_p([std, wit], p)
+        assert len(pivots) == 2, f"witness for {lam} at p={p} is a standard multiple"
 
 
 def test_witness_coherent_on_sample():

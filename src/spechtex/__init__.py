@@ -8,14 +8,12 @@ harness that cross-checks them exhaustively.
 
 from .classifier import (
     Classification,
-    TripleVerdict,
     ext1_dim,
     gl2_ext_dim,
     h0_dim,
     james_ext_dim,
     sl2_ext_dim,
     triple_verdict,
-    witness_multisequence,
 )
 from .coherence import (
     MultiSequence,
@@ -34,10 +32,7 @@ from .coherence import (
 )
 from .padic import (
     InvalidModulusError,
-    PDigits,
     binom_mod_p,
-    binom_nonzero,
-    digits_base_p,
     len_p,
     val_p,
 )
@@ -61,21 +56,17 @@ __all__ = [
     "InvalidModulusError",
     "InvalidPartitionError",
     "MultiSequence",
-    "PDigits",
     "PSegments",
     "Partition",
     "RelationSystem",
     "SlotIndex",
     "SystemTooLargeError",
-    "TripleVerdict",
     "TwoPartClass",
     "binom_mod_p",
-    "binom_nonzero",
     "build_relation_system",
     "canonical_multisequence",
     "canonical_slot_order",
     "classify_two_part",
-    "digits_base_p",
     "dim_E",
     "enumerate_partitions",
     "ext1_dim",
@@ -97,5 +88,4 @@ __all__ = [
     "standard_multisequence",
     "triple_verdict",
     "val_p",
-    "witness_multisequence",
 ]

@@ -41,18 +41,6 @@ from .partitions import (
     row_val,
 )
 
-@dataclass(frozen=True)
-class TripleVerdict:
-    """Split/non-split verdict for a three-part partition.
-
-    ``witness`` is ``ext1_dim``'s witness on the three rows, present
-    exactly when the verdict is non-split.
-    """
-
-    nonsplit: bool
-    case_tag: str
-    witness: MultiSequence | None
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -187,14 +175,12 @@ def _pointed_head_case(a: int, b: int, c: int, p: int, beta: int):
     return None
 
 
-def triple_verdict(a: int, b: int, c: int, p: int) -> TripleVerdict:
+def triple_verdict(a: int, b: int, c: int, p: int) -> Classification:
     """``ext1_dim`` on the partition (a, b, c), a >= b >= c >= 1.
 
-    The case tag is ``ext1_dim``'s; the triple is non-split exactly when
-    ``ext1_dim`` returns a witness.
+    The triple is non-split exactly when the result carries a witness.
     """
-    report = ext1_dim(Partition((a, b, c)), p)
-    return TripleVerdict(report.witness is not None, report.case_tag, report.witness)
+    return ext1_dim(Partition((a, b, c)), p)
 
 
 def _quadruple_conditions(lam: Partition, p: int, r: int) -> bool:
@@ -282,11 +268,6 @@ def ext1_dim(lam: Partition, p: int) -> Classification:
     shifted = {(x + r - 1, y + r - 1, i): value for (x, y, i), value in slots.items()}
     witness = _verified(multisequence_from_slots(lam, p, shifted), lam, p)
     return Classification(p, lam, 0, 1, h1_exact, case_tag, witness)
-
-
-def witness_multisequence(lam: Partition, p: int) -> MultiSequence | None:
-    """A coherent, non-standard witness when the partition is non-split."""
-    return ext1_dim(lam, p).witness
 
 
 def gl2_ext_dim(r: int, s: int, t: int, u: int, p: int) -> int:

@@ -65,43 +65,39 @@ def _pair_offsets(lam: Partition) -> list[list[int]]:
     return offsets
 
 
-def _nonzero_entries(
-    lam: Partition, values: tuple[int, ...]
-) -> Iterator[tuple[int, int, int, int]]:
-    """(r, s, i, value) for every nonzero slot, in canonical slot order."""
-    n = lam.n
-    pos = 0
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            width = lam.parts[s - 1]
-            block = values[pos : pos + width]
-            if any(block):
-                for k, value in enumerate(block):
-                    if value:
-                        yield r, s, k + 1, value
-            pos += width
-
-
 @dataclass(frozen=True)
 class MultiSequence:
-    """Dense vector of F_p slot values in canonical slot order."""
+    """The nonzero slot values of a multi-sequence; every other slot is 0.
+
+    ``entries`` holds one (SlotIndex, value) pair per nonzero slot, in
+    canonical slot order, with values in [1, p).  The constructor rejects
+    a slot that ``lam`` does not have, a value outside [1, p), and slots
+    that repeat or are out of order, so equal vectors compare equal.
+    """
 
     lam: Partition
     p: int
-    values: tuple[int, ...]
+    entries: tuple[tuple[SlotIndex, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != slot_count(self.lam):
-            raise ValueError(
-                f"expected {slot_count(self.lam)} slot values, got {len(self.values)}"
-            )
+        validate_prime(self.p)
+        parts = self.lam.parts
+        previous = (0, 0, 0)
+        for slot, value in self.entries:
+            r, s, i = slot
+            if not (1 <= r < s <= len(parts) and 1 <= i <= parts[s - 1]):
+                raise ValueError(f"slot {tuple(slot)} does not exist for {self.lam}")
+            if not 1 <= value < self.p:
+                raise ValueError(f"slot value {value} at {tuple(slot)} is not in [1, {self.p})")
+            if (r, s, i) <= previous:
+                raise ValueError(f"slot {tuple(slot)} repeats or is out of canonical order")
+            previous = (r, s, i)
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not self.entries
 
     def nonzero_slots(self) -> list[tuple[SlotIndex, int]]:
-        entries = _nonzero_entries(self.lam, self.values)
-        return [(SlotIndex(r, s, i), v) for r, s, i, v in entries]
+        return list(self.entries)
 
 
 def multisequence_from_slots(
@@ -109,25 +105,21 @@ def multisequence_from_slots(
 ) -> MultiSequence:
     """Build a MultiSequence from a sparse {(r, s, i): value} mapping."""
     validate_prime(p)
-    offsets = _pair_offsets(lam)
-    values = [0] * slot_count(lam)
-    for slot, value in entries.items():
-        key = SlotIndex(*slot)
-        r, s, i = key
-        if not (1 <= r < s <= lam.n and 1 <= i <= lam.part(s)):
-            raise ValueError(f"slot {key} does not exist for {lam}")
-        values[offsets[r][s] + i - 1] = value % p
-    return MultiSequence(lam, p, tuple(values))
+    nonzero = sorted(
+        (SlotIndex(*slot), value % p) for slot, value in entries.items() if value % p
+    )
+    return MultiSequence(lam, p, tuple(nonzero))
 
 
 def standard_multisequence(lam: Partition, p: int) -> MultiSequence:
     """Slot (r, s, i) holds C(part_r + i, i) mod p; zero iff lam is James."""
     validate_prime(p)
-    values = tuple(
-        _binom_mod_p(lam.part(slot.r) + slot.i, slot.i, p)
-        for slot in canonical_slot_order(lam)
-    )
-    return MultiSequence(lam, p, values)
+    entries = []
+    for slot in canonical_slot_order(lam):
+        value = _binom_mod_p(lam.part(slot.r) + slot.i, slot.i, p)
+        if value:
+            entries.append((slot, value))
+    return MultiSequence(lam, p, tuple(entries))
 
 
 def canonical_multisequence(lam: Partition, p: int) -> MultiSequence:
@@ -136,14 +128,14 @@ def canonical_multisequence(lam: Partition, p: int) -> MultiSequence:
     Obtained from the integer standard multi-sequence by dividing out the
     James index power p**JI before reducing mod p.  In closed form the
     slot (r, s, i) is ((part_r)_{v_r} + 1) / t when v_r - l_s equals the
-    James index and i = t * p**l_s, and 0 otherwise.
+    James index and i = t * p**l_s, and 0 otherwise; t <= part_s // p**l_s
+    < p, so every such slot is nonzero.
     """
     validate_prime(p)
     if lam.n < 2:
         raise ValueError("canonical_multisequence requires at least two rows")
     ji = james_index(lam, p)  # also rejects non-James input
-    offsets = _pair_offsets(lam)
-    values = [0] * slot_count(lam)
+    entries = []
     for r in range(1, lam.n):
         vr = row_val(lam, r, p)
         num = digit_p(lam.part(r), vr, p) + 1
@@ -153,8 +145,8 @@ def canonical_multisequence(lam: Partition, p: int) -> MultiSequence:
                 continue
             step = p**ls
             for t in range(1, lam.part(s) // step + 1):
-                values[offsets[r][s] + t * step - 1] = num * pow(t % p, p - 2, p) % p
-    return MultiSequence(lam, p, tuple(values))
+                entries.append((SlotIndex(r, s, t * step), num * pow(t, p - 2, p) % p))
+    return MultiSequence(lam, p, tuple(entries))
 
 
 RowTag = tuple
@@ -478,16 +470,16 @@ def nullspace(system: RelationSystem) -> list[MultiSequence]:
     column c, so identical inputs always produce identical bases.
     """
     p = system.p
-    vdim = system.num_slots
     rref = _echelon(system)
-    free = [col for col in range(vdim) if col not in rref]
-    basis = {col: [0] * vdim for col in free}
-    for col, vec in basis.items():
-        vec[col] = 1
+    basis = {col: {col: 1} for col in range(system.num_slots) if col not in rref}
     for pivot, row in rref.items():
         for col, coef in row.items():
             basis[col][pivot] = -coef % p
-    return [MultiSequence(system.lam, p, tuple(vec)) for vec in basis.values()]
+    slots = canonical_slot_order(system.lam)
+    return [
+        MultiSequence(system.lam, p, tuple((slots[col], vec[col]) for col in sorted(vec)))
+        for vec in basis.values()
+    ]
 
 
 def dim_E(lam: Partition, p: int) -> int:
@@ -511,27 +503,27 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     and in them only the terms on nonzero slots.  This is the full check:
     every other row sums zero values and instantiates to 0 = 0, whatever
     its coefficients.  The cost grows with the rows touching the nonzero
-    slots, not with the whole system.
+    slots, not with the whole system.  Raises ``ValueError`` unless ``ms``
+    is a multi-sequence of ``lam`` at ``p``.
     """
     validate_prime(p)
-    if len(ms.values) != slot_count(lam):
+    if (ms.lam, ms.p) != (lam, p):
         raise ValueError(
-            f"multi-sequence has {len(ms.values)} values, expected {slot_count(lam)}"
+            f"multi-sequence of {ms.lam} at p={ms.p} checked against {lam} at p={p}"
         )
-    values = ms.values
     offsets = _pair_offsets(lam)
+    support = {offsets[r][s] + i - 1: value for (r, s, i), value in ms.entries}
     seen: set[RowTag] = set()
-    for x, y, m, _value in _nonzero_entries(lam, values):
-        for tag in _tags_touching(lam, (x, y, m)):
+    for slot, _value in ms.entries:
+        for tag in _tags_touching(lam, slot):
             if tag in seen:
                 continue
             seen.add(tag)
             total = 0
             for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag):
-                value = values[offsets[r][s] + i - 1]
-                if value:
-                    total += value * _coefficient(p, sign, a1, b1, a2, b2)
+                pos = offsets[r][s] + i - 1
+                if pos in support:
+                    total += support[pos] * _coefficient(p, sign, a1, b1, a2, b2)
             if total % p:
                 return False
     return True
-

@@ -8,7 +8,6 @@ all arithmetic reduces eagerly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -37,42 +36,6 @@ def validate_prime(p: int) -> int:
             raise InvalidModulusError(f"modulus {p} is not prime")
         d += 2
     return p
-
-
-@dataclass(frozen=True)
-class PDigits:
-    """Base-p expansion of a non-negative integer, little-endian.
-
-    ``digits[i]`` is the coefficient of ``p**i``; the expansion of 0 is
-    the empty tuple and positive values carry no trailing zeros.
-    """
-
-    digits: tuple[int, ...]
-    p: int
-
-    def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.p + d
-        return total
-
-    def digit(self, i: int) -> int:
-        """Coefficient of ``p**i``, 0 beyond the stored length."""
-        if 0 <= i < len(self.digits):
-            return self.digits[i]
-        return 0
-
-
-def digits_base_p(a: int, p: int) -> PDigits:
-    """Base-p expansion of ``a >= 0``."""
-    validate_prime(p)
-    if a < 0:
-        raise ValueError(f"cannot expand negative integer {a}")
-    out = []
-    while a:
-        a, d = divmod(a, p)
-        out.append(d)
-    return PDigits(tuple(out), p)
 
 
 def digit_p(a: int, i: int, p: int) -> int:
@@ -149,16 +112,3 @@ def _binom_mod_p(a: int, b: int, p: int) -> int:
         a //= p
         b //= p
     return result
-
-
-def binom_nonzero(a: int, b: int, p: int) -> bool:
-    """True iff C(a, b) is nonzero mod p, i.e. b digit-dominates into a."""
-    validate_prime(p)
-    if a < 0 or b < 0:
-        raise ValueError("binom_nonzero requires non-negative arguments")
-    while b:
-        if b % p > a % p:
-            return False
-        a //= p
-        b //= p
-    return True

@@ -188,24 +188,15 @@ def p_segments(lam: Partition, p: int) -> PSegments:
             segments[-1].append(r)
         else:
             segments.append([r])
-    seg_of = {r: k for k, seg in enumerate(segments) for r in seg}
-
-    parent = list(range(len(segments)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r in range(2, n):
-        if len(segments[seg_of[r + 1]]) == 1 and lam.part(r) == p ** row_val(lam, r - 1, p) - 1:
-            parent[find(seg_of[r])] = find(seg_of[r + 1])
-
-    merged: dict[int, list[int]] = {}
-    for k, seg in enumerate(segments):
-        merged.setdefault(find(k), []).extend(seg)
-    p_segs = sorted(sorted(cls) for cls in merged.values())
+    # A join needs the segment of r+1 to be {r+1}, so r ends the segment
+    # before it: every join merges two consecutive segments.
+    p_segs: list[list[int]] = []
+    for seg in segments:
+        r = seg[0] - 1
+        if len(seg) == 1 and r >= 2 and lam.part(r) == p ** row_val(lam, r - 1, p) - 1:
+            p_segs[-1].extend(seg)
+        else:
+            p_segs.append(list(seg))
     return PSegments(
         segments=tuple(tuple(seg) for seg in segments),
         p_segments=tuple(tuple(cls) for cls in p_segs),

@@ -9,9 +9,9 @@ from spechtex.classifier import (
     sl2_ext_dim,
     sl2_verdict,
     triple_verdict,
-    witness_multisequence,
 )
 from spechtex.coherence import (
+    canonical_slot_order,
     ext1_dim_oracle,
     is_coherent,
     standard_multisequence,
@@ -51,7 +51,7 @@ def test_james_ext_dim_rejects_non_james():
 
 def test_triple_verdict_all_ones_p3():
     tv = triple_verdict(1, 1, 1, 3)
-    assert tv.nonsplit and tv.case_tag == "adjacent-pairs/split-head-2"
+    assert tv.witness is not None and tv.case_tag == "adjacent-pairs/split-head-2"
     # Witness x_1 = 1, z_1 = -b_0 = -1; y = 0.
     assert dict(tv.witness.nonzero_slots()) == {(1, 2, 1): 1, (1, 3, 1): 2}
     assert is_coherent(tv.witness, Partition((1, 1, 1)), 3)
@@ -59,7 +59,7 @@ def test_triple_verdict_all_ones_p3():
 
 def test_triple_verdict_2_1_1_p2():
     tv = triple_verdict(2, 1, 1, 2)
-    assert tv.nonsplit and tv.case_tag == "split-pair/split-head-4"
+    assert tv.witness is not None and tv.case_tag == "split-pair/split-head-4"
     assert ext1_dim_oracle(Partition((2, 1, 1)), 2) == 1
 
 
@@ -68,14 +68,14 @@ def test_triple_verdict_8_1_1_p3_splits():
     # so the triple splits; the oracle agrees.
     assert is_james_pair(8, 1, 3)
     tv = triple_verdict(8, 1, 1, 3)
-    assert not tv.nonsplit and tv.witness is None
+    assert tv.witness is None
     assert tv.case_tag == "split"
     assert ext1_dim_oracle(Partition((8, 1, 1)), 3) == 0
 
 
 def test_triple_verdict_james_triple_always_nonsplit():
     tv = triple_verdict(2, 2, 2, 3)
-    assert tv.nonsplit and tv.case_tag == "james"
+    assert tv.witness is not None and tv.case_tag == "james"
     assert is_coherent(tv.witness, Partition((2, 2, 2)), 3)
 
 
@@ -83,7 +83,7 @@ def test_triple_verdict_james_head_pointed_tail():
     # (26,11) is James at p=3 and (11,11) = 2 + 9 is pointed; v(27) = 3
     # exceeds len_3(11 + 9) = 2, so the tail's point carries the witness.
     tv = triple_verdict(26, 11, 11, 3)
-    assert tv.nonsplit and tv.case_tag == "pointed-pair"
+    assert tv.witness is not None and tv.case_tag == "pointed-pair"
     assert dict(tv.witness.nonzero_slots()) == {(2, 3, 9): 1}
     assert ext1_dim_oracle(Partition((26, 11, 11)), 3) == 1
 
@@ -104,7 +104,7 @@ def test_triple_verdict_matches_oracle_small():
                         continue
                     tv = triple_verdict(a, b, c, p)
                     oracle = ext1_dim_oracle(Partition((a, b, c)), p)
-                    assert tv.nonsplit == (oracle >= 1), (p, a, b, c)
+                    assert (tv.witness is not None) == (oracle >= 1), (p, a, b, c)
 
 
 def test_ext1_dim_examples():
@@ -215,10 +215,10 @@ def test_ext1_dim_trivial_rows():
 
 
 def test_witness_examples():
-    w = witness_multisequence(Partition((9, 3)), 3)
+    w = ext1_dim(Partition((9, 3)), 3).witness
     assert dict(w.nonzero_slots()) == {(1, 2, 3): 1}
 
-    w = witness_multisequence(Partition((1, 1, 1, 1)), 3)
+    w = ext1_dim(Partition((1, 1, 1, 1)), 3).witness
     assert dict(w.nonzero_slots()) == {
         (1, 3, 1): 1,
         (2, 4, 1): 1,
@@ -226,7 +226,7 @@ def test_witness_examples():
         (1, 4, 1): 2,
     }
 
-    assert witness_multisequence(Partition((3, 1)), 3) is None
+    assert ext1_dim(Partition((3, 1)), 3).witness is None
 
 
 def test_witness_independent_of_standard():
@@ -237,8 +237,11 @@ def test_witness_independent_of_standard():
         c = ext1_dim(lam, p)
         if c.ext1_dim == 0 or is_james_partition(lam, p):
             continue
-        std = standard_multisequence(lam, p).values
-        wit = c.witness.values
+        slots = canonical_slot_order(lam)
+        std, wit = (
+            [values.get(slot, 0) for slot in slots]
+            for values in (dict(standard_multisequence(lam, p).nonzero_slots()), dict(c.witness.nonzero_slots()))
+        )
         _, pivots = rref_mod_p([std, wit], p)
         assert len(pivots) == 2, f"witness for {lam} at p={p} is a standard multiple"
 

@@ -55,10 +55,21 @@ def test_canonical_slot_order_examples():
     assert slot_count(Partition((1, 1, 1))) == 3
 
 
+def dense(ms):
+    """The vector's value on every slot, in `canonical_slot_order`."""
+    values = dict(ms.nonzero_slots())
+    return tuple(values.get(slot, 0) for slot in canonical_slot_order(ms.lam))
+
+
+def from_dense(lam, p, values):
+    """The multi-sequence with the given value on each slot in canonical order."""
+    return multisequence_from_slots(lam, p, dict(zip(canonical_slot_order(lam), values)))
+
+
 def test_standard_multisequence_examples():
-    assert standard_multisequence(Partition((1, 1, 1)), 3).values == (2, 2, 2)
+    assert dense(standard_multisequence(Partition((1, 1, 1)), 3)) == (2, 2, 2)
     assert standard_multisequence(Partition((8, 1)), 3).is_zero()
-    assert standard_multisequence(Partition((9,)), 5).values == ()
+    assert dense(standard_multisequence(Partition((9,)), 5)) == ()
 
 
 def test_standard_zero_iff_james():
@@ -71,9 +82,9 @@ def test_standard_zero_iff_james():
 
 
 def test_canonical_multisequence_examples():
-    assert canonical_multisequence(Partition((8, 1)), 3).values == (1,)
+    assert dense(canonical_multisequence(Partition((8, 1)), 3)) == (1,)
     # C(3,1)/3 = 1 for the pair (2,1).
-    assert canonical_multisequence(Partition((2, 1)), 3).values == (1,)
+    assert dense(canonical_multisequence(Partition((2, 1)), 3)) == (1,)
 
 
 def test_canonical_multisequence_rejects_non_james_and_short():
@@ -92,7 +103,7 @@ def test_canonical_matches_integer_division_recipe():
                     continue
                 ji = james_index(lam, p)
                 got = canonical_multisequence(lam, p)
-                for slot, value in zip(canonical_slot_order(lam), got.values):
+                for slot, value in zip(canonical_slot_order(lam), dense(got)):
                     exact = pascal_binom(lam.part(slot.r) + slot.i, slot.i)
                     assert int_val(exact, p) >= ji
                     assert value == (exact // p**ji) % p
@@ -151,7 +162,7 @@ def test_nullspace_of_empty_system_is_full():
     system = build_relation_system(Partition((2, 1)), 3)
     basis = nullspace(system)
     assert len(basis) == 1
-    assert basis[0].values == (1,)
+    assert dense(basis[0]) == (1,)
 
 
 def test_nullspace_vectors_satisfy_system():
@@ -169,7 +180,7 @@ def test_nullspace_deterministic():
         s1 = build_relation_system(lam, p)
         s2 = build_relation_system(lam, p)
         assert s1.rows == s2.rows and s1.row_tags == s2.row_tags
-        assert [v.values for v in nullspace(s1)] == [v.values for v in nullspace(s2)]
+        assert [dense(v) for v in nullspace(s1)] == [dense(v) for v in nullspace(s2)]
 
 
 def dense_echelon(system):
@@ -192,7 +203,7 @@ def assert_matches_python_rref(lam, p):
     rref, pivots = rref_mod_p(system.rows, p)
     assert dense_echelon(system) == (rref, pivots), (p, lam.parts)
     expected = nullspace_from_rref(rref, pivots, system.num_slots, p)
-    assert [v.values for v in nullspace(system)] == expected, (p, lam.parts)
+    assert [dense(v) for v in nullspace(system)] == expected, (p, lam.parts)
     assert dim_E(lam, p) == len(expected), (p, lam.parts)
     return system, pivots
 
@@ -271,14 +282,50 @@ def test_is_coherent_rejects_length_mismatch():
         is_coherent(other, lam, 3)
 
 
+def test_is_coherent_rejects_a_vector_of_another_partition_or_prime():
+    # Same slot count, other partition; same partition, other prime.
+    with pytest.raises(ValueError):
+        is_coherent(standard_multisequence(Partition((2, 1, 1)), 3), Partition((1, 1, 1)), 3)
+    with pytest.raises(ValueError):
+        is_coherent(canonical_multisequence(Partition((8, 1)), 3), Partition((8, 1)), 5)
+
+
+def test_multisequence_rejects_bad_entries():
+    lam = Partition((2, 2))
+    a, b = SlotIndex(1, 2, 1), SlotIndex(1, 2, 2)
+    for entries in (
+        ((SlotIndex(1, 3, 1), 1),),  # no third row
+        ((SlotIndex(1, 2, 3), 1),),  # part_2 = 2
+        ((a, 0),),
+        ((a, 3),),
+        ((a, -1),),
+        ((a, 1), (a, 2)),
+        ((b, 1), (a, 1)),
+    ):
+        with pytest.raises(ValueError):
+            MultiSequence(lam, 3, entries)
+    with pytest.raises(ValueError):
+        MultiSequence(Partition((2, 1)), 3, ((SlotIndex(1, 2, 1), 7),))
+
+
+def test_multisequences_are_equal_iff_their_slot_values_are():
+    lam = Partition((2, 2))
+    ms = MultiSequence(lam, 3, ((SlotIndex(1, 2, 1), 1), (SlotIndex(1, 2, 2), 2)))
+    same = multisequence_from_slots(lam, 3, {(1, 2, 2): -1, (1, 2, 1): 4})
+    assert ms == same and hash(ms) == hash(same)
+    assert multisequence_from_slots(lam, 3, {(1, 2, 1): 3}).is_zero()
+    assert ms != multisequence_from_slots(lam, 3, {(1, 2, 1): 1})
+    assert ms != MultiSequence(lam, 5, ms.entries)
+
+
 def test_multisequence_from_slots_validates():
     lam = Partition((2, 1))
     with pytest.raises(ValueError):
         multisequence_from_slots(lam, 3, {(1, 2, 2): 1})
     ms = multisequence_from_slots(lam, 3, {(1, 2, 1): -1})
-    assert ms.values == (2,)
+    assert dense(ms) == (2,)
     with pytest.raises(ValueError):
-        MultiSequence(lam, 3, (1, 2))
+        MultiSequence(lam, 3, ((SlotIndex(1, 2, 2), 1),))
 
 
 def test_standard_in_kernel_small_range():
@@ -291,7 +338,8 @@ def test_standard_in_kernel_small_range():
 def dense_is_coherent(ms, lam, p):
     """The full check: every kept row of the relation system against the values."""
     rows = build_relation_system(lam, p).rows
-    return all(sum(c * v for c, v in zip(row, ms.values)) % p == 0 for row in rows)
+    values = dense(ms)
+    return all(sum(c * v for c, v in zip(row, values)) % p == 0 for row in rows)
 
 
 def dense_row(lam, p, tag):
@@ -351,7 +399,7 @@ def test_is_coherent_matches_dense_check_on_sparse_random_vectors():
                 values = [0] * vdim
                 for k in rng.sample(range(vdim), min(vdim, rng.randint(1, 4))):
                     values[k] = rng.randrange(1, p)
-                ms = MultiSequence(lam, p, tuple(values))
+                ms = from_dense(lam, p, values)
                 verdict = is_coherent(ms, lam, p)
                 assert verdict == dense_is_coherent(ms, lam, p), (p, lam.parts, values)
                 verdicts.append(verdict)
@@ -376,7 +424,7 @@ def test_is_coherent_matches_dense_check_with_a_deep_top_part(top, lower, p, dat
     values = [0] * slot_count(lam)
     for k, v in entries.items():
         values[k] = v
-    vectors = [MultiSequence(lam, p, tuple(values)), standard_multisequence(lam, p)]
+    vectors = [from_dense(lam, p, values), standard_multisequence(lam, p)]
     witness = ext1_dim(lam, p).witness
     if witness is not None:
         vectors.append(witness)

@@ -1,14 +1,10 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import int_val, pascal_binom
 from spechtex.padic import (
     InvalidModulusError,
     binom_mod_p,
-    binom_nonzero,
     digit_p,
-    digits_base_p,
     len_p,
     val_p,
     validate_prime,
@@ -17,22 +13,7 @@ from spechtex.padic import (
 PRIMES = (2, 3, 5, 7)
 
 
-def test_digits_examples():
-    assert digits_base_p(8, 3).digits == (2, 2)
-    assert digits_base_p(0, 5).digits == ()
-    d = digits_base_p(26, 3)
-    assert sum(c * 3**i for i, c in enumerate(d.digits)) == 26
-    assert d.value() == 26
-
-
-def test_digits_no_trailing_zero():
-    for a in (1, 9, 27, 10**6):
-        assert digits_base_p(a, 3).digits[-1] != 0
-
-
 def test_digit_accessor_beyond_length_is_zero():
-    d = digits_base_p(8, 3)
-    assert d.digit(0) == 2 and d.digit(5) == 0
     assert digit_p(8, 5, 3) == 0
 
 
@@ -40,8 +21,6 @@ def test_nonprime_modulus_rejected():
     for bad in (0, 1, 4, 6, 9, 15, 1 << 15):
         with pytest.raises(InvalidModulusError):
             validate_prime(bad)
-        with pytest.raises(InvalidModulusError):
-            digits_base_p(8, bad)
         with pytest.raises(InvalidModulusError):
             binom_mod_p(5, 2, bad)
 
@@ -87,13 +66,6 @@ def test_binom_matches_exact_exhaustively():
                 assert binom_mod_p(a, b, p) == pascal_binom(a, b) % p
 
 
-def test_binom_nonzero_iff_nonzero_mod_p():
-    for p in PRIMES:
-        for a in range(61):
-            for b in range(a + 1):
-                assert binom_nonzero(a, b, p) == (binom_mod_p(a, b, p) != 0)
-
-
 def test_binom_symmetry():
     for p in PRIMES:
         for a in range(61):
@@ -104,20 +76,12 @@ def test_binom_symmetry():
 def test_binom_diagonal_nonzero():
     for p in PRIMES:
         for a in (0, 1, 5, 26, 1000):
-            assert binom_nonzero(a, a, p)
             assert binom_mod_p(a, a, p) == 1
 
 
 def test_binom_rejects_negative():
     with pytest.raises(ValueError):
         binom_mod_p(-1, 0, 3)
-    with pytest.raises(ValueError):
-        binom_nonzero(3, -2, 3)
-
-
-@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((2, 3, 5, 7, 11, 13)))
-def test_digits_round_trip(a, p):
-    assert digits_base_p(a, p).value() == a
 
 
 def test_james_pair_valuation_identity_small():

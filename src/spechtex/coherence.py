@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
-from .padic import _binom_mod_p, digit_p, validate_prime
+from .padic import _binom_mod_p, _lucas_range, digit_p, validate_prime
 from .partitions import Partition, is_james_partition, james_index, row_len, row_val
 
 
@@ -233,13 +233,16 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
                     yield ("C", q, r, s, t, i, j)
 
 
-def _row_terms(lam: Partition, tag: RowTag) -> Iterator[tuple[int, ...]]:
+def _row_terms(lam: Partition, tag: RowTag, p: int) -> Iterator[tuple[int, ...]]:
     """The terms of one relation row as (r, s, i, sign, a1, b1, a2, b2).
 
     The term's coefficient on slot (r, s, i) is sign * C(a1, b1) * C(a2, b2)
     mod p; ``_coefficient`` evaluates it, so a caller pays for binomials
     only on the terms it needs.  Single-binomial terms carry b2 = 0, as
-    C(a2, 0) = 1.  No row has two terms on the same slot.
+    C(a2, 0) = 1.  No row has two terms on the same slot.  The sums of
+    (T3a) and (T3b) run only over the h with C(a+i, h) nonzero mod p,
+    which by Lucas's theorem are the h whose base-p digits are at most
+    those of a+i; the terms left out have coefficient 0.
     """
     family = tag[0]
     parts = lam.parts
@@ -256,34 +259,37 @@ def _row_terms(lam: Partition, tag: RowTag) -> Iterator[tuple[int, ...]]:
         yield q, r, j, 1, parts[s - 1] + i, i, 0, 0
         yield s, t, i, -1, parts[q - 1] + j, j, 0, 0
         return
-    # Triple relations tie x = y(r,s), y = y(s,t) and z = y(r,t).
-    r, s, t = tag[1:4]
-    a, b = parts[r - 1], parts[s - 1]
+    # Triple relations tie x = y(r,s), y = y(s,t) and z = y(r,t), with
+    # a = part_r and b = part_s.
     if family == "T1":
         # C(a+i+k, k) x_i - C(a+i+k, i) z_k = 0.
-        i, k = tag[4:]
-        yield r, s, i, 1, a + i + k, k, 0, 0
-        yield r, t, k, -1, a + i + k, i, 0, 0
+        _, r, s, t, i, k = tag
+        top = parts[r - 1] + i + k
+        yield r, s, i, 1, top, k, 0, 0
+        yield r, t, k, -1, top, i, 0, 0
     elif family == "T2":
         # C(a+k, k) y_j - C(b+j, j) z_k = 0 for j + k <= c.
-        j, k = tag[4:]
-        yield s, t, j, 1, a + k, k, 0, 0
-        yield r, t, k, -1, b + j, j, 0, 0
+        _, r, s, t, j, k = tag
+        yield s, t, j, 1, parts[r - 1] + k, k, 0, 0
+        yield r, t, k, -1, parts[s - 1] + j, j, 0, 0
     elif family == "T3a":
         # C(a+i, i) y_j = sum_{h<i} C(b+j-i, j-h) C(a+i, h) x_{i-h}
         #                 + C(b+j-i, j-i) z_i, for 1 <= i <= j <= c.
-        i, j = tag[4:]
-        yield s, t, j, 1, a + i, i, 0, 0
-        for h in range(i):
-            yield r, s, i - h, -1, b + j - i, j - h, a + i, h
-        yield r, t, i, -1, b + j - i, j - i, 0, 0
+        _, r, s, t, i, j = tag
+        ai, bji = parts[r - 1] + i, parts[s - 1] + j - i
+        yield s, t, j, 1, ai, i, 0, 0
+        for h in _lucas_range(ai, 0, i - 1, p):
+            yield r, s, i - h, -1, bji, j - h, ai, h
+        yield r, t, i, -1, bji, j - i, 0, 0
     else:
         # (T3b): C(a+i, i) y_j = sum_{h<=j} C(b+j-i, j-h) C(a+i, h) x_{i-h},
         # for 1 <= j <= c, j < i <= b + j; x_m vanishes outside [1, b].
-        j, i = tag[4:]
-        yield s, t, j, 1, a + i, i, 0, 0
-        for h in range(max(0, i - b), j + 1):
-            yield r, s, i - h, -1, b + j - i, j - h, a + i, h
+        _, r, s, t, j, i = tag
+        b = parts[s - 1]
+        ai, bji = parts[r - 1] + i, b + j - i
+        yield s, t, j, 1, ai, i, 0, 0
+        for h in _lucas_range(ai, i - b if i > b else 0, j, p):
+            yield r, s, i - h, -1, bji, j - h, ai, h
 
 
 def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
@@ -294,12 +300,16 @@ def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return sign * coef % p
 
 
-def _tags_touching(lam: Partition, slot: tuple[int, int, int]) -> Iterator[RowTag]:
+def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterator[RowTag]:
     """Tags of the candidate rows with a term on ``slot`` = (x, y, m).
 
     Each family's index ranges in ``_relation_tags``, solved for the
     indices that put (x, y, m) into one term position of ``_row_terms``.
-    Every such row is yielded once; the order is unspecified.
+    As x_m = x_{i-h} in the sums of (T3a) and (T3b), with coefficient
+    C(b+j-i, j-h) C(a+m+h, h), only the rows whose h adds to a+m without
+    a base-p carry are yielded: by Lucas's theorem the others have no term
+    on the slot in ``_row_terms``.  Every row whose ``_row_terms`` hold the
+    slot is yielded once; the order is unspecified.
     """
     x, y, m = slot
     n = lam.n
@@ -312,17 +322,19 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int]) -> Iterator[RowTa
     for i in range(1, m):
         yield ("E", x, y, i, m - i)
 
-    # Triples (x, y, t): the slot is x_i = y(r,s)_i.
+    # Triples (x, y, t): the slot is x_i = y(r,s)_i in (T1), x_{i-h} with
+    # i = m + h in (T3a) (i <= j <= c) and in (T3b) (h <= j < i).
     for t in range(y + 1, n + 1):
         c = part(t)
         for k in range(1, c + 1):
             yield ("T1", x, y, t, m, k)
-        for j in range(m, c + 1):
-            for i in range(m, j + 1):
-                yield ("T3a", x, y, t, i, j)
-        for j in range(1, c + 1):
-            for i in range(max(j + 1, m), m + j + 1):
-                yield ("T3b", x, y, t, j, i)
+        shifts = _lucas_range(part(x) + m, 0, c, p, carry_free=True)
+        for h in shifts:
+            for j in range(m + h, c + 1):
+                yield ("T3a", x, y, t, m + h, j)
+        for h in shifts:
+            for j in range(max(1, h), min(c, m + h - 1) + 1):
+                yield ("T3b", x, y, t, j, m + h)
 
     # Triples (x, s, y): the slot is z_k = y(r,t)_k.
     for s in range(x + 1, y):
@@ -360,7 +372,7 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
     cached = binom.get
     for tag in _relation_tags(lam):
         row = {}
-        for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag):
+        for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
             coef = cached((a1, b1))
             if coef is None:
                 coef = binom[a1, b1] = _binom_mod_p(a1, b1, p)
@@ -499,11 +511,15 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     """True iff the multi-sequence satisfies every relation row.
 
-    Only the rows with a term on a nonzero slot of ``ms`` are evaluated,
-    and in them only the terms on nonzero slots.  This is the full check:
-    every other row sums zero values and instantiates to 0 = 0, whatever
-    its coefficients.  The cost grows with the rows touching the nonzero
-    slots, not with the whole system.  Raises ``ValueError`` unless ``ms``
+    Only the rows with a term on a nonzero slot of ``ms`` are evaluated
+    (``_tags_touching``).  This is the full check: every other row sums
+    zero values and instantiates to 0 = 0, whatever its coefficients.  A
+    (T3a) or (T3b) row whose binomial C(a+i, h) on a slot is 0 mod p (by
+    Lucas's theorem, some digit of h exceeds that of a+i) has no term on
+    that slot, so the slot does not bring the row in.  Each evaluated row
+    walks all of its ``_row_terms`` and sums those on nonzero slots.  The
+    cost grows with the rows touching the nonzero slots and with their
+    terms, not with the whole system.  Raises ``ValueError`` unless ``ms``
     is a multi-sequence of ``lam`` at ``p``.
     """
     validate_prime(p)
@@ -515,12 +531,12 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     support = {offsets[r][s] + i - 1: value for (r, s, i), value in ms.entries}
     seen: set[RowTag] = set()
     for slot, _value in ms.entries:
-        for tag in _tags_touching(lam, slot):
+        for tag in _tags_touching(lam, slot, p):
             if tag in seen:
                 continue
             seen.add(tag)
             total = 0
-            for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag):
+            for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
                 pos = offsets[r][s] + i - 1
                 if pos in support:
                     total += support[pos] * _coefficient(p, sign, a1, b1, a2, b2)

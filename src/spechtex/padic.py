@@ -8,6 +8,8 @@ all arithmetic reduces eagerly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from functools import lru_cache
 
 
@@ -112,3 +114,68 @@ def _binom_mod_p(a: int, b: int, p: int) -> int:
         a //= p
         b //= p
     return result
+
+
+@lru_cache(maxsize=None)
+def _digit_rows(p: int) -> tuple[int, list[tuple[int, ...]] | None]:
+    """(size, rows), the digit table of ``_lucas_range`` for the prime p.
+
+    ``rows[b]`` lists, ascending, the h < size whose base-p digits are each
+    at most the matching digit of b, for every b < size.  ``size`` is the
+    largest power of p up to 2**7, so the rows hold a few thousand entries
+    in all.  For p > 2**7, ``size`` is p, ``rows[b]`` would be
+    ``range(b + 1)``, and ``rows`` is None.
+    """
+    size = p
+    while size * p <= 1 << 7:
+        size *= p
+    if p > 1 << 7:
+        return size, None
+    rows = [(0,)]
+    scale = 1
+    while scale < size:
+        # The bound d * scale + b has the rows of b shifted by t * scale, t <= d.
+        rows = [
+            tuple(t * scale + h for t in range(d + 1) for h in row)
+            for d in range(p)
+            for row in rows
+        ]
+        scale *= p
+    return size, rows
+
+
+def _lucas_range(n: int, lo: int, hi: int, p: int, carry_free: bool = False) -> Sequence[int]:
+    """The h in [lo, hi], ascending, with C(n, h) not divisible by p.
+
+    By Lucas's theorem C(n, h) is nonzero mod p iff every base-p digit of
+    h is at most the matching digit of n.  With ``carry_free`` the test is
+    on C(n + h, h) instead, nonzero mod p iff h adds to n without a carry
+    (Kummer), i.e. each digit of h is at most p - 1 minus that of n.
+    Returns a ``range`` when hi < p, where h is a single digit, and a
+    sequence otherwise.  Like ``_binom_mod_p`` it skips argument checks:
+    p prime, n >= 0 and lo >= 0.
+    """
+    if hi < p:
+        top = p - 1 - n % p if carry_free else n % p
+        return range(lo, (hi if hi < top else top) + 1)
+    size, rows = _digit_rows(p)
+    if hi < size:
+        row = rows[size - 1 - n % size if carry_free else n % size]
+        return row[bisect_left(row, lo) : bisect_right(row, hi)]
+    # The same over chunks of digits below ``size``, from the top: ``found``
+    # stays ascending, and the prefixes that can still land in [lo, hi]
+    # form one slice of it.
+    scale = size
+    while scale <= hi:
+        scale *= size
+    bound = scale - 1 - n % scale if carry_free else n % scale
+    found = [0]
+    while scale > 1:
+        scale //= size
+        chunk = bound // scale % size
+        row = rows[chunk] if rows else range(chunk + 1)
+        if chunk:
+            found = [base + h * scale for base in found for h in row]
+        # The lower chunks add at most bound % scale.
+        found = found[bisect_left(found, lo - bound % scale) : bisect_right(found, hi)]
+    return found

@@ -11,9 +11,11 @@ from spechtex.classifier import (
     triple_verdict,
 )
 from spechtex.coherence import (
+    SlotIndex,
     canonical_slot_order,
     ext1_dim_oracle,
     is_coherent,
+    multisequence_from_slots,
     standard_multisequence,
 )
 from spechtex.partitions import (
@@ -253,6 +255,28 @@ def test_witness_coherent_on_sample():
                 c = ext1_dim(lam, p)
                 if c.witness is not None:
                     assert is_coherent(c.witness, lam, p)
+
+
+@pytest.mark.parametrize(
+    "parts, p", [((2186, 728, 242), 3), ((6560, 2186, 728), 3), ((4095, 2047, 1023), 2)]
+)
+def test_deep_james_witness_is_verified(parts, p):
+    # Rows 3**k - 1 and 2**k - 1: the (T3a)/(T3b) sums run over hundreds of
+    # h, of which Lucas's theorem leaves few.
+    lam = Partition(parts)
+    c = ext1_dim(lam, p)
+    assert c.case_tag == "james"
+    assert c.ext1_dim == james_ext_dim(lam, p)
+    assert is_coherent(c.witness, lam, p)
+    entries = dict(c.witness.nonzero_slots())
+    for r, s, i in (min(entries), max(entries)):
+        changed = dict(entries)
+        changed[SlotIndex(r, s, i + 1)] = 1
+        assert not is_coherent(multisequence_from_slots(lam, p, changed), lam, p)
+        if p > 2:
+            changed = dict(entries)
+            changed[SlotIndex(r, s, i)] += 1
+            assert not is_coherent(multisequence_from_slots(lam, p, changed), lam, p)
 
 
 def test_classifier_matches_oracle_small_sweep():

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spechtex
-from oracles import int_val, nullspace_from_rref, pascal_binom, rref_mod_p
+from oracles import (
+    int_val,
+    nullspace_from_rref,
+    pascal_binom,
+    rref_mod_p,
+    transcribed_relations,
+    transcribed_slots,
+)
 from spechtex.classifier import ext1_dim
 from spechtex.coherence import (
     MAX_CELLS,
@@ -240,6 +247,44 @@ def test_nullspace_with_a_top_part_beyond_int64():
         assert_matches_python_rref(lam, p)
 
 
+TRANSCRIPTION_PRIMES = (2, 3, 5, 7, 32749)
+
+
+def assert_rows_match_transcription(parts):
+    """The kept rows, tag by tag and in order, are the transcribed rows that
+    do not vanish mod p, at every prime of ``TRANSCRIPTION_PRIMES``."""
+    lam = Partition(parts)
+    slots = transcribed_slots(parts)
+    literal = list(transcribed_relations(parts))
+    for p in TRANSCRIPTION_PRIMES:
+        expected = {}
+        for tag, row in literal:
+            reduced = {slot: coef % p for slot, coef in row.items() if coef % p}
+            if reduced:
+                expected[tag] = reduced
+        system = build_relation_system(lam, p)
+        assert list(system.row_tags) == list(expected), (p, parts)
+        for tag, sparse in zip(system.row_tags, system.sparse_rows):
+            got = {slots[pos]: coef for pos, coef in sparse.items()}
+            assert got == expected[tag], (p, parts, tag)
+
+
+def test_relation_rows_match_the_literal_transcription():
+    for d in range(11):
+        for lam in enumerate_partitions(d, max(d, 1)):
+            assert_rows_match_transcription(lam.parts)
+
+
+@pytest.mark.parametrize("top", [10**6, 10**30 + 7])
+def test_relation_rows_match_the_literal_transcription_with_a_deep_top_part(top):
+    lower = [
+        lam.parts for d in range(2, 19) for lam in enumerate_partitions(d, 3)
+        if lam.n >= 2 and lam.parts[0] <= 6
+    ]
+    for parts in lower:
+        assert_rows_match_transcription((top, *parts))
+
+
 def test_candidate_row_count_matches_the_tags():
     shapes = [lam.parts for d in range(13) for lam in enumerate_partitions(d, max(d, 1))]
     shapes += [(50, 20, 7, 3, 1), (9, 9, 9, 9, 9), (100, 1, 1, 1, 1, 1, 1)]
@@ -346,25 +391,38 @@ def dense_row(lam, p, tag):
     """One row from its `_row_terms`, with exact binomials from the Pascal triangle."""
     position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
     row = [0] * len(position)
-    for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag):
+    for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
         row[position[(r, s, i)]] += sign * pascal_binom(a1, b1) * pascal_binom(a2, b2)
     return tuple(c % p for c in row)
 
 
+#: A top part of 10**6 or 10**30 + 7 over every one to three lower rows of
+#: at most 5; their (T3a) and (T3b) sums reach past one base-p digit.
+DEEP_TOP_SHAPES = [
+    (top, *lower.parts)
+    for top in (10**6, 10**30 + 7)
+    for d in range(1, 16)
+    for lower in enumerate_partitions(d, 3)
+    if lower.parts[0] <= 5
+]
+
+
 def test_tags_touching_cover_every_kept_row_on_a_slot():
-    for p in (2, 3, 5):
-        for d in range(10):
-            for lam in enumerate_partitions(d, max(d, 1)):
+    groups = [enumerate_partitions(d, max(d, 1)) for d in range(10)]
+    groups.append([Partition(parts) for parts in DEEP_TOP_SHAPES])
+    for p in (2, 3, 5, 7):
+        for group in groups:
+            for lam in group:
                 system = build_relation_system(lam, p)
                 kept = dict(zip(system.row_tags, system.rows))
                 candidates = {tag for tag, _row in _iter_relation_rows(lam, p)}
                 zero = (0,) * system.num_slots
                 for pos, slot in enumerate(canonical_slot_order(lam)):
-                    touching = list(_tags_touching(lam, slot))
+                    touching = list(_tags_touching(lam, slot, p))
                     assert len(set(touching)) == len(touching), (lam.parts, slot)
                     assert set(touching) <= candidates, (lam.parts, slot)
                     for tag in touching:
-                        term_slots = [term[:3] for term in _row_terms(lam, tag)]
+                        term_slots = [term[:3] for term in _row_terms(lam, tag, p)]
                         assert tuple(slot) in term_slots, tag
                         assert len(set(term_slots)) == len(term_slots), tag
                         assert dense_row(lam, p, tag) == kept.get(tag, zero), tag

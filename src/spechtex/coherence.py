@@ -164,10 +164,15 @@ class SystemTooLargeError(ValueError):
 class RelationSystem:
     """F_p matrix whose nullspace is the coherent multi-sequence space.
 
-    Zero rows (relations that instantiate to 0 = 0) are dropped; row_tags
-    keep the (family, indices) provenance of every kept row.
-    ``sparse_rows`` holds each kept row as {slot position: coefficient},
-    coefficients in [1, p); ``rows`` expands them on demand.
+    The rows span the same space as the paper's relations but are not all
+    of them.  The (C) rows come first and are the spanning set of
+    ``_commuting_rows``, at most one row per slot; their tags have
+    ``tag[0] == "C"`` and name a zero, ratio or link row.  The (E), (T1),
+    (T2), (T3a) and (T3b) rows follow: the paper's relations, with the
+    zero rows (relations that instantiate to 0 = 0) dropped and tags
+    (family, indices) as in ``_relation_tags``.  ``sparse_rows`` holds
+    each row as {slot position: coefficient}, coefficients in [1, p);
+    ``rows`` expands them on demand.
     """
 
     lam: Partition
@@ -223,7 +228,9 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
                 for i in range(j + 1, b + j + 1):
                     yield ("T3b", r, s, t, j, i)
 
-    # Both orders of each disjoint pair are emitted; the redundancy is harmless.
+    # Both orders of each disjoint pair are emitted.  Only this candidate
+    # stream keeps them: build_relation_system takes the (C) rows from
+    # _commuting_rows, a spanning set of at most one row per slot.
     for q, r in pairs:
         for s, t in pairs:
             if s in (q, r) or t in (q, r):
@@ -409,11 +416,106 @@ def _candidate_row_count(lam: Partition) -> int:
     return total
 
 
-def build_relation_system(lam: Partition, p: int) -> RelationSystem:
-    """Instantiate every relation family and drop the zero rows.
+def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
+    """A spanning set of the (C) rows of both orders of every block.
 
-    Raises ``SystemTooLargeError`` before generating any row when the
-    candidate rows times the slots exceed ``MAX_CELLS``.
+    For a pair P = (q, r) let std_P(j) = C(part_q + j, j) mod p for
+    1 <= j <= part_r, S_P the j with std_P(j) nonzero, and N the pairs
+    with S_P nonempty.  The (C) row (P, Q, i, j) for disjoint pairs P and
+    Q = (s, t) is std_Q(i) y(P)_j - std_P(j) y(Q)_i, and the row (Q, P,
+    j, i) is its negative, so one order spans both.  In the block (P, Q):
+
+    * a row with i in S_Q and j not in S_P is a nonzero multiple of
+      y(P)_j, so the block holds y(P)_j = 0 for every j not in S_P when
+      S_Q is nonempty, and by symmetry y(Q)_i = 0 for i not in S_Q when
+      S_P is nonempty; a row with i not in S_Q and j not in S_P is zero;
+    * with f_{P,j} = y(P)_j / std_P(j), a row with i in S_Q and j in S_P
+      is std_Q(i) std_P(j) (f_{P,j} - f_{Q,i}).  These are the edge
+      vectors of the complete bipartite graph on S_P and S_Q, which is
+      connected, so they span the same space as the edge vectors of any
+      spanning tree: f_{P,j} - f_{P,j0} for j in S_P, f_{Q,i} - f_{Q,i0}
+      for i in S_Q, and f_{P,j0} - f_{Q,i0}, with j0 = min S_P and
+      i0 = min S_Q.
+
+    Over all blocks, the (C) rows therefore span exactly
+
+    * zero rows y(P)_j = 0 for j not in S_P, for every P with a disjoint
+      partner in N;
+    * ratio rows std_P(j0) y(P)_j - std_P(j) y(P)_{j0} for j in S_P other
+      than j0, for every P in N with a disjoint partner in N;
+    * link rows std_Q(i0) y(P)_{j0} - std_P(j0) y(Q)_{i0} for every edge
+      {P, Q} of the disjointness graph on N.  The edge vectors of a graph
+      span the same space as those of a spanning forest, so one link per
+      forest edge is enough.  The forest is grown by union-find over the
+      edges in lexicographic pair order, so the rows are deterministic.
+
+    A pair P contributes at most part_r zero and ratio rows, and at most
+    part_r - 1 when P is in N; the forest has fewer than |N| edges.  So
+    there are at most ``slot_count(lam)`` rows in all.  Each std_P is a
+    prefix of C(part_q + j, j) over j <= part_{q+1}, computed once per q.
+    Tags are ("C", "zero", q, r, j) and ("C", "ratio", q, r, j), pair by
+    pair in ascending order, then ("C", "link", q, r, s, t).
+    """
+    n = lam.n
+    parts = lam.parts
+    offsets = _pair_offsets(lam)
+    std = [
+        [_binom_mod_p(parts[q] + j, j, p) for j in range(1, parts[q + 1] + 1)]
+        for q in range(n - 1)
+    ]  # std[q - 1][j - 1] = std_P(j) for every P = (q, r)
+    pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
+    lead = {}  # P in N -> j0 = min S_P
+    for q, r in pairs:
+        values = std[q - 1]
+        j0 = next((j for j in range(1, parts[r - 1] + 1) if values[j - 1]), 0)
+        if j0:
+            lead[q, r] = j0
+
+    for q, r in pairs:
+        if all(q in Q or r in Q for Q in lead):
+            continue  # no disjoint partner in N
+        base = offsets[q][r] - 1
+        values = std[q - 1]
+        j0 = lead.get((q, r))
+        for j in range(1, parts[r - 1] + 1):
+            if not values[j - 1]:
+                yield ("C", "zero", q, r, j), {base + j: 1}
+            elif j0 is not None and j > j0:
+                yield ("C", "ratio", q, r, j), {
+                    base + j0: -values[j - 1] % p,
+                    base + j: values[j0 - 1],
+                }
+
+    # The spanning forest: label[P] names P's tree.
+    label = {P: P for P in lead}
+    heads = list(lead)
+    for k, (q, r) in enumerate(heads):
+        for s, t in heads[k + 1 :]:
+            if s in (q, r) or t in (q, r):
+                continue
+            keep, gone = label[q, r], label[s, t]
+            if keep == gone:
+                continue
+            j0, i0 = lead[q, r], lead[s, t]
+            yield ("C", "link", q, r, s, t), {
+                offsets[q][r] + j0 - 1: std[s - 1][i0 - 1],
+                offsets[s][t] + i0 - 1: -std[q - 1][j0 - 1] % p,
+            }
+            for P in label:
+                if label[P] == gone:
+                    label[P] = keep
+
+
+def build_relation_system(lam: Partition, p: int) -> RelationSystem:
+    """The (C) spanning rows, then the nonzero rows of the other families.
+
+    The (C) rows are those of ``_commuting_rows``; the (E), (T1), (T2),
+    (T3a) and (T3b) rows those of ``_iter_relation_rows``, which stops
+    being read at its first (C) candidate.  The rows span the same space
+    as every candidate relation row; the (C) rows come first so that
+    elimination meets the many two-term and unit rows before the long
+    (T3) sums.  Raises ``SystemTooLargeError`` before generating any row
+    when the candidate rows times the slots exceed ``MAX_CELLS``.
     """
     validate_prime(p)
     vdim = slot_count(lam)
@@ -425,7 +527,12 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
         )
     rows: list[dict[int, int]] = []
     tags: list[RowTag] = []
+    for tag, sparse in _commuting_rows(lam, p):
+        rows.append(sparse)
+        tags.append(tag)
     for tag, sparse in _iter_relation_rows(lam, p):
+        if tag[0] == "C":
+            break  # the (C) candidates come last; _commuting_rows spans them
         if sparse:
             rows.append(sparse)
             tags.append(tag)

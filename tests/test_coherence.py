@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -227,9 +228,10 @@ def test_nullspace_matches_independent_elimination():
 
 
 def test_nullspace_matches_independent_elimination_across_blocks():
-    # 6370 rows into a running RREF of up to 91 pivot rows.
-    system, _ = assert_matches_python_rref(Partition((1,) * 14), 3)
-    assert (len(system.sparse_rows), system.num_slots) == (6370, 91)
+    # 454 rows into a running RREF of up to 91 pivot rows.
+    system, pivots = assert_matches_python_rref(Partition((1,) * 14), 3)
+    assert (len(system.sparse_rows), system.num_slots) == (454, 91)
+    assert len(system.sparse_rows) > len(pivots)
 
 
 @pytest.mark.parametrize("parts", [(3, 2, 1), (1,) * 7, (1,) * 9, (40000, 6, 3)])
@@ -250,21 +252,70 @@ def test_nullspace_with_a_top_part_beyond_int64():
 TRANSCRIPTION_PRIMES = (2, 3, 5, 7, 32749)
 
 
+def transcribed_rows_mod_p(parts, p):
+    """The transcribed rows that do not vanish mod p, as {tag: {slot: coef}}.
+
+    Both orders of every (C) block are kept: their tags differ.
+    """
+    rows = {}
+    for tag, row in transcribed_relations(parts):
+        reduced = {slot: coef % p for slot, coef in row.items() if coef % p}
+        if reduced:
+            rows[tag] = reduced
+    return rows
+
+
+def assert_rref_matches_transcription(parts, p, literal=None):
+    """``_echelon``'s RREF equals ``rref_mod_p`` of every transcribed row,
+    both orders of the (C) rows included; so does the RREF of the (C) rows
+    alone against the transcribed (C) rows, and the (C) rows are linearly
+    independent.  Returns the system."""
+    if literal is None:
+        literal = transcribed_rows_mod_p(parts, p)
+    position = {slot: k for k, slot in enumerate(transcribed_slots(parts))}
+
+    def dense_rows(rows):
+        vectors = []
+        for row in rows:
+            vec = [0] * len(position)
+            for slot, coef in row.items():
+                vec[position[slot]] = coef
+            vectors.append(vec)
+        return vectors
+
+    system = build_relation_system(Partition(parts), p)
+    assert dense_echelon(system) == rref_mod_p(dense_rows(literal.values()), p), (p, parts)
+    commuting = [
+        (tag, sparse) for tag, sparse in zip(system.row_tags, system.sparse_rows) if tag[0] == "C"
+    ]
+    spanning = replace(
+        system,
+        sparse_rows=tuple(sparse for _tag, sparse in commuting),
+        row_tags=tuple(tag for tag, _sparse in commuting),
+    )
+    expected = rref_mod_p(dense_rows(row for tag, row in literal.items() if tag[0] == "C"), p)
+    assert dense_echelon(spanning) == expected, (p, parts)
+    assert len(expected[1]) == len(commuting), (p, parts)
+    return system
+
+
 def assert_rows_match_transcription(parts):
-    """The kept rows, tag by tag and in order, are the transcribed rows that
-    do not vanish mod p, at every prime of ``TRANSCRIPTION_PRIMES``."""
-    lam = Partition(parts)
+    """At every prime of ``TRANSCRIPTION_PRIMES``: the (E), (T1), (T2), (T3a)
+    and (T3b) rows, tag by tag and in order, are the transcribed rows of
+    those families that do not vanish mod p, and the RREF is that of every
+    transcribed row, (C) rows of both orders included."""
     slots = transcribed_slots(parts)
-    literal = list(transcribed_relations(parts))
     for p in TRANSCRIPTION_PRIMES:
-        expected = {}
-        for tag, row in literal:
-            reduced = {slot: coef % p for slot, coef in row.items() if coef % p}
-            if reduced:
-                expected[tag] = reduced
-        system = build_relation_system(lam, p)
-        assert list(system.row_tags) == list(expected), (p, parts)
-        for tag, sparse in zip(system.row_tags, system.sparse_rows):
+        literal = transcribed_rows_mod_p(parts, p)
+        system = assert_rref_matches_transcription(parts, p, literal)
+        expected = {tag: row for tag, row in literal.items() if tag[0] != "C"}
+        kept = [
+            (tag, sparse)
+            for tag, sparse in zip(system.row_tags, system.sparse_rows)
+            if tag[0] != "C"
+        ]
+        assert [tag for tag, _sparse in kept] == list(expected), (p, parts)
+        for tag, sparse in kept:
             got = {slots[pos]: coef for pos, coef in sparse.items()}
             assert got == expected[tag], (p, parts, tag)
 
@@ -283,6 +334,45 @@ def test_relation_rows_match_the_literal_transcription_with_a_deep_top_part(top)
     ]
     for parts in lower:
         assert_rows_match_transcription((top, *parts))
+
+
+def test_commuting_rows_come_first_and_are_at_most_one_per_slot():
+    for p in (2, 3, 5, 7):
+        for d in range(15):
+            for lam in enumerate_partitions(d, max(d, 1)):
+                system = build_relation_system(lam, p)
+                commuting = [tag[0] == "C" for tag in system.row_tags]
+                assert commuting == sorted(commuting, reverse=True), (p, lam.parts)
+                assert sum(commuting) <= system.num_slots, (p, lam.parts)
+                kinds = {tag[1] for tag in system.row_tags if tag[0] == "C"}
+                assert kinds <= {"zero", "ratio", "link"}, (p, lam.parts)
+
+
+#: Four to six rows, long enough that most pairs have several (C) slots.
+SPANNING_SHAPES = [
+    (4, 4, 3, 3),
+    (6, 5, 4, 2),
+    (5, 3, 3, 2, 1),
+    (4, 4, 4, 4, 4),
+    (3, 3, 2, 2, 1, 1),
+    (2, 2, 2, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("parts", SPANNING_SHAPES)
+def test_commuting_rows_span_the_transcription(parts):
+    assert_rref_matches_transcription(parts, 32749)
+    for p in TRANSCRIPTION_PRIMES:
+        assert_rref_matches_transcription((10**30 + 7, *parts), p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    parts=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    p=st.sampled_from((2, 3, 5, 7, 11)),
+)
+def test_commuting_rows_span_the_transcription_property(parts, p):
+    assert_rref_matches_transcription(tuple(sorted(parts, reverse=True)), p)
 
 
 def test_candidate_row_count_matches_the_tags():
@@ -381,7 +471,10 @@ def test_standard_in_kernel_small_range():
 
 
 def dense_is_coherent(ms, lam, p):
-    """The full check: every kept row of the relation system against the values."""
+    """The full check: every row of the relation system against the values.
+
+    The rows span the same space as every relation, so this is the check
+    against every relation."""
     rows = build_relation_system(lam, p).rows
     values = dense(ms)
     return all(sum(c * v for c, v in zip(row, values)) % p == 0 for row in rows)
@@ -413,10 +506,14 @@ def test_tags_touching_cover_every_kept_row_on_a_slot():
     for p in (2, 3, 5, 7):
         for group in groups:
             for lam in group:
-                system = build_relation_system(lam, p)
-                kept = dict(zip(system.row_tags, system.rows))
-                candidates = {tag for tag, _row in _iter_relation_rows(lam, p)}
-                zero = (0,) * system.num_slots
+                rows = list(_iter_relation_rows(lam, p))
+                candidates = {tag for tag, _row in rows}
+                zero = (0,) * slot_count(lam)
+                kept = {
+                    tag: tuple(row.get(pos, 0) for pos in range(len(zero)))
+                    for tag, row in rows
+                    if row
+                }
                 for pos, slot in enumerate(canonical_slot_order(lam)):
                     touching = list(_tags_touching(lam, slot, p))
                     assert len(set(touching)) == len(touching), (lam.parts, slot)

@@ -90,66 +90,88 @@ def _verified(witness: MultiSequence, lam: Partition, p: int) -> MultiSequence:
     return witness
 
 
-def _split_head_case(a: int, b: int, c: int, p: int):
-    """Cases 1, 2, 3, 5 for a split head (a, b) over a non-James tail (b, c).
+def _rule_3(a: int, b: int, c: int, p: int):
+    """Rule R3: split case 3 and pointed case 2.  Witness slots or None.
 
-    Returns (case number, witness slots) or None.  All cases additionally
-    require (a + p**v, b) to be James.  With v = val_p(a+1),
-    w = val_p(b+1) and gamma = len_p(c), the tail is James iff c < p**w,
-    that is iff gamma < w; so here gamma >= w, and case 4 (gamma = v < w)
-    lives in ``_split_pair_case``.  Case 2 needs p >= 3: when w = v the
-    digits of b + 1 below v are 0 and digit_v(b+1) >= 1, so
-    digit_v(b) = digit_v(b+1) - 1 <= p - 2, and at p = 2 its condition
-    digit_v(b) != 0 fails.
+    With v = val_p(a+1) and gamma = len_p(c): gamma > v,
+    val_p(b+1-p**v) = gamma, c - p**gamma < p**v and
+    len_p(b + p**gamma) < val_p(a+p**v+1).  Split case 3 also asks
+    v = w, which val_p(b+1-p**v) = gamma > v forces.  Pointed case 2
+    (beta = gamma > v = w and len_p(b+p**beta) < val_p(a+p**v+1)) is this
+    rule: for b = b_hat + p**beta either side forces b_hat = p**v - 1 and
+    gamma = beta, and digit_beta(b) = 1.
     """
     v = val_p(a + 1, p)
-    w = val_p(b + 1, p)
     gamma = len_p(c, p)
-    pv = p**v
-    if not is_james_pair(a + pv, b, p):
-        return None
-    if gamma >= v == w and val_p(b - pv + 1, p) > gamma:
-        return 1, {(1, 2, pv): 1}
-    if gamma == v == w and digit_p(b, v, p) != 0 and digit_p(c, v, p) == 1:
-        return 2, {(1, 2, pv): 1, (1, 3, pv): -digit_p(b, v, p)}
+    pv, pg = p**v, p**gamma
     if (
-        gamma > v == w
-        and val_p(b - pv + 1, p) == gamma
-        and c - p**gamma < pv
-        and len_p(b + p**gamma, p) < val_p(a + pv + 1, p)
+        gamma > v
+        and val_p(b + 1 - pv, p) == gamma
+        and c - pg < pv
+        and len_p(b + pg, p) < val_p(a + pv + 1, p)
     ):
-        return 3, {(1, 2, pv): 1, (2, 3, p**gamma): -digit_p(b, gamma, p)}
-    if (
-        gamma == v > w
-        and c - pv < p**w
-        and len_p(b + pv, p) < val_p(a + pv + 1, p)
-    ):
-        return 5, {(2, 3, pv): 1, (1, 3, pv): -1}
+        return {(1, 2, pv): 1, (2, 3, pg): -digit_p(b, gamma, p)}
     return None
 
 
-def _split_pair_case(a: int, b: int, c: int, p: int):
-    """Split case 4, the only one for a split head (a, b) over a James tail.
+def _rule_5(a: int, b: int, c: int, p: int):
+    """Rule R5: split cases 4 and 5 and pointed case 5.  Witness slots or None.
 
-    Returns the witness slots or None.  The tail is James, so
-    gamma = len_p(c) < w = val_p(b+1); cases 1-3 need gamma >= v = w and
-    case 5 needs gamma = v > w, so only case 4 (gamma = v < w) can fire.
+    With v = val_p(a+1), w = val_p(b+1) and gamma = len_p(c): gamma = v,
+    c - p**v < p**min(v, w) and len_p(b + p**v) < val_p(a+p**v+1).
+    Implied, so not tested:
+    * split case 5's v > w: when v = w, split case 2 fires first, since
+      c < 2 p**v gives digit_v(c) = 1;
+    * split case 4's is_james_pair(a + p**v, b): len_p(x) < V gives
+      x < p**V; and its digit_gamma(c) = 1 is the p**min(v, w) bound, as
+      gamma = v < w there;
+    * pointed case 5's v > w: when v = w, pointed case 1 fires first; and
+      its val_p(a+p**v+1) > beta is the length test, as
+      len_p(b + p**v) = beta when b_hat + p**v < p**beta.
     """
     v = val_p(a + 1, p)
-    gamma = len_p(c, p)
     pv = p**v
     if (
-        gamma == v
-        and digit_p(c, gamma, p) == 1
-        and is_james_pair(a + pv, b, p)
+        len_p(c, p) == v
+        and c - pv < p ** min(v, val_p(b + 1, p))
         and len_p(b + pv, p) < val_p(a + pv + 1, p)
     ):
         return {(2, 3, pv): 1, (1, 3, pv): -1}
     return None
 
 
+def _split_head_case(a: int, b: int, c: int, p: int):
+    """Cases 1, 2, 3 (R3) and 5 (R5) for a split head (a, b) over a non-James tail.
+
+    Returns (case number, witness slots) or None.  Every case requires
+    (a + p**v, b) to be James; R3 and R5 imply it.  With v = val_p(a+1),
+    w = val_p(b+1) and gamma = len_p(c), the tail is James iff
+    c < p**w, that is iff gamma < w; so here gamma >= w.  Implied, so
+    not tested:
+    * case 1's gamma >= v = w: if v != w then
+      val_p(b+1-p**v) = min(v, w) <= w <= gamma;
+    * case 2's digit_v(b) != 0: when v = w and that digit is 0,
+      val_p(b+1-p**v) > v = gamma, so case 1 already fired.  At p = 2,
+      v = w forces digit_v(b) = 0, so case 2 never fires there.
+    """
+    v = val_p(a + 1, p)
+    pv = p**v
+    if not is_james_pair(a + pv, b, p):
+        return None
+    gamma = len_p(c, p)
+    if val_p(b - pv + 1, p) > gamma:
+        return 1, {(1, 2, pv): 1}
+    if gamma == v == val_p(b + 1, p) and digit_p(c, v, p) == 1:
+        return 2, {(1, 2, pv): 1, (1, 3, pv): -digit_p(b, v, p)}
+    if (slots := _rule_3(a, b, c, p)) is not None:
+        return 3, slots
+    if (slots := _rule_5(a, b, c, p)) is not None:
+        return 5, slots
+    return None
+
+
 def _pointed_head_case(a: int, b: int, c: int, p: int, beta: int):
-    """Cases 1, 2, 3, 5 for a pointed head (a, b) over a non-James tail (b, c).
+    """Cases 1, 2 (R3), 3 and 5 (R5) for a pointed head (a, b) over a non-James tail.
 
     Returns (case number, witness slots) or None.  A pointed head
     b = b_hat + p**beta with b_hat < p**v < p**beta has w <= v:
@@ -157,21 +179,23 @@ def _pointed_head_case(a: int, b: int, c: int, p: int, beta: int):
     val_p(b+1) = val_p(b_hat+1) <= v.  Case 4 (v >= w > gamma, witness
     {(1,2,p**beta): 1}) therefore asks only for a James tail, and over a
     James tail the pair is decided by ``ext1_dim``'s pointed-pair rule,
-    which at r = 1 is that case.
+    which at r = 1 is that case.  Implied, so not tested:
+    * case 1's gamma >= v: gamma >= w (non-James tail) and w = v;
+    * case 3's beta = gamma > v: beta > v by definition, and beta > gamma
+      with v = w means case 1 failed, so
+      val_p(a+p**v+p**beta+1) < beta <= len_p(b + p**beta).
     """
     v = val_p(a + 1, p)
-    w = val_p(b + 1, p)
-    gamma = len_p(c, p)
-    pv = p**v
-    pb = p**beta
-    if beta > gamma >= v == w and val_p(a + pv + 1, p) >= beta:
+    v_is_w = v == val_p(b + 1, p)
+    pv, pb = p**v, p**beta
+    if v_is_w and beta > len_p(c, p) and val_p(a + pv + 1, p) >= beta:
         return 1, {(1, 2, pv): 1}
-    if beta == gamma > v == w and len_p(b + pb, p) < val_p(a + pv + 1, p):
-        return 2, {(1, 2, pv): 1, (2, 3, pb): -1}
-    if beta == gamma > v == w and len_p(b + pb, p) < val_p(a + pv + pb + 1, p):
+    if (slots := _rule_3(a, b, c, p)) is not None:
+        return 2, slots
+    if v_is_w and len_p(b + pb, p) < val_p(a + pv + pb + 1, p):
         return 3, {(1, 2, pv): 1, (2, 3, pb): -1, (1, 3, pb): 1}
-    if gamma == v > w and val_p(a + pv + 1, p) > beta and c - pv < p**w:
-        return 5, {(2, 3, pv): 1, (1, 3, pv): -1}
+    if (slots := _rule_5(a, b, c, p)) is not None:
+        return 5, slots
     return None
 
 
@@ -184,17 +208,17 @@ def triple_verdict(a: int, b: int, c: int, p: int) -> Classification:
 
 
 def _quadruple_conditions(lam: Partition, p: int, r: int) -> bool:
-    """Digit conditions on rows (r, ..., r+3) for the only four-row case.
+    """Digit conditions on rows (r, r+1, r+2) for the only four-row case.
 
-    Requires rows r+3..n to form a James partition; the shape forces the
-    three pairs starting at r to be the non-James ones.  Never fires for
-    p = 2 because the row r+1 digit at v_r must be p - 2 != 0.
+    ``ext1_dim`` asks this only when rows r+3..n form a James partition
+    and the non-James pairs are neither [r] nor [r, r+1], so pair r+2 is
+    non-James; the conditions make pair r+1 non-James too.  Implied, so
+    not tested: r < n - 2, as pair r+2 exists; digit_v(part_{r+1}) != 0,
+    which is p - 2 for odd p; and p**v <= part_{r+3} < 2 p**v, since
+    part_{r+3} <= part_{r+2} = 2 p**v - 1 and, pair r+2 being non-James,
+    part_{r+3} >= p**val_p(2 p**v), which is p**v for odd p.  At p = 2 the
+    case never fires: (2 p**v - 1, part_{r+3}) is always James.
     """
-    n = lam.n
-    if r >= n - 2:
-        return False
-    if not is_james_partition(lam.tail(r + 3), p):
-        return False
     v = row_val(lam, r, p)
     pv = p**v
     top_len = row_len(lam, r + 1, p)
@@ -202,11 +226,7 @@ def _quadruple_conditions(lam: Partition, p: int, r: int) -> bool:
         return False
     if (lam.part(r + 1) + pv + 1) % p ** (v + 1):
         return False
-    if digit_p(lam.part(r + 1), v, p) == 0:
-        return False
-    if lam.part(r + 2) != 2 * pv - 1:
-        return False
-    return pv <= lam.part(r + 3) < 2 * pv
+    return lam.part(r + 2) == 2 * pv - 1
 
 
 def ext1_dim(lam: Partition, p: int) -> Classification:
@@ -222,18 +242,23 @@ def ext1_dim(lam: Partition, p: int) -> Classification:
     part_r < p**v_{r-1} with p**beta <= part_{r+1} <= part_r, so that
     length is at most v_{r-1}.  The rule is therefore exactly
     r == 1 or v_{r-1} > len_p(part_r + p**beta).
+
+    The split-pair rule (only pair r non-James, split) is R5, refused when
+    l_{r+3} >= l_{r+2}.  That refusal can only matter at p = 2: for odd p,
+    R5 gives c = part_{r+2} < 2 p**gamma, but a James pair (c, part_{r+3})
+    with l_{r+3} >= gamma needs c >= p**(gamma+1) - 1.
     """
     validate_prime(p)
     h1_exact = p != 2
     if lam.n <= 1:
         return Classification(p, lam, 1, 0, h1_exact, "trivial", None)
-    if is_james_partition(lam, p):
+    njp = non_james_pairs(lam, p)
+    if not njp:
         witness = _verified(canonical_multisequence(lam, p), lam, p)
         return Classification(
             p, lam, 1, james_ext_dim(lam, p), h1_exact, "james", witness
         )
 
-    njp = non_james_pairs(lam, p)
     r = njp[0]
     n = lam.n
     rows = lam.parts[r - 1 : r + 2]
@@ -251,14 +276,14 @@ def ext1_dim(lam: Partition, p: int) -> Classification:
             case_tag = f"adjacent-pairs/{kind}-{case}"
     elif njp == [r]:
         if head.kind == SPLIT and r < n - 1:
-            case_tag, slots = "split-pair/split-head-4", _split_pair_case(*rows, p)
-            if p == 2 and r < n - 2 and row_len(lam, r + 3, p) >= row_len(lam, r + 2, p):
+            case_tag, slots = "split-pair/split-head-4", _rule_5(*rows, p)
+            if r < n - 2 and row_len(lam, r + 3, p) >= row_len(lam, r + 2, p):
                 slots = None
         elif head.kind == POINTED and (
             r == 1 or row_val(lam, r - 1, p) > len_p(lam.part(r) + p**head.beta, p)
         ):
             case_tag, slots = "pointed-pair", {(1, 2, p**head.beta): 1}
-    elif _quadruple_conditions(lam, p, r):
+    elif njp[-1] <= r + 2 and _quadruple_conditions(lam, p, r):
         pv = p ** row_val(lam, r, p)
         case_tag = "quadruple"
         slots = {(1, 3, pv): 1, (2, 4, pv): 1, (2, 3, pv): -1, (1, 4, pv): -1}

@@ -162,9 +162,10 @@ def test_pointed_pair_above_james_rows_matches_oracle(p, top_max, extra):
     assert tags == ({"pointed-pair"} if p == 5 else {"pointed-pair", "split"})
 
 
-# Every tag ext1_dim can return at p = 2, 3, 5, 7.  Split case 2 needs
-# digit_v(b) != 0 where digit_v(b) <= p - 2, and the quadruple needs a digit
-# equal to p - 2 != 0, so neither fires at p = 2.
+# Every tag ext1_dim can return at p = 2, 3, 5, 7.  Neither split case 2 nor
+# the quadruple fires at p = 2: split case 2 asks v = w, which forces
+# digit_v(b) = 0 there, so case 1 fires first; and the quadruple's pair
+# (2 p**v - 1, part_{r+3}) is always James at p = 2.
 REACHABLE_AT_EVERY_P = {
     *(f"adjacent-pairs/{head}-head-{k}" for head in ("split", "pointed") for k in (1, 2, 3, 5)),
     "split-pair/split-head-4",
@@ -209,6 +210,80 @@ def test_every_reachable_case_tag_is_hit_and_matches_oracle(p):
         c = ext1_dim(lam, p)
         assert c.case_tag == tag, (p, parts)
         assert c.ext1_dim == ext1_dim_oracle(lam, p), (p, parts)
+
+
+# One (p, lambda) per condition the case table keeps, where dropping that
+# condition changes the verdict: the witness check raises, or the
+# dimension goes wrong.
+KEPT_CONDITION_INSTANCES = {
+    "R3-c-bound": (2, (14, 6, 3)),  # c - p**gamma < p**v
+    "R3-val": (2, (6, 5, 2)),  # val_p(b+1-p**v) = gamma
+    "R5-gamma": (2, (5, 2, 1)),  # gamma = v
+    "R5-c-bound": (5, (3, 2, 2)),  # c - p**v < p**min(v, w)
+    "R5-len": (2, (4, 1, 1)),  # len_p(b+p**v) < val_p(a+p**v+1)
+    "pointed-1-v-w": (2, (5, 4, 1)),  # v = w
+    "pointed-3-v-w": (2, (9, 4, 4)),  # v = w
+    "split-2-gamma": (3, (7, 4, 4)),  # gamma = v
+    "split-pair-guard": (2, (2, 1, 1, 1)),  # refused: l_{r+3} >= l_{r+2}
+    "split-pair-guard-len": (2, (5, 3, 3, 1)),  # kept: l_{r+3} < l_{r+2}
+    "quadruple-b": (5, (3, 1, 1, 1)),  # part_{r+1} + p**v + 1 = 0 mod p**(v+1)
+}
+
+
+@pytest.mark.parametrize(
+    "p, parts", KEPT_CONDITION_INSTANCES.values(), ids=KEPT_CONDITION_INSTANCES
+)
+def test_kept_condition_instance_matches_oracle(p, parts):
+    lam = Partition(parts)
+    assert ext1_dim(lam, p).ext1_dim == ext1_dim_oracle(lam, p)
+
+
+LOW = 64
+
+
+def _shared_rule_contexts(p, K):
+    """(tag, parts) for R3 and R5 in every context each serves.
+
+    The top row a = t p**K - p**v - 1 has val_p(a+1) = v and
+    a + p**v + 1 = t p**K, so the length test of either rule holds for
+    every lower row below p**(K-1).  Lower rows stay at most LOW.
+    """
+    s = 3 if p == 2 else 2
+    for t in {1, p - 1}:
+        for v in range(3):
+            a, pv = t * p**K - p**v - 1, p**v
+            cases = [
+                # R5, split head over a James tail: gamma = v < w = v + 1.
+                ("split-pair/split-head-4", (a, p * pv - 1, pv)),
+                ("split-pair/split-head-4", (a, p * pv - 1, 2 * pv - 1)),
+            ]
+            if v >= 1:
+                # R5 over a non-James tail, w = 0 < v = gamma: split head
+                # (len_p(b) = v), then pointed head b = b_hat + p**(v+1).
+                for b in {pv, p * pv - 2}:
+                    cases.append(("adjacent-pairs/split-head-5", (a, b, pv)))
+                for b_hat in {0, pv - 2}:
+                    cases.append(("adjacent-pairs/pointed-head-5", (a, p * pv + b_hat, pv)))
+            for pg in (p * pv, p * p * pv):
+                # R3, gamma > v = w: b + 1 - p**v = s p**gamma with s = 1
+                # for a pointed head (b_hat = p**v - 1), s = 2 or 3 for a
+                # split one; c - p**gamma < p**v.
+                for c in {pg, pg + pv - 1}:
+                    cases.append(("adjacent-pairs/split-head-3", (a, s * pg + pv - 1, c)))
+                    cases.append(("adjacent-pairs/pointed-head-2", (a, pg + pv - 1, c)))
+            yield from ((tag, parts) for tag, parts in cases if parts[1] <= LOW)
+
+
+@pytest.mark.parametrize("p", CASE_PRIMES)
+def test_shared_rules_fire_in_every_context_and_match_oracle(p):
+    tags = set()
+    for tag, parts in _shared_rule_contexts(p, 12):
+        lam = Partition(parts)
+        c = ext1_dim(lam, p)
+        assert c.case_tag == tag, (p, parts)
+        assert c.ext1_dim == ext1_dim_oracle(lam, p) == 1, (p, parts)
+        tags.add(tag)
+    assert len(tags) == 5
 
 
 def test_ext1_dim_trivial_rows():

@@ -167,12 +167,13 @@ class RelationSystem:
     The rows span the same space as the paper's relations but are not all
     of them.  The (C) rows come first and are the spanning set of
     ``_commuting_rows``, at most one row per slot; their tags have
-    ``tag[0] == "C"`` and name a zero, ratio or link row.  The (E), (T1),
-    (T2), (T3a) and (T3b) rows follow: the paper's relations, with the
-    zero rows (relations that instantiate to 0 = 0) dropped and tags
-    (family, indices) as in ``_relation_tags``.  ``sparse_rows`` holds
-    each row as {slot position: coefficient}, coefficients in [1, p);
-    ``rows`` expands them on demand.
+    ``tag[0] == "C"`` and name a zero, ratio or link row.  ``is_coherent``
+    checks (C) against the same rows.  The (E), (T1), (T2), (T3a) and
+    (T3b) rows follow: the paper's relations, with the zero rows
+    (relations that instantiate to 0 = 0) dropped and tags (family,
+    indices) as in ``_relation_tags``.  ``sparse_rows`` holds each row as
+    {slot position: coefficient}, coefficients in [1, p); ``rows``
+    expands them on demand.
     """
 
     lam: Partition
@@ -195,12 +196,12 @@ class RelationSystem:
 
 
 def _relation_tags(lam: Partition) -> Iterator[RowTag]:
-    """Tags (family, indices) of every candidate relation row.
+    """Tags (family, indices) of every candidate (E), (T1), (T2), (T3a) and (T3b) row.
 
     (E) for every pair, then (T1), (T2), (T3a), (T3b) for every triple,
-    then (C) for every two disjoint pairs, with pairs, triples and row
-    indices in ascending lexicographic order, so the row order is
-    deterministic.
+    with pairs, triples and row indices in ascending lexicographic order,
+    so the row order is deterministic.  The (C) rows have no tags here:
+    ``_commuting_rows`` is their only encoding.
     """
     n = lam.n
     part = (0,) + lam.parts  # part[r] = part_r
@@ -228,20 +229,9 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
                 for i in range(j + 1, b + j + 1):
                     yield ("T3b", r, s, t, j, i)
 
-    # Both orders of each disjoint pair are emitted.  Only this candidate
-    # stream keeps them: build_relation_system takes the (C) rows from
-    # _commuting_rows, a spanning set of at most one row per slot.
-    for q, r in pairs:
-        for s, t in pairs:
-            if s in (q, r) or t in (q, r):
-                continue
-            for i in range(1, part[t] + 1):
-                for j in range(1, part[r] + 1):
-                    yield ("C", q, r, s, t, i, j)
-
 
 def _row_terms(lam: Partition, tag: RowTag, p: int) -> Iterator[tuple[int, ...]]:
-    """The terms of one relation row as (r, s, i, sign, a1, b1, a2, b2).
+    """The terms of one row of ``_relation_tags`` as (r, s, i, sign, a1, b1, a2, b2).
 
     The term's coefficient on slot (r, s, i) is sign * C(a1, b1) * C(a2, b2)
     mod p; ``_coefficient`` evaluates it, so a caller pays for binomials
@@ -258,13 +248,6 @@ def _row_terms(lam: Partition, tag: RowTag, p: int) -> Iterator[tuple[int, ...]]
         _, r, s, i, j = tag
         yield r, s, i, 1, parts[r - 1] + i + j, j, 0, 0
         yield r, s, i + j, -1, i + j, i, 0, 0
-        return
-    if family == "C":
-        # C(part_s + i, i) y(q,r)_j - C(part_q + j, j) y(s,t)_i = 0 for
-        # disjoint pairs (q, r) and (s, t).
-        _, q, r, s, t, i, j = tag
-        yield q, r, j, 1, parts[s - 1] + i, i, 0, 0
-        yield s, t, i, -1, parts[q - 1] + j, j, 0, 0
         return
     # Triple relations tie x = y(r,s), y = y(s,t) and z = y(r,t), with
     # a = part_r and b = part_s.
@@ -308,7 +291,7 @@ def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
 
 
 def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterator[RowTag]:
-    """Tags of the candidate rows with a term on ``slot`` = (x, y, m).
+    """Tags of the rows of ``_relation_tags`` with a term on ``slot`` = (x, y, m).
 
     Each family's index ranges in ``_relation_tags``, solved for the
     indices that put (x, y, m) into one term position of ``_row_terms``.
@@ -361,16 +344,6 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterat
         for i in range(m + 1, part(x) + m + 1):
             yield ("T3b", r, x, y, m, i)
 
-    # (C): (x, y) as the first pair, slot y(q,r)_j, or as the second, y(s,t)_i.
-    for u in range(1, n + 1):
-        for w in range(u + 1, n + 1):
-            if u in (x, y) or w in (x, y):
-                continue
-            for i in range(1, part(w) + 1):
-                yield ("C", x, y, u, w, i, m)
-            for j in range(1, part(w) + 1):
-                yield ("C", u, w, x, y, m, j)
-
 
 def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
     """Yield (tag, {slot position: coefficient}) rows, zero entries omitted."""
@@ -397,13 +370,15 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
 
 
 def _candidate_row_count(lam: Partition) -> int:
-    """Rows ``_relation_tags`` yields, in closed form over the parts.
+    """The paper's candidate rows, in closed form over the parts.
 
-    With c = part_t: (E) gives c(c-1)/2 for each of the t-1 pairs (r, t);
-    each triple (r, s, t) gives part_s c for (T1) and for (T3b) and c**2
-    for (T2) and (T3a) together; (C) gives part_s c for each ordered pair
-    of disjoint pairs (q, s), (u, t) or (u, t), (q, s) with s < t, of
-    which there are (s-1)(t-3) each.  Summing over r < s leaves the
+    These are the rows of ``_relation_tags`` and both orders of every (C)
+    row, which ``_commuting_rows`` spans.  With c = part_t: (E) gives
+    c(c-1)/2 for each of the t-1 pairs (r, t); each triple (r, s, t)
+    gives part_s c for (T1) and for (T3b) and c**2 for (T2) and (T3a)
+    together; (C) gives part_s c for each ordered pair of disjoint pairs
+    (q, s), (u, t) or (u, t), (q, s) with s < t, of which there are
+    (s-1)(t-3) each.  Summing over r < s leaves the
     prefix sums of (s-1) and (s-1) part_s.
     """
     total = 0
@@ -457,6 +432,8 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
     pair in ascending order, then ("C", "link", q, r, s, t).
     """
     n = lam.n
+    if n < 4:
+        return  # no two disjoint pairs
     parts = lam.parts
     offsets = _pair_offsets(lam)
     std = [
@@ -510,12 +487,12 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """The (C) spanning rows, then the nonzero rows of the other families.
 
     The (C) rows are those of ``_commuting_rows``; the (E), (T1), (T2),
-    (T3a) and (T3b) rows those of ``_iter_relation_rows``, which stops
-    being read at its first (C) candidate.  The rows span the same space
-    as every candidate relation row; the (C) rows come first so that
-    elimination meets the many two-term and unit rows before the long
-    (T3) sums.  Raises ``SystemTooLargeError`` before generating any row
-    when the candidate rows times the slots exceed ``MAX_CELLS``.
+    (T3a) and (T3b) rows those of ``_iter_relation_rows``.  The rows span
+    the same space as every candidate relation row; the (C) rows come
+    first so that elimination meets the many two-term and unit rows
+    before the long (T3) sums.  Raises ``SystemTooLargeError`` before
+    generating any row when the candidate rows times the slots exceed
+    ``MAX_CELLS``.
     """
     validate_prime(p)
     vdim = slot_count(lam)
@@ -531,8 +508,6 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
         rows.append(sparse)
         tags.append(tag)
     for tag, sparse in _iter_relation_rows(lam, p):
-        if tag[0] == "C":
-            break  # the (C) candidates come last; _commuting_rows spans them
         if sparse:
             rows.append(sparse)
             tags.append(tag)
@@ -618,16 +593,19 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     """True iff the multi-sequence satisfies every relation row.
 
-    Only the rows with a term on a nonzero slot of ``ms`` are evaluated
-    (``_tags_touching``).  This is the full check: every other row sums
-    zero values and instantiates to 0 = 0, whatever its coefficients.  A
-    (T3a) or (T3b) row whose binomial C(a+i, h) on a slot is 0 mod p (by
-    Lucas's theorem, some digit of h exceeds that of a+i) has no term on
-    that slot, so the slot does not bring the row in.  Each evaluated row
-    walks all of its ``_row_terms`` and sums those on nonzero slots.  The
-    cost grows with the rows touching the nonzero slots and with their
-    terms, not with the whole system.  Raises ``ValueError`` unless ``ms``
-    is a multi-sequence of ``lam`` at ``p``.
+    Of the (E), (T1), (T2), (T3a) and (T3b) rows, only those with a term
+    on a nonzero slot of ``ms`` are evaluated (``_tags_touching``).  This
+    is the full check: every other row sums zero values and instantiates
+    to 0 = 0, whatever its coefficients.  A (T3a) or (T3b) row whose
+    binomial C(a+i, h) on a slot is 0 mod p (by Lucas's theorem, some
+    digit of h exceeds that of a+i) has no term on that slot, so the slot
+    does not bring the row in.  Each evaluated row walks all of its
+    ``_row_terms`` and sums those on nonzero slots.  The cost grows with
+    the rows touching the nonzero slots and with their terms, not with
+    the whole system.  The (C) relations are checked against the rows of
+    ``_commuting_rows``, the same spanning rows the oracle builds, at most
+    one per slot: they span both orders of every (C) row.  Raises
+    ``ValueError`` unless ``ms`` is a multi-sequence of ``lam`` at ``p``.
     """
     validate_prime(p)
     if (ms.lam, ms.p) != (lam, p):
@@ -649,4 +627,7 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
                     total += support[pos] * _coefficient(p, sign, a1, b1, a2, b2)
             if total % p:
                 return False
+    for _tag, row in _commuting_rows(lam, p):
+        if sum(coef * support[pos] for pos, coef in row.items() if pos in support) % p:
+            return False
     return True

@@ -21,11 +21,16 @@ class InvalidModulusError(ValueError):
 MAX_PRIME = 1 << 15
 
 
-@lru_cache(maxsize=None)
 def validate_prime(p: int) -> int:
     """Return ``p`` unchanged if it is a prime in [2, 2**15), else raise."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise InvalidModulusError(f"modulus must be an int, got {p!r}")
+    return _check_prime(p)
+
+
+@lru_cache(maxsize=None)
+def _check_prime(p: int) -> int:
+    """``validate_prime`` after its type check, cached per int."""
     if p < 2 or p >= MAX_PRIME:
         raise InvalidModulusError(f"modulus must be a prime in [2, {MAX_PRIME}), got {p}")
     if p in (2, 3):

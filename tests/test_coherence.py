@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from spechtex.coherence import (
     _candidate_row_count,
     _echelon,
     _iter_relation_rows,
-    _relation_tags,
     _row_terms,
     _tags_touching,
     build_relation_system,
@@ -265,6 +265,16 @@ def transcribed_rows_mod_p(parts, p):
     return rows
 
 
+def without_rows(system, dropped):
+    """The system without the rows whose tag ``dropped`` accepts."""
+    kept = [k for k, tag in enumerate(system.row_tags) if not dropped(tag)]
+    return replace(
+        system,
+        sparse_rows=tuple(system.sparse_rows[k] for k in kept),
+        row_tags=tuple(system.row_tags[k] for k in kept),
+    )
+
+
 def assert_rref_matches_transcription(parts, p, literal=None):
     """``_echelon``'s RREF equals ``rref_mod_p`` of every transcribed row,
     both orders of the (C) rows included; so does the RREF of the (C) rows
@@ -285,17 +295,10 @@ def assert_rref_matches_transcription(parts, p, literal=None):
 
     system = build_relation_system(Partition(parts), p)
     assert dense_echelon(system) == rref_mod_p(dense_rows(literal.values()), p), (p, parts)
-    commuting = [
-        (tag, sparse) for tag, sparse in zip(system.row_tags, system.sparse_rows) if tag[0] == "C"
-    ]
-    spanning = replace(
-        system,
-        sparse_rows=tuple(sparse for _tag, sparse in commuting),
-        row_tags=tuple(tag for tag, _sparse in commuting),
-    )
+    spanning = without_rows(system, lambda tag: tag[0] != "C")
     expected = rref_mod_p(dense_rows(row for tag, row in literal.items() if tag[0] == "C"), p)
     assert dense_echelon(spanning) == expected, (p, parts)
-    assert len(expected[1]) == len(commuting), (p, parts)
+    assert len(expected[1]) == len(spanning.row_tags), (p, parts)
     return system
 
 
@@ -376,11 +379,12 @@ def test_commuting_rows_span_the_transcription_property(parts, p):
 
 
 def test_candidate_row_count_matches_the_tags():
+    # The transcription has every candidate row, both (C) orders included.
     shapes = [lam.parts for d in range(13) for lam in enumerate_partitions(d, max(d, 1))]
     shapes += [(50, 20, 7, 3, 1), (9, 9, 9, 9, 9), (100, 1, 1, 1, 1, 1, 1)]
     for parts in shapes:
-        lam = Partition(parts)
-        assert _candidate_row_count(lam) == sum(1 for _ in _relation_tags(lam)), parts
+        count = sum(1 for _ in transcribed_relations(parts))
+        assert _candidate_row_count(Partition(parts)) == count, parts
 
 
 def test_oversized_system_is_refused_up_front():
@@ -474,7 +478,9 @@ def dense_is_coherent(ms, lam, p):
     """The full check: every row of the relation system against the values.
 
     The rows span the same space as every relation, so this is the check
-    against every relation."""
+    against every relation.  Its (C) rows are the spanning rows that
+    ``is_coherent`` reads too; ``transcribed_is_coherent`` checks (C)
+    independently."""
     rows = build_relation_system(lam, p).rows
     values = dense(ms)
     return all(sum(c * v for c, v in zip(row, values)) % p == 0 for row in rows)
@@ -585,3 +591,61 @@ def test_is_coherent_matches_dense_check_with_a_deep_top_part(top, lower, p, dat
         vectors.append(witness)
     for ms in vectors:
         assert is_coherent(ms, lam, p) == dense_is_coherent(ms, lam, p)
+
+
+def transcribed_is_coherent(ms, literal=None):
+    """The check against every row of ``transcribed_rows_mod_p``, both
+    orders of every (C) row included; it shares no code with
+    ``is_coherent``."""
+    if literal is None:
+        literal = transcribed_rows_mod_p(ms.lam.parts, ms.p)
+    values = {tuple(slot): value for slot, value in ms.entries}
+    return all(
+        sum(coef * values.get(slot, 0) for slot, coef in row.items()) % ms.p == 0
+        for row in literal.values()
+    )
+
+
+def test_is_coherent_matches_the_transcribed_commuting_rows():
+    """``is_coherent`` against the transcription on three inputs: the
+    acceptance range's witnesses; the standard multi-sequences with at
+    least 4 rows and d <= 12; and, per (C) row kind, the nullspace of
+    the system without the rows of that kind, for at least 4 rows and
+    d <= 10 at p in {2, 3, 5}.
+
+    Only the third input holds vectors that break a (C) relation, all of
+    them vectors that break a link row.  A check that skipped the zero
+    or ratio rows would pass here: for every partition with d <= 13 at
+    p in {2, 3, 5, 7}, those rows add no rank over the other rows."""
+    witnesses = 0
+    for p in (2, 3, 5, 7):
+        for d in range(15):
+            for lam in enumerate_partitions(d, max(d, 1)):
+                witness = ext1_dim(lam, p).witness
+                if witness is not None:
+                    witnesses += 1
+                    assert is_coherent(witness, lam, p)
+                    assert transcribed_is_coherent(witness), (p, lam.parts)
+                if lam.n >= 4 and d <= 12:
+                    ms = standard_multisequence(lam, p)
+                    assert is_coherent(ms, lam, p)
+                    assert transcribed_is_coherent(ms), (p, lam.parts)
+    assert witnesses == 335
+    incoherent = Counter()
+    vectors = 0
+    for p in (2, 3, 5):
+        for d in range(4, 11):
+            for lam in enumerate_partitions(d, d):
+                if lam.n < 4:
+                    continue
+                system = build_relation_system(lam, p)
+                literal = transcribed_rows_mod_p(lam.parts, p)
+                for kind in ("zero", "ratio", "link"):
+                    reduced = without_rows(system, lambda tag: tag[1:2] == (kind,))
+                    for ms in nullspace(reduced):
+                        verdict = is_coherent(ms, lam, p)
+                        assert verdict == transcribed_is_coherent(ms, literal), (p, lam.parts)
+                        incoherent[kind] += not verdict
+                        vectors += 1
+    assert vectors == 754
+    assert incoherent == Counter(link=14)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracles import int_val, pascal_binom
+from spechtex.coherence import MultiSequence
 from spechtex.padic import (
     InvalidModulusError,
     _lucas_range,
@@ -12,6 +13,7 @@ from spechtex.padic import (
     val_p,
     validate_prime,
 )
+from spechtex.partitions import Partition
 
 PRIMES = (2, 3, 5, 7)
 
@@ -26,6 +28,20 @@ def test_nonprime_modulus_rejected():
             validate_prime(bad)
         with pytest.raises(InvalidModulusError):
             binom_mod_p(5, 2, bad)
+
+
+def test_non_int_modulus_rejected():
+    # 3 first, so an equal float or bool cannot be answered from a cache.
+    assert validate_prime(3) == 3
+    for bad in ([3], 3.0, True):
+        with pytest.raises(InvalidModulusError):
+            validate_prime(bad)
+        with pytest.raises(InvalidModulusError):
+            val_p(9, bad)
+        with pytest.raises(InvalidModulusError):
+            binom_mod_p(5, 2, bad)
+        with pytest.raises(InvalidModulusError):
+            MultiSequence(Partition((2, 1)), bad, ())
 
 
 def test_len_p_examples():

@@ -200,8 +200,8 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
 
     (E) for every pair, then (T1), (T2), (T3a), (T3b) for every triple,
     with pairs, triples and row indices in ascending lexicographic order,
-    so the row order is deterministic.  The (C) rows have no tags here:
-    ``_commuting_rows`` is their only encoding.
+    so the row order is deterministic.  The library reads the (C) rows
+    from ``_commuting_rows``; ``_iter_relation_rows`` lists both orders.
     """
     n = lam.n
     part = (0,) + lam.parts  # part[r] = part_r
@@ -345,8 +345,8 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterat
             yield ("T3b", r, x, y, m, i)
 
 
-def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
-    """Yield (tag, {slot position: coefficient}) rows, zero entries omitted."""
+def _tagged_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
+    """Rows of ``_relation_tags`` as (tag, {slot position: coefficient}), zeros omitted."""
     offsets = _pair_offsets(lam)
     binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
     cached = binom.get
@@ -369,16 +369,36 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
         yield tag, row
 
 
-def _candidate_row_count(lam: Partition) -> int:
-    """The paper's candidate rows, in closed form over the parts.
+def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
+    """Every candidate row of the paper: the rows ``_candidate_row_count`` counts.
 
-    These are the rows of ``_relation_tags`` and both orders of every (C)
-    row, which ``_commuting_rows`` spans.  With c = part_t: (E) gives
-    c(c-1)/2 for each of the t-1 pairs (r, t); each triple (r, s, t)
-    gives part_s c for (T1) and for (T3b) and c**2 for (T2) and (T3a)
-    together; (C) gives part_s c for each ordered pair of disjoint pairs
-    (q, s), (u, t) or (u, t), (q, s) with s < t, of which there are
-    (s-1)(t-3) each.  Summing over r < s leaves the
+    ``_tagged_rows``, then both orders ("C", q, r, s, t, i, j) of every (C)
+    row std_Q(i) y(P)_j - std_P(j) y(Q)_i, P = (q, r) and Q = (s, t)
+    disjoint.  The library reads (C) from ``_commuting_rows``, which spans
+    these; the stream is for callers that count rows per family.
+    """
+    yield from _tagged_rows(lam, p)
+    offsets, std, n = _pair_offsets(lam), _commuting_std(lam, p), lam.n
+    pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
+    for q, r in pairs:
+        for s, t in pairs:
+            if s in (q, r) or t in (q, r):
+                continue
+            for i in range(1, lam.parts[t - 1] + 1):
+                for j in range(1, lam.parts[r - 1] + 1):
+                    row = {offsets[q][r] + j - 1: std[s - 1][i - 1]}
+                    row[offsets[s][t] + i - 1] = -std[q - 1][j - 1] % p
+                    yield ("C", q, r, s, t, i, j), {pos: c for pos, c in row.items() if c}
+
+
+def _candidate_row_count(lam: Partition) -> int:
+    """Rows ``_iter_relation_rows`` yields, in closed form over the parts.
+
+    With c = part_t: (E) gives c(c-1)/2 for each of the t-1 pairs (r, t);
+    each triple (r, s, t) gives part_s c for (T1) and for (T3b) and c**2
+    for (T2) and (T3a) together; (C) gives part_s c for each ordered pair
+    of disjoint pairs (q, s), (u, t) or (u, t), (q, s) with s < t, of
+    which there are (s-1)(t-3) each.  Summing over r < s leaves the
     prefix sums of (s-1) and (s-1) part_s.
     """
     total = 0
@@ -389,6 +409,15 @@ def _candidate_row_count(lam: Partition) -> int:
         below += t - 1
         weighted += (t - 1) * c
     return total
+
+
+def _commuting_std(lam: Partition, p: int) -> list[list[int]]:
+    """std[q - 1][j - 1] = std_P(j) = C(part_q + j, j) mod p, P = (q, r), j <= part_{q+1}."""
+    parts = lam.parts
+    return [
+        [_binom_mod_p(parts[q] + j, j, p) for j in range(1, parts[q + 1] + 1)]
+        for q in range(lam.n - 1)
+    ]
 
 
 def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
@@ -436,10 +465,7 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
         return  # no two disjoint pairs
     parts = lam.parts
     offsets = _pair_offsets(lam)
-    std = [
-        [_binom_mod_p(parts[q] + j, j, p) for j in range(1, parts[q + 1] + 1)]
-        for q in range(n - 1)
-    ]  # std[q - 1][j - 1] = std_P(j) for every P = (q, r)
+    std = _commuting_std(lam, p)
     pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
     lead = {}  # P in N -> j0 = min S_P
     for q, r in pairs:
@@ -487,7 +513,7 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """The (C) spanning rows, then the nonzero rows of the other families.
 
     The (C) rows are those of ``_commuting_rows``; the (E), (T1), (T2),
-    (T3a) and (T3b) rows those of ``_iter_relation_rows``.  The rows span
+    (T3a) and (T3b) rows those of ``_tagged_rows``.  The rows span
     the same space as every candidate relation row; the (C) rows come
     first so that elimination meets the many two-term and unit rows
     before the long (T3) sums.  Raises ``SystemTooLargeError`` before
@@ -507,7 +533,7 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     for tag, sparse in _commuting_rows(lam, p):
         rows.append(sparse)
         tags.append(tag)
-    for tag, sparse in _iter_relation_rows(lam, p):
+    for tag, sparse in _tagged_rows(lam, p):
         if sparse:
             rows.append(sparse)
             tags.append(tag)
@@ -600,12 +626,13 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     binomial C(a+i, h) on a slot is 0 mod p (by Lucas's theorem, some
     digit of h exceeds that of a+i) has no term on that slot, so the slot
     does not bring the row in.  Each evaluated row walks all of its
-    ``_row_terms`` and sums those on nonzero slots.  The cost grows with
-    the rows touching the nonzero slots and with their terms, not with
-    the whole system.  The (C) relations are checked against the rows of
-    ``_commuting_rows``, the same spanning rows the oracle builds, at most
-    one per slot: they span both orders of every (C) row.  Raises
-    ``ValueError`` unless ``ms`` is a multi-sequence of ``lam`` at ``p``.
+    ``_row_terms`` and sums those on nonzero slots.  This walk costs in
+    proportion to the rows touching the nonzero slots and their terms, not
+    to the whole system.  (C) is then checked on every row of
+    ``_commuting_rows``, which span both orders of every (C) row: at most
+    ``slot_count(lam)`` rows and the binomials std_P(j), whatever the
+    support.  Raises ``ValueError`` unless ``ms`` is a multi-sequence of
+    ``lam`` at ``p``.
     """
     validate_prime(p)
     if (ms.lam, ms.p) != (lam, p):

@@ -29,6 +29,7 @@ from spechtex.coherence import (
     _echelon,
     _iter_relation_rows,
     _row_terms,
+    _tagged_rows,
     _tags_touching,
     build_relation_system,
     canonical_multisequence,
@@ -303,13 +304,20 @@ def assert_rref_matches_transcription(parts, p, literal=None):
 
 
 def assert_rows_match_transcription(parts):
-    """At every prime of ``TRANSCRIPTION_PRIMES``: the (E), (T1), (T2), (T3a)
-    and (T3b) rows, tag by tag and in order, are the transcribed rows of
-    those families that do not vanish mod p, and the RREF is that of every
-    transcribed row, (C) rows of both orders included."""
+    """At every prime of ``TRANSCRIPTION_PRIMES``: the nonzero rows of
+    ``_iter_relation_rows``, tag by tag and in order, are the transcribed
+    rows that do not vanish mod p, (C) rows of both orders included; so
+    are the system's (E), (T1), (T2), (T3a) and (T3b) rows for those
+    families; and the RREF is that of every transcribed row."""
     slots = transcribed_slots(parts)
     for p in TRANSCRIPTION_PRIMES:
         literal = transcribed_rows_mod_p(parts, p)
+        candidates = {
+            tag: {slots[pos]: coef for pos, coef in sparse.items()}
+            for tag, sparse in _iter_relation_rows(Partition(parts), p)
+            if sparse
+        }
+        assert list(candidates.items()) == list(literal.items()), (p, parts)
         system = assert_rref_matches_transcription(parts, p, literal)
         expected = {tag: row for tag, row in literal.items() if tag[0] != "C"}
         kept = [
@@ -486,6 +494,19 @@ def dense_is_coherent(ms, lam, p):
     return all(sum(c * v for c, v in zip(row, values)) % p == 0 for row in rows)
 
 
+def transcribed_is_coherent(ms, literal=None):
+    """The check against every row of ``transcribed_rows_mod_p``, both
+    orders of every (C) row included; it shares no code with
+    ``is_coherent``."""
+    if literal is None:
+        literal = transcribed_rows_mod_p(ms.lam.parts, ms.p)
+    values = {tuple(slot): value for slot, value in ms.entries}
+    return all(
+        sum(coef * values.get(slot, 0) for slot, coef in row.items()) % ms.p == 0
+        for row in literal.values()
+    )
+
+
 def dense_row(lam, p, tag):
     """One row from its `_row_terms`, with exact binomials from the Pascal triangle."""
     position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
@@ -512,7 +533,7 @@ def test_tags_touching_cover_every_kept_row_on_a_slot():
     for p in (2, 3, 5, 7):
         for group in groups:
             for lam in group:
-                rows = list(_iter_relation_rows(lam, p))
+                rows = list(_tagged_rows(lam, p))
                 candidates = {tag for tag, _row in rows}
                 zero = (0,) * slot_count(lam)
                 kept = {
@@ -544,6 +565,7 @@ def test_is_coherent_matches_dense_check_on_every_witness():
                 witnesses += 1
                 assert is_coherent(witness, lam, p)
                 assert dense_is_coherent(witness, lam, p), (p, lam.parts)
+                assert transcribed_is_coherent(witness), (p, lam.parts)
     # Every non-split instance of the acceptance range carries one.
     assert witnesses == 335
 
@@ -593,44 +615,16 @@ def test_is_coherent_matches_dense_check_with_a_deep_top_part(top, lower, p, dat
         assert is_coherent(ms, lam, p) == dense_is_coherent(ms, lam, p)
 
 
-def transcribed_is_coherent(ms, literal=None):
-    """The check against every row of ``transcribed_rows_mod_p``, both
-    orders of every (C) row included; it shares no code with
-    ``is_coherent``."""
-    if literal is None:
-        literal = transcribed_rows_mod_p(ms.lam.parts, ms.p)
-    values = {tuple(slot): value for slot, value in ms.entries}
-    return all(
-        sum(coef * values.get(slot, 0) for slot, coef in row.items()) % ms.p == 0
-        for row in literal.values()
-    )
-
-
 def test_is_coherent_matches_the_transcribed_commuting_rows():
-    """``is_coherent`` against the transcription on three inputs: the
-    acceptance range's witnesses; the standard multi-sequences with at
-    least 4 rows and d <= 12; and, per (C) row kind, the nullspace of
-    the system without the rows of that kind, for at least 4 rows and
-    d <= 10 at p in {2, 3, 5}.
+    """``is_coherent`` against the transcription, per (C) row kind, on the
+    nullspace of the system without the rows of that kind, for every
+    partition with at least 4 rows and d <= 10 at p in {2, 3, 5}.
 
-    Only the third input holds vectors that break a (C) relation, all of
-    them vectors that break a link row.  A check that skipped the zero
-    or ratio rows would pass here: for every partition with d <= 13 at
-    p in {2, 3, 5, 7}, those rows add no rank over the other rows."""
-    witnesses = 0
-    for p in (2, 3, 5, 7):
-        for d in range(15):
-            for lam in enumerate_partitions(d, max(d, 1)):
-                witness = ext1_dim(lam, p).witness
-                if witness is not None:
-                    witnesses += 1
-                    assert is_coherent(witness, lam, p)
-                    assert transcribed_is_coherent(witness), (p, lam.parts)
-                if lam.n >= 4 and d <= 12:
-                    ms = standard_multisequence(lam, p)
-                    assert is_coherent(ms, lam, p)
-                    assert transcribed_is_coherent(ms), (p, lam.parts)
-    assert witnesses == 335
+    The vectors that break a (C) relation all break a link row.  A check
+    that skipped the zero or ratio rows would pass here: for every
+    partition with d <= 13 at p in {2, 3, 5, 7}, those rows add no rank
+    over the other rows.  The witnesses are checked against the
+    transcription in ``test_is_coherent_matches_dense_check_on_every_witness``."""
     incoherent = Counter()
     vectors = 0
     for p in (2, 3, 5):

@@ -19,6 +19,7 @@ the standard multi-sequence is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
 from .padic import _binom_mod_p, _lucas_range, digit_p, validate_prime
@@ -165,15 +166,23 @@ class RelationSystem:
     """F_p matrix whose nullspace is the coherent multi-sequence space.
 
     The rows span the same space as the paper's relations but are not all
-    of them.  The (C) rows come first and are the spanning set of
-    ``_commuting_rows``, at most one row per slot; their tags have
-    ``tag[0] == "C"`` and name a zero, ratio or link row.  ``is_coherent``
-    checks (C) against the same rows.  The (E), (T1), (T2), (T3a) and
-    (T3b) rows follow: the paper's relations, with the zero rows
-    (relations that instantiate to 0 = 0) dropped and tags (family,
-    indices) as in ``_relation_tags``.  ``sparse_rows`` holds each row as
-    {slot position: coefficient}, coefficients in [1, p); ``rows``
-    expands them on demand.
+    of them.  With at most three rows they are the paper's (E), (T1),
+    (T2), (T3a) and (T3b) relations, with the zero rows (relations that
+    instantiate to 0 = 0) dropped and tags (family, indices) as in
+    ``_relation_tags``.  With four or more, the (C) rows come first and
+    are the spanning set of ``_commuting_rows``, at most one row per
+    slot; their tags have ``tag[0] == "C"`` and name a zero, ratio or link
+    row, and ``is_coherent`` checks (C) against the same rows.  Then come
+    the triple blocks, tagged ("B", r, s, t, local pivot): for each triple
+    of rows r < s < t, the RREF of the three-row system of (part_r,
+    part_s, part_t) (``_triple_block``) moved onto the pairs (r, s),
+    (r, t) and (s, t).  They span the (E) and (T) relations because each
+    of those lies in one triple and reads only that triple's parts, and
+    every pair lies in a triple (the proof is in
+    ``build_relation_system``), so the unique RREF and the nullspace are
+    those of the paper's rows.  ``sparse_rows`` holds each row as {slot
+    position: coefficient}, coefficients in [1, p), in a dict of its own;
+    ``rows`` expands them on demand.
     """
 
     lam: Partition
@@ -510,15 +519,36 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
 
 
 def build_relation_system(lam: Partition, p: int) -> RelationSystem:
-    """The (C) spanning rows, then the nonzero rows of the other families.
+    """A system of rows spanning every relation row of ``lam`` at ``p``.
 
-    The (C) rows are those of ``_commuting_rows``; the (E), (T1), (T2),
-    (T3a) and (T3b) rows those of ``_tagged_rows``.  The rows span
-    the same space as every candidate relation row; the (C) rows come
-    first so that elimination meets the many two-term and unit rows
-    before the long (T3) sums.  Raises ``SystemTooLargeError`` before
-    generating any row when the candidate rows times the slots exceed
-    ``MAX_CELLS``.
+    For at most three rows it holds the paper's relations: the nonzero
+    rows of ``_tagged_rows``, tags and order as there.  For n >= 4 it
+    holds the (C) spanning rows of ``_commuting_rows`` and then, for every
+    triple r < s < t in lexicographic order, the rows of
+    ``_triple_block(part_r, part_s, part_t, p)`` moved onto the pairs
+    (r, s), (r, t) and (s, t), tagged ("B", r, s, t, local pivot).  The
+    (C) rows come first so that elimination meets the many two-term and
+    unit rows before the others.
+
+    Why the blocks span the same rows as the paper's (E), (T1), (T2),
+    (T3a) and (T3b) relations, so that the unique RREF, ``nullspace``,
+    ``dim_E`` and every basis are unchanged:
+
+    * each such row of ``lam`` lies in one triple (r, s, t): the (T) rows
+      of that triple, or the (E) rows of a pair of it, and its
+      coefficients read only part_r, part_s and part_t (``_row_terms``).
+      Moved onto local rows 1, 2, 3 it is the same row of the three-row
+      system of (part_r, part_s, part_t), and every row of that system is
+      such a row of ``lam``, moved;
+    * moving the slots of a triple is injective and linear, so the moved
+      block spans the moved three-row system;
+    * with n >= 3 every pair lies in some triple, so every (E) row is in
+      some block; and a union of row sets spans the sum of their spans.
+
+    Raises ``SystemTooLargeError`` before generating any row or block when
+    the paper's candidate rows times the slots exceed ``MAX_CELLS``.  A
+    triple's three-row system has no more candidate rows and slots than
+    ``lam``'s, so no block is ever refused.
     """
     validate_prime(p)
     vdim = slot_count(lam)
@@ -530,14 +560,44 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
         )
     rows: list[dict[int, int]] = []
     tags: list[RowTag] = []
+    n = lam.n
+    if n < 4:
+        for tag, sparse in _tagged_rows(lam, p):
+            if sparse:
+                rows.append(sparse)
+                tags.append(tag)
+        return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags))
     for tag, sparse in _commuting_rows(lam, p):
         rows.append(sparse)
         tags.append(tag)
-    for tag, sparse in _tagged_rows(lam, p):
-        if sparse:
-            rows.append(sparse)
-            tags.append(tag)
+    parts, offsets = lam.parts, _pair_offsets(lam)
+    for r in range(1, n - 1):
+        for s in range(r + 1, n):
+            for t in range(s + 1, n + 1):
+                b, c = parts[s - 1], parts[t - 1]
+                rs, rt, st = offsets[r][s], offsets[r][t], offsets[s][t]
+                where = (*range(rs, rs + b), *range(rt, rt + c), *range(st, st + c))
+                for row in _triple_block(parts[r - 1], b, c, p):
+                    rows.append({where[col]: coef for col, coef in row})
+                    tags.append(("B", r, s, t, row[0][0]))
     return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags))
+
+
+@lru_cache(maxsize=1024)
+def _triple_block(a: int, b: int, c: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The RREF of the three-row system of (a, b, c) at p, one row per pivot.
+
+    ``_echelon(build_relation_system(Partition((a, b, c)), p))`` as rows
+    of (column, coefficient) pairs in ascending pivot order, each row
+    listing its pivot first with coefficient 1, then its free columns in
+    ascending order.  Columns are the three-row system's slot
+    positions: pair (1, 2) at 0..b-1, (1, 3) at b..b+c-1 and (2, 3) at
+    b+c..b+2c-1.  Memoised per process, at most 1024 blocks; a block has
+    at most b + 2c rows, and a row's entries other than its pivot lie on
+    the block's free columns.
+    """
+    echelon = _echelon(build_relation_system(Partition((a, b, c)), p))
+    return tuple(((pivot, 1), *sorted(echelon[pivot].items())) for pivot in sorted(echelon))
 
 
 def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:

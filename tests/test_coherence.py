@@ -4,6 +4,8 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -23,14 +25,17 @@ from spechtex.classifier import ext1_dim
 from spechtex.coherence import (
     MAX_CELLS,
     MultiSequence,
+    RelationSystem,
     SlotIndex,
     SystemTooLargeError,
     _candidate_row_count,
+    _commuting_rows,
     _echelon,
     _iter_relation_rows,
     _row_terms,
     _tagged_rows,
     _tags_touching,
+    _triple_block,
     build_relation_system,
     canonical_multisequence,
     canonical_slot_order,
@@ -206,9 +211,26 @@ def dense_echelon(system):
     return rows, pivots
 
 
-def assert_matches_python_rref(lam, p):
-    """The RREF, nullspace and dim_E agree with the pure-Python elimination."""
-    system = build_relation_system(lam, p)
+def paper_system(lam, p):
+    """A `RelationSystem` of the (C) spanning rows and then the paper's
+    nonzero (E), (T1), (T2), (T3a) and (T3b) rows, with no triple blocks."""
+    rows = list(_commuting_rows(lam, p))
+    rows += [(tag, sparse) for tag, sparse in _tagged_rows(lam, p) if sparse]
+    return RelationSystem(
+        lam,
+        p,
+        slot_count(lam),
+        tuple(sparse for _tag, sparse in rows),
+        tuple(tag for tag, _sparse in rows),
+    )
+
+
+def assert_matches_python_rref(lam, p, system=None):
+    """The RREF, nullspace and dim_E agree with the pure-Python elimination.
+
+    ``system`` defaults to ``build_relation_system(lam, p)``."""
+    if system is None:
+        system = build_relation_system(lam, p)
     rref, pivots = rref_mod_p(system.rows, p)
     assert dense_echelon(system) == (rref, pivots), (p, lam.parts)
     expected = nullspace_from_rref(rref, pivots, system.num_slots, p)
@@ -222,17 +244,24 @@ def test_nullspace_matches_independent_elimination():
         for d in range(11):
             for lam in enumerate_partitions(d, max(d, 1)):
                 assert_matches_python_rref(lam, p)
-    # Pivots keep arriving after the first 64 rows, so new pivot columns
-    # are cleared from a running RREF that already has many rows.
-    system, pivots = assert_matches_python_rref(Partition((1,) * 9), 2)
+    # Over the paper's rows, pivots keep arriving after the first 64 rows,
+    # so new pivot columns are cleared from a running RREF that already has
+    # many rows.  (The built system, of triple blocks, has all 35 pivots
+    # within its first 64 rows.)
+    lam = Partition((1,) * 9)
+    system, pivots = assert_matches_python_rref(lam, 2, paper_system(lam, 2))
     assert len(rref_mod_p(system.rows[:64], 2)[1]) < len(pivots)
 
 
 def test_nullspace_matches_independent_elimination_across_blocks():
-    # 454 rows into a running RREF of up to 91 pivot rows.
-    system, pivots = assert_matches_python_rref(Partition((1,) * 14), 3)
-    assert (len(system.sparse_rows), system.num_slots) == (454, 91)
-    assert len(system.sparse_rows) > len(pivots)
+    # 454 rows into a running RREF of up to 91 pivot rows: 90 (C) rows,
+    # then one row per triple, a triple block of the built system or the
+    # paper's single (T3a) row.
+    lam = Partition((1,) * 14)
+    for system in (build_relation_system(lam, 3), paper_system(lam, 3)):
+        system, pivots = assert_matches_python_rref(lam, 3, system)
+        assert (len(system.sparse_rows), system.num_slots) == (454, 91)
+        assert len(system.sparse_rows) > len(pivots)
 
 
 @pytest.mark.parametrize("parts", [(3, 2, 1), (1,) * 7, (1,) * 9, (40000, 6, 3)])
@@ -303,32 +332,72 @@ def assert_rref_matches_transcription(parts, p, literal=None):
     return system
 
 
+@lru_cache(maxsize=None)
+def transcribed_block(triple, p):
+    """``rref_mod_p`` of every transcribed row of a three-row partition."""
+    position = {slot: k for k, slot in enumerate(transcribed_slots(triple))}
+    vectors = []
+    for row in transcribed_rows_mod_p(triple, p).values():
+        vec = [0] * len(position)
+        for slot, coef in row.items():
+            vec[position[slot]] = coef
+        vectors.append(vec)
+    return rref_mod_p(vectors, p)
+
+
+def assert_blocks_match_transcription(system):
+    """The rows after the (C) rows are, tag by tag and in order, the RREF
+    rows of the transcription of each triple (part_r, part_s, part_t),
+    triples in lexicographic order, rows by pivot, moved onto the pairs
+    (r, s), (r, t) and (s, t)."""
+    parts, p = system.lam.parts, system.p
+    slots = transcribed_slots(parts)
+    got = [
+        (tag, {slots[pos]: coef for pos, coef in sparse.items()})
+        for tag, sparse in zip(system.row_tags, system.sparse_rows)
+        if tag[0] != "C"
+    ]
+    expected = []
+    for r, s, t in combinations(range(1, len(parts) + 1), 3):
+        triple = (parts[r - 1], parts[s - 1], parts[t - 1])
+        local = transcribed_slots(triple)
+        move = {1: r, 2: s, 3: t}
+        for row, pivot in zip(*transcribed_block(triple, p)):
+            moved = {(move[x], move[y], i): c for (x, y, i), c in zip(local, row) if c}
+            expected.append((("B", r, s, t, pivot), moved))
+    assert got == expected, (p, parts)
+
+
 def assert_rows_match_transcription(parts):
     """At every prime of ``TRANSCRIPTION_PRIMES``: the nonzero rows of
     ``_iter_relation_rows``, tag by tag and in order, are the transcribed
     rows that do not vanish mod p, (C) rows of both orders included; so
-    are the system's (E), (T1), (T2), (T3a) and (T3b) rows for those
-    families; and the RREF is that of every transcribed row."""
+    are the nonzero rows of ``_tagged_rows`` for the (E), (T1), (T2),
+    (T3a) and (T3b) families; the RREF of the built system is that of
+    every transcribed row; and the system holds those rows of
+    ``_tagged_rows`` for at most three rows, the transcribed triple
+    blocks after its (C) rows for more."""
+    lam = Partition(parts)
     slots = transcribed_slots(parts)
     for p in TRANSCRIPTION_PRIMES:
         literal = transcribed_rows_mod_p(parts, p)
         candidates = {
             tag: {slots[pos]: coef for pos, coef in sparse.items()}
-            for tag, sparse in _iter_relation_rows(Partition(parts), p)
+            for tag, sparse in _iter_relation_rows(lam, p)
             if sparse
         }
         assert list(candidates.items()) == list(literal.items()), (p, parts)
         system = assert_rref_matches_transcription(parts, p, literal)
         expected = {tag: row for tag, row in literal.items() if tag[0] != "C"}
-        kept = [
-            (tag, sparse)
-            for tag, sparse in zip(system.row_tags, system.sparse_rows)
-            if tag[0] != "C"
-        ]
-        assert [tag for tag, _sparse in kept] == list(expected), (p, parts)
-        for tag, sparse in kept:
+        tagged = [(tag, sparse) for tag, sparse in _tagged_rows(lam, p) if sparse]
+        assert [tag for tag, _sparse in tagged] == list(expected), (p, parts)
+        for tag, sparse in tagged:
             got = {slots[pos]: coef for pos, coef in sparse.items()}
             assert got == expected[tag], (p, parts, tag)
+        if lam.n < 4:
+            assert list(zip(system.row_tags, system.sparse_rows)) == tagged, (p, parts)
+        else:
+            assert_blocks_match_transcription(system)
 
 
 def test_relation_rows_match_the_literal_transcription():
@@ -384,6 +453,57 @@ def test_commuting_rows_span_the_transcription(parts):
 )
 def test_commuting_rows_span_the_transcription_property(parts, p):
     assert_rref_matches_transcription(tuple(sorted(parts, reverse=True)), p)
+
+
+def test_built_system_has_the_rref_of_the_paper_rows():
+    # Triple blocks replace the paper's rows only from four rows on.
+    shapes = [
+        lam.parts for d in range(4, 13) for lam in enumerate_partitions(d, d) if lam.n >= 4
+    ]
+    shapes += [(10**30 + 7, *parts) for parts in SPANNING_SHAPES]
+    for p in (2, 3, 5, 7):
+        for parts in shapes:
+            lam = Partition(parts)
+            built = build_relation_system(lam, p)
+            assert any(tag[0] == "B" for tag in built.row_tags), (p, parts)
+            assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
+
+
+def built_outputs(shapes, p):
+    """Tags, rows (key order included) and basis of every shape, as built now."""
+    outputs = {}
+    for parts in shapes:
+        system = build_relation_system(Partition(parts), p)
+        rows = [list(sparse.items()) for sparse in system.sparse_rows]
+        basis = [ms.entries for ms in nullspace(system)]
+        outputs[parts] = (system.row_tags, rows, basis)
+    return outputs
+
+
+def test_systems_do_not_depend_on_the_block_cache():
+    shapes = [lam.parts for d in range(4, 11) for lam in enumerate_partitions(d, d) if lam.n >= 4]
+    shapes += [(10**30 + 7, *parts) for parts in SPANNING_SHAPES[:3]]
+    _triple_block.cache_clear()
+    cold = built_outputs(shapes, 3)
+    _triple_block.cache_clear()
+    for p in (2, 5, 7):
+        built_outputs(shapes, p)
+    assert built_outputs(shapes, 3) == cold
+    _triple_block.cache_clear()
+    assert built_outputs(shapes[::-1], 3) == cold
+
+
+def test_changing_a_built_system_leaves_later_builds_alone():
+    lam = Partition((5, 4, 3, 3, 1))
+    first = build_relation_system(lam, 3)
+    expected = built_outputs([lam.parts], 3)
+    for k, sparse in enumerate(first.sparse_rows):
+        for col in sparse:
+            sparse[col] = k % 2 + 1
+        sparse[k % first.num_slots] = 2
+    assert built_outputs([lam.parts], 3) == expected
+    _triple_block.cache_clear()
+    assert built_outputs([lam.parts], 3) == expected
 
 
 def test_candidate_row_count_matches_the_tags():
@@ -620,11 +740,12 @@ def test_is_coherent_matches_the_transcribed_commuting_rows():
     nullspace of the system without the rows of that kind, for every
     partition with at least 4 rows and d <= 10 at p in {2, 3, 5}.
 
-    The vectors that break a (C) relation all break a link row.  A check
-    that skipped the zero or ratio rows would pass here: for every
-    partition with d <= 13 at p in {2, 3, 5, 7}, those rows add no rank
-    over the other rows.  The witnesses are checked against the
-    transcription in ``test_is_coherent_matches_dense_check_on_every_witness``."""
+    The vectors that break a (C) relation here all break a link row: for
+    every partition with d <= 13 at p in {2, 3, 5, 7}, the zero and ratio
+    rows add no rank over the other rows.  Zero rows do carry rank on
+    deeper top parts (``test_zero_commuting_rows_carry_rank``).  The
+    witnesses are checked against the transcription in
+    ``test_is_coherent_matches_dense_check_on_every_witness``."""
     incoherent = Counter()
     vectors = 0
     for p in (2, 3, 5):
@@ -643,3 +764,26 @@ def test_is_coherent_matches_the_transcribed_commuting_rows():
                         vectors += 1
     assert vectors == 754
     assert incoherent == Counter(link=14)
+
+
+@pytest.mark.parametrize("top", [3**12 - 1, 10**30 + 7])
+@pytest.mark.parametrize(
+    "lower, zero_rows, rank",
+    [((5, 1, 1), 5, 9), ((5, 2, 1, 1), 9, 15), ((5, 2, 2, 1, 1), 15, 23)],
+)
+def test_zero_commuting_rows_carry_rank(top, lower, zero_rows, rank):
+    """Without its (C) zero rows, the system of a split partition loses one
+    rank at p = 3: its nullspace gains a vector that breaks a (C) relation,
+    and the oracle would read ext1 = 1 where the classifier reads 0."""
+    lam, p = Partition((top, *lower)), 3
+    system = build_relation_system(lam, p)
+    reduced = without_rows(system, lambda tag: tag[:2] == ("C", "zero"))
+    assert len(system.row_tags) - len(reduced.row_tags) == zero_rows
+    assert (len(_echelon(system)), len(_echelon(reduced))) == (rank, rank - 1)
+    assert (dim_E(lam, p), len(nullspace(reduced))) == (1, 2)
+    literal = transcribed_rows_mod_p(lam.parts, p)
+    verdicts = [is_coherent(ms, lam, p) for ms in nullspace(reduced)]
+    assert verdicts == [transcribed_is_coherent(ms, literal) for ms in nullspace(reduced)]
+    assert sorted(verdicts) == [False, True]
+    assert ext1_dim(lam, p).case_tag == "split"
+    assert ext1_dim(lam, p).ext1_dim == ext1_dim_oracle(lam, p) == 0

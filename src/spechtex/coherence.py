@@ -46,9 +46,7 @@ def canonical_slot_order(lam: Partition) -> list[SlotIndex]:
 
 def slot_count(lam: Partition) -> int:
     """Total number of slots V = sum over pairs r < s of part_s."""
-    return sum(
-        lam.part(s) for r in range(1, lam.n + 1) for s in range(r + 1, lam.n + 1)
-    )
+    return sum((s - 1) * part for s, part in enumerate(lam.parts, start=1))
 
 
 def _pair_offsets(lam: Partition) -> list[list[int]]:
@@ -166,10 +164,12 @@ class RelationSystem:
     """F_p matrix whose nullspace is the coherent multi-sequence space.
 
     The rows span the same space as the paper's relations but are not all
-    of them.  With at most three rows they are the paper's (E), (T1),
-    (T2), (T3a) and (T3b) relations, with the zero rows (relations that
-    instantiate to 0 = 0) dropped and tags (family, indices) as in
-    ``_relation_tags``.  With four or more, the (C) rows come first and
+    of them.  With at most three rows they are what the gain graph of
+    ``_gain_graph_rows`` leaves of the paper's (E), (T1), (T2), (T3a) and
+    (T3b) relations: the long rows, tagged by the (T3a) or (T3b) relation
+    each came from, then one row per slot that is not a root of its tree,
+    tagged ("zero", r, s, i) for y(r,s)_i = 0 or ("link", r, s, i) for
+    y(r,s)_i = g * y_root.  With four or more, the (C) rows come first and
     are the spanning set of ``_commuting_rows``, at most one row per
     slot; their tags have ``tag[0] == "C"`` and name a zero, ratio or link
     row, and ``is_coherent`` checks (C) against the same rows.  Then come
@@ -239,7 +239,7 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
                     yield ("T3b", r, s, t, j, i)
 
 
-def _row_terms(lam: Partition, tag: RowTag, p: int) -> Iterator[tuple[int, ...]]:
+def _row_terms(lam: Partition, tag: RowTag, p: int) -> list[tuple[int, ...]]:
     """The terms of one row of ``_relation_tags`` as (r, s, i, sign, a1, b1, a2, b2).
 
     The term's coefficient on slot (r, s, i) is sign * C(a1, b1) * C(a2, b2)
@@ -255,40 +255,78 @@ def _row_terms(lam: Partition, tag: RowTag, p: int) -> Iterator[tuple[int, ...]]
     if family == "E":
         # C(a+i+j, j) y(r,s)_i - C(i+j, i) y(r,s)_{i+j} = 0 over ordered (i, j).
         _, r, s, i, j = tag
-        yield r, s, i, 1, parts[r - 1] + i + j, j, 0, 0
-        yield r, s, i + j, -1, i + j, i, 0, 0
-        return
+        return [(r, s, i, 1, parts[r - 1] + i + j, j, 0, 0), (r, s, i + j, -1, i + j, i, 0, 0)]
     # Triple relations tie x = y(r,s), y = y(s,t) and z = y(r,t), with
     # a = part_r and b = part_s.
     if family == "T1":
         # C(a+i+k, k) x_i - C(a+i+k, i) z_k = 0.
         _, r, s, t, i, k = tag
         top = parts[r - 1] + i + k
-        yield r, s, i, 1, top, k, 0, 0
-        yield r, t, k, -1, top, i, 0, 0
-    elif family == "T2":
+        return [(r, s, i, 1, top, k, 0, 0), (r, t, k, -1, top, i, 0, 0)]
+    if family == "T2":
         # C(a+k, k) y_j - C(b+j, j) z_k = 0 for j + k <= c.
         _, r, s, t, j, k = tag
-        yield s, t, j, 1, parts[r - 1] + k, k, 0, 0
-        yield r, t, k, -1, parts[s - 1] + j, j, 0, 0
-    elif family == "T3a":
+        return [(s, t, j, 1, parts[r - 1] + k, k, 0, 0), (r, t, k, -1, parts[s - 1] + j, j, 0, 0)]
+    if family == "T3a":
         # C(a+i, i) y_j = sum_{h<i} C(b+j-i, j-h) C(a+i, h) x_{i-h}
         #                 + C(b+j-i, j-i) z_i, for 1 <= i <= j <= c.
         _, r, s, t, i, j = tag
         ai, bji = parts[r - 1] + i, parts[s - 1] + j - i
-        yield s, t, j, 1, ai, i, 0, 0
+        terms = [(s, t, j, 1, ai, i, 0, 0)]
         for h in _lucas_range(ai, 0, i - 1, p):
-            yield r, s, i - h, -1, bji, j - h, ai, h
-        yield r, t, i, -1, bji, j - i, 0, 0
-    else:
-        # (T3b): C(a+i, i) y_j = sum_{h<=j} C(b+j-i, j-h) C(a+i, h) x_{i-h},
-        # for 1 <= j <= c, j < i <= b + j; x_m vanishes outside [1, b].
-        _, r, s, t, j, i = tag
-        b = parts[s - 1]
-        ai, bji = parts[r - 1] + i, b + j - i
-        yield s, t, j, 1, ai, i, 0, 0
-        for h in _lucas_range(ai, i - b if i > b else 0, j, p):
-            yield r, s, i - h, -1, bji, j - h, ai, h
+            terms.append((r, s, i - h, -1, bji, j - h, ai, h))
+        terms.append((r, t, i, -1, bji, j - i, 0, 0))
+        return terms
+    # (T3b): C(a+i, i) y_j = sum_{h<=j} C(b+j-i, j-h) C(a+i, h) x_{i-h},
+    # for 1 <= j <= c, j < i <= b + j; x_m vanishes outside [1, b].
+    _, r, s, t, j, i = tag
+    b = parts[s - 1]
+    ai, bji = parts[r - 1] + i, b + j - i
+    terms = [(s, t, j, 1, ai, i, 0, 0)]
+    for h in _lucas_range(ai, i - b if i > b else 0, j, p):
+        terms.append((r, s, i - h, -1, bji, j - h, ai, h))
+    return terms
+
+
+class _GainForest:
+    """Weighted union-find over F_p^x: y_v = gain * y_root on every tree.
+
+    ``parent[v]`` and ``gain[v]`` say y_v = gain[v] * y_parent[v]; a root
+    is its own parent, with gain 1.  ``zero[root]`` marks a tree whose
+    nodes are all forced to 0.  A root is always the largest node of its
+    tree.  The nodes are slot positions in ``_gain_graph_rows`` and the
+    indices of pairs of rows in ``_commuting_rows``.
+    """
+
+    __slots__ = ("p", "parent", "gain", "zero")
+
+    def __init__(self, size: int, p: int) -> None:
+        self.p = p
+        self.parent = list(range(size))
+        self.gain = [1] * size
+        self.zero = [False] * size
+
+    def find(self, v: int) -> tuple[int, int]:
+        """(root, g) with y_v = g * y_root; every node on the path is re-hung on the root."""
+        parent, gain, p = self.parent, self.gain, self.p
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        g = 1
+        for u in reversed(path):
+            g = g * gain[u] % p
+            gain[u] = g
+            parent[u] = v
+        return v, g
+
+    def join(self, x: int, cx: int, y: int, cy: int) -> None:
+        """Impose cx * y_x + cy * y_y = 0 on two distinct roots, cx and cy nonzero."""
+        if x > y:
+            x, cx, y, cy = y, cy, x, cx
+        self.parent[x] = y
+        self.gain[x] = -cy * pow(cx, self.p - 2, self.p) % self.p
+        self.zero[y] = self.zero[y] or self.zero[x]
 
 
 def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
@@ -459,8 +497,10 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
     * link rows std_Q(i0) y(P)_{j0} - std_P(j0) y(Q)_{i0} for every edge
       {P, Q} of the disjointness graph on N.  The edge vectors of a graph
       span the same space as those of a spanning forest, so one link per
-      forest edge is enough.  The forest is grown by union-find over the
-      edges in lexicographic pair order, so the rows are deterministic.
+      forest edge is enough.  The forest keeps each edge, in lexicographic
+      pair order, whose ends are not yet joined by the edges kept before
+      it; that decision depends only on the edge order, so the rows are
+      deterministic.  A ``_GainForest`` (all gains 1) tracks the trees.
 
     A pair P contributes at most part_r zero and ratio rows, and at most
     part_r - 1 when P is in N; the forest has fewer than |N| edges.  So
@@ -498,31 +538,217 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
                     base + j: values[j0 - 1],
                 }
 
-    # The spanning forest: label[P] names P's tree.
-    label = {P: P for P in lead}
+    # The spanning forest, over the indices of the pairs in N; once it is
+    # one tree, every later edge closes a cycle.
     heads = list(lead)
+    forest = _GainForest(len(heads), p)
+    find, parent = forest.find, forest.parent
+    trees = len(heads)
     for k, (q, r) in enumerate(heads):
-        for s, t in heads[k + 1 :]:
+        for l in range(k + 1, len(heads)):
+            s, t = heads[l]
             if s in (q, r) or t in (q, r):
                 continue
-            keep, gone = label[q, r], label[s, t]
-            if keep == gone:
+            x, y = parent[k], parent[l]
+            if parent[x] != x:
+                x = find(k)[0]
+            if parent[y] != y:
+                y = find(l)[0]
+            if x == y:
                 continue
+            forest.join(x, 1, y, -1)
             j0, i0 = lead[q, r], lead[s, t]
             yield ("C", "link", q, r, s, t), {
                 offsets[q][r] + j0 - 1: std[s - 1][i0 - 1],
                 offsets[s][t] + i0 - 1: -std[q - 1][j0 - 1] % p,
             }
-            for P in label:
-                if label[P] == gone:
-                    label[P] = keep
+            trees -= 1
+            if trees == 1:
+                return
+
+
+def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list[RowTag]]:
+    """Rows spanning the paper's relations of ``lam`` with at most three rows.
+
+    Each relation is fed in turn to a ``_GainForest`` over the slot
+    positions: its terms on slots of zero trees are dropped, the others
+    are moved onto their roots (y_v = g * y_root) and summed per root.
+    Of what is left, nothing means the relation already holds; one term
+    marks its tree zero; two join the trees; three or more are kept as a
+    long row on the roots.  A binomial is computed only for a term on a
+    slot outside a zero tree, through a memo kept for the one call.
+
+    * The (E), (T1) and (T2) rows, which have at most two terms, are fed
+      first, in ``_relation_tags`` order.
+    * Then the slots are visited from the last in canonical order, and
+      every (T3a) and (T3b) row with a term on a visited slot
+      (``_tags_touching``) is fed once, unless the slot is in a zero tree
+      when visited.  Every such row has a term on one of the last slots,
+      y(2,3)_j, so once all of those have been visited outside a zero tree
+      every row has been fed and the other slots are not visited.
+
+    The rows returned, in this order, are: each long row moved onto the
+    final roots, with its terms on zero trees dropped and those on one
+    root summed (a row left empty is dropped), tagged as its relation;
+    then, slot by slot, ("zero", r, s, i): y_v = 0 for every slot v of a
+    zero tree, and ("link", r, s, i): y_v - g_v * y_root for every other
+    slot v that is not a root.  A root is the largest slot of its tree,
+    so a link row's pivot is its own slot.  Write W for the span of the
+    zero and link rows.  The rows span exactly the paper's rows:
+
+    * Every row returned is a combination of the paper's rows.  A join,
+      a zero mark or a long row is its relation minus multiples of the
+      zero and link relations the forest held before it, so by induction
+      every zero and link relation the forest ever holds, and every long
+      row, lies in the span of the relations fed so far.
+    * Every paper row lies in W plus the span of the long rows.  The
+      forest only gains joins and zero marks, so what it held at any
+      time lies in W.  A relation fed to it is therefore in W, or, for a
+      long row, the final long row plus an element of W.  If some (T3a)
+      or (T3b) row is never fed, some y(2,3)_j was in a zero tree when
+      visited, so every slot was visited, each term of that row was on a
+      slot of a zero tree, and the row lies in W.
+
+    So the unique RREF, and with it ``nullspace`` and ``dim_E``, are those
+    of the paper's rows.
+    """
+    parts = lam.parts
+    offsets = _pair_offsets(lam)
+    slots = [
+        (r, s, i)
+        for r in range(1, lam.n + 1)
+        for s in range(r + 1, lam.n + 1)
+        for i in range(1, parts[s - 1] + 1)
+    ]
+    forest = _GainForest(len(slots), p)
+    find, parent, gain, zero = forest.find, forest.parent, forest.gain, forest.zero
+    binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
+    cached = binom.get
+    long_rows: list[tuple[RowTag, dict[int, int]]] = []
+
+    # With at most three rows, the one triple's (T3a) and (T3b) rows come
+    # last in ``_relation_tags``; every row before them has two terms, so
+    # it is settled here without the row dict the longer rows below need
+    # (most rows are of this kind, and small systems pay for every dict).
+    for tag in _relation_tags(lam):
+        if tag[0] == "T3a":
+            break
+        first, second = _row_terms(lam, tag, p)
+        r, s, i, sign, a1, b1, _, _ = first
+        r2, s2, i2, sign2, a2, b2, _, _ = second
+        u, v = offsets[r][s] + i - 1, offsets[r2][s2] + i2 - 1
+        x, y, gx, gy = parent[u], parent[v], gain[u], gain[v]
+        if parent[x] != x:
+            x, gx = find(u)
+        if parent[y] != y:
+            y, gy = find(v)
+        cx = cy = 0
+        if not zero[x]:
+            cx = cached((a1, b1))
+            if cx is None:
+                cx = binom[a1, b1] = _binom_mod_p(a1, b1, p)
+            cx = sign * cx * gx % p
+        if not zero[y]:
+            cy = cached((a2, b2))
+            if cy is None:
+                cy = binom[a2, b2] = _binom_mod_p(a2, b2, p)
+            cy = sign2 * cy * gy % p
+        if x == y:
+            # Never a disagreeing cycle: the integer standard multi-sequence
+            # satisfies these rows and is nonzero on every slot.  The sum is
+            # nonzero exactly when one coefficient vanishes mod p.
+            if (cx + cy) % p:
+                zero[x] = True
+        elif cx and cy:
+            forest.join(x, cx, y, cy)
+        elif cx or cy:
+            zero[x if cx else y] = True
+    # Every (T3a) and (T3b) row has a term on some y(2,3)_j, the last slots
+    # in canonical order, so the slots are visited from the last, and the
+    # visit stops at the others once every y(2,3)_j was outside a zero tree.
+    fed: set[RowTag] = set()
+    stop = offsets[2][3] if lam.n == 3 else len(slots)  # no (T3) rows below three
+    for pos in reversed(range(len(slots))):
+        if pos < stop:
+            break
+        root = parent[pos]
+        if parent[root] != root:
+            root = find(pos)[0]
+        if zero[root]:
+            stop = 0
+            continue
+        for tag in _tags_touching(lam, slots[pos], p):
+            if tag[0] not in ("T3a", "T3b") or tag in fed:
+                continue
+            fed.add(tag)
+            row: dict[int, int] = {}
+            for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
+                u = offsets[r][s] + i - 1
+                x = parent[u]
+                if parent[x] == x:  # u is a root or hangs on one
+                    gx = gain[u]
+                else:
+                    x, gx = find(u)
+                if zero[x]:
+                    continue
+                coef = cached((a1, b1))
+                if coef is None:
+                    coef = binom[a1, b1] = _binom_mod_p(a1, b1, p)
+                if coef and b2:
+                    coef2 = cached((a2, b2))
+                    if coef2 is None:
+                        coef2 = binom[a2, b2] = _binom_mod_p(a2, b2, p)
+                    coef *= coef2
+                if coef:
+                    coef = (row.get(x, 0) + sign * coef * gx) % p
+                    if coef:
+                        row[x] = coef
+                    else:
+                        del row[x]
+            if len(row) == 2:
+                (x, cx), (y, cy) = row.items()
+                forest.join(x, cx, y, cy)
+            elif len(row) == 1:
+                zero[next(iter(row))] = True
+            elif row:
+                long_rows.append((tag, row))
+
+    rows: list[dict[int, int]] = []
+    tags: list[RowTag] = []
+    for tag, row in long_rows:
+        moved: dict[int, int] = {}
+        for old, coef in row.items():
+            root, g = find(old)
+            if not zero[root]:
+                moved[root] = (moved.get(root, 0) + coef * g) % p
+        moved = {root: coef for root, coef in moved.items() if coef}
+        if moved:
+            rows.append(moved)
+            tags.append(tag)
+    for pos, slot in enumerate(slots):
+        root = parent[pos]
+        if parent[root] == root:
+            g = gain[pos]
+        else:
+            root, g = find(pos)
+        if zero[root]:
+            rows.append({pos: 1})
+            tags.append(("zero", *slot))
+        elif root != pos:
+            rows.append({pos: 1, root: -g % p})
+            tags.append(("link", *slot))
+    return rows, tags
 
 
 def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """A system of rows spanning every relation row of ``lam`` at ``p``.
 
-    For at most three rows it holds the paper's relations: the nonzero
-    rows of ``_tagged_rows``, tags and order as there.  For n >= 4 it
+    For at most three rows it holds ``_gain_graph_rows``: the (E), (T1)
+    and (T2) relations, which have at most two terms, reduced by a
+    weighted union-find over the slots to zero and link rows, and the
+    (T3a) and (T3b) relations fed to it from the slots not forced to 0,
+    kept as long rows where they have three terms or more on the roots
+    (the proof that these span the paper's rows is there).  For n >= 4 it
     holds the (C) spanning rows of ``_commuting_rows`` and then, for every
     triple r < s < t in lexicographic order, the rows of
     ``_triple_block(part_r, part_s, part_t, p)`` moved onto the pairs
@@ -558,15 +784,12 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
             f"relation system for {lam} has {cells} candidate cells "
             f"(rows x slots), above the budget of {MAX_CELLS}"
         )
-    rows: list[dict[int, int]] = []
-    tags: list[RowTag] = []
     n = lam.n
     if n < 4:
-        for tag, sparse in _tagged_rows(lam, p):
-            if sparse:
-                rows.append(sparse)
-                tags.append(tag)
+        rows, tags = _gain_graph_rows(lam, p)
         return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags))
+    rows: list[dict[int, int]] = []
+    tags: list[RowTag] = []
     for tag, sparse in _commuting_rows(lam, p):
         rows.append(sparse)
         tags.append(tag)
@@ -620,8 +843,12 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
         if not row:
             continue
         lead = min(row)
-        inv = pow(row.pop(lead), p - 2, p)
-        pivot_row = {col: coef * inv % p for col, coef in row.items()}
+        scale = row.pop(lead)
+        if scale == 1:
+            pivot_row = row
+        else:
+            inv = pow(scale, p - 2, p)
+            pivot_row = {col: coef * inv % p for col, coef in row.items()}
         for earlier in rref.values():
             factor = earlier.pop(lead, 0)
             if factor:

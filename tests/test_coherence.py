@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -135,13 +136,22 @@ def test_canonical_is_coherent_and_nonzero():
 
 
 def test_relation_system_single_row_example():
-    # For three rows of size one at p=3, everything collapses to the single
-    # relation x + z - 2y = 0 (up to scaling).
+    # Three rows of size one, slots x = y(1,2)_1, z = y(1,3)_1, y = y(2,3)_1.
+    # At p=3 the (T1) row C(3,1) x - C(3,1) z vanishes and the (T3b) row
+    # C(3,2) y - C(3,1) x vanishes, so the gain graph has no edge and the
+    # (T3a) row 2y - x - z = 0 is kept as a long row on the three roots.
     system = build_relation_system(Partition((1, 1, 1)), 3)
     assert system.num_slots == 3
     assert len(system.rows) == 1
     assert system.row_tags == (("T3a", 1, 2, 3, 1, 1),)
     assert system.rows[0] == (2, 2, 2)
+    # At p=2 the (T1) row links x to z and the (T3b) row y - x links that
+    # tree to y, the largest slot and so the root; the (T3a) row then sums
+    # to 0 on the root.  One link row per slot other than the root.
+    system = build_relation_system(Partition((1, 1, 1)), 2)
+    assert system.row_tags == (("link", 1, 2, 1), ("link", 1, 3, 1))
+    assert system.rows == ((1, 0, 1), (0, 1, 1))
+    assert [dense(v) for v in nullspace(system)] == [(1, 1, 1)]
 
 
 def test_relation_system_empty_cases():
@@ -368,15 +378,43 @@ def assert_blocks_match_transcription(system):
     assert got == expected, (p, parts)
 
 
+def assert_gain_graph_rows(system, literal):
+    """The rows of a system with at most three rows, as the gain graph
+    leaves them: first the long rows, each tagged by the (T3a) or (T3b)
+    relation it came from; then, slot by slot in canonical order, a zero
+    row {v: 1} or a link row {v: 1, root: c} for every slot v that is not
+    a root.  A root is a slot without such a row, so a link row's other
+    entry is a larger slot, and the long rows lie on roots only."""
+    p, slots = system.p, transcribed_slots(system.lam.parts)
+    rows = list(zip(system.row_tags, system.sparse_rows))
+    long_rows = [(tag, row) for tag, row in rows if tag[0] in ("T3a", "T3b")]
+    assert rows[: len(long_rows)] == long_rows, (p, system.row_tags)
+    slot_rows = rows[len(long_rows) :]
+    pivots = [slots.index(tag[1:]) for tag, _row in slot_rows]
+    assert pivots == sorted(set(pivots)), (p, system.row_tags)
+    roots = set(range(system.num_slots)) - set(pivots)
+    for (tag, row), pos in zip(slot_rows, pivots):
+        if tag[0] == "zero":
+            assert row == {pos: 1}, (p, tag, row)
+        else:
+            assert tag[0] == "link", (p, tag)
+            (first, one), (root, coef) = sorted(row.items())
+            assert (first, one) == (pos, 1) and root in roots and 1 <= coef < p, (p, tag, row)
+    for tag, row in long_rows:
+        assert tag in literal, (p, tag)
+        assert row and set(row) <= roots, (p, tag, row)
+        assert all(1 <= coef < p for coef in row.values()), (p, tag, row)
+
+
 def assert_rows_match_transcription(parts):
     """At every prime of ``TRANSCRIPTION_PRIMES``: the nonzero rows of
     ``_iter_relation_rows``, tag by tag and in order, are the transcribed
     rows that do not vanish mod p, (C) rows of both orders included; so
     are the nonzero rows of ``_tagged_rows`` for the (E), (T1), (T2),
     (T3a) and (T3b) families; the RREF of the built system is that of
-    every transcribed row; and the system holds those rows of
-    ``_tagged_rows`` for at most three rows, the transcribed triple
-    blocks after its (C) rows for more."""
+    every transcribed row; and the system holds the gain-graph rows of
+    ``assert_gain_graph_rows`` for at most three rows, the transcribed
+    triple blocks after its (C) rows for more."""
     lam = Partition(parts)
     slots = transcribed_slots(parts)
     for p in TRANSCRIPTION_PRIMES:
@@ -395,7 +433,7 @@ def assert_rows_match_transcription(parts):
             got = {slots[pos]: coef for pos, coef in sparse.items()}
             assert got == expected[tag], (p, parts, tag)
         if lam.n < 4:
-            assert list(zip(system.row_tags, system.sparse_rows)) == tagged, (p, parts)
+            assert_gain_graph_rows(system, literal)
         else:
             assert_blocks_match_transcription(system)
 
@@ -467,6 +505,83 @@ def test_built_system_has_the_rref_of_the_paper_rows():
             built = build_relation_system(lam, p)
             assert any(tag[0] == "B" for tag in built.row_tags), (p, parts)
             assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
+
+
+@pytest.mark.parametrize(
+    "parts, p",
+    [
+        ((974026, 46, 31), 3),
+        ((733347, 47, 46), 2),
+        ((61300, 59, 23), 5),
+        ((975597, 56, 31), 7),
+        ((406, 406), 2),
+    ],
+)
+def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_wide_shapes(parts, p):
+    # Wide shapes of the benchmark's oracle-large workload: most slots end
+    # in zero trees, so most (T3a) and (T3b) rows are never fed.
+    lam = Partition(parts)
+    built = build_relation_system(lam, p)
+    assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
+    assert {tag[0] for tag in built.row_tags} <= {"zero", "link", "T3a", "T3b"}
+
+
+def test_gain_graph_build_memory_stays_small_on_a_wide_two_row_shape():
+    # (406, 406) at p=2 has 82,215 (E) rows with 164,430 distinct
+    # binomials; once a tree is zero, the rows on it need none of them.
+    lam = Partition((406, 406))
+    tracemalloc.start()
+    try:
+        basis = nullspace(build_relation_system(lam, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == ext1_dim(lam, 2).ext1_dim + 1  # not James at p = 2
+    assert peak <= 8 * 2**20, peak
+
+
+def test_commuting_links_are_the_lexicographic_spanning_forest():
+    # The link rows of ``_commuting_rows`` follow the forest that keeps an
+    # edge of the disjointness graph exactly when no earlier kept edge
+    # already joins its ends, edges in lexicographic pair order; computed
+    # here by a search over the kept edges instead of a union-find.
+    for p in (2, 3, 5):
+        for d in range(4, 13):
+            for lam in enumerate_partitions(d, d):
+                heads = supported_pairs(lam, p)
+                kept = []
+                for k, (q, r) in enumerate(heads):
+                    for s, t in heads[k + 1 :]:
+                        if {q, r} & {s, t} or reachable(kept, (q, r), (s, t)):
+                            continue
+                        kept.append((q, r, s, t))
+                links = [tag[2:] for tag, _row in _commuting_rows(lam, p) if tag[1] == "link"]
+                assert links == kept, (p, lam.parts)
+
+
+def supported_pairs(lam, p):
+    """The pairs (q, r) with C(part_q + j, j) nonzero mod p for some j <= part_r."""
+    parts = lam.parts
+    return [
+        (q, r)
+        for q, r in combinations(range(1, lam.n + 1), 2)
+        if any(pascal_binom(parts[q - 1] + j, j) % p for j in range(1, parts[r - 1] + 1))
+    ]
+
+
+def reachable(edges, start, goal):
+    """Whether ``goal`` is reached from ``start`` over the undirected ``edges``."""
+    neighbours = {}
+    for q, r, s, t in edges:
+        neighbours.setdefault((q, r), []).append((s, t))
+        neighbours.setdefault((s, t), []).append((q, r))
+    seen, frontier = {start}, [start]
+    while frontier:
+        for node in neighbours.get(frontier.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    return goal in seen
 
 
 def built_outputs(shapes, p):

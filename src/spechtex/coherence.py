@@ -169,7 +169,10 @@ class RelationSystem:
     (T3b) relations: the long rows, tagged by the (T3a) or (T3b) relation
     each came from, then one row per slot that is not a root of its tree,
     tagged ("zero", r, s, i) for y(r,s)_i = 0 or ("link", r, s, i) for
-    y(r,s)_i = g * y_root.  With four or more, the (C) rows come first and
+    y(r,s)_i = g * y_root.  There may be no long rows: the build stops at
+    the rank ceiling, rank V - 1 for a non-James partition (whose
+    standard multi-sequence is a nonzero solution), and then holds only
+    zero and link rows.  With four or more, the (C) rows come first and
     are the spanning set of ``_commuting_rows``, at most one row per
     slot; their tags have ``tag[0] == "C"`` and name a zero, ratio or link
     row, and ``is_coherent`` checks (C) against the same rows.  Then come
@@ -579,13 +582,19 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     slot outside a zero tree, through a memo kept for the one call.
 
     * The (E), (T1) and (T2) rows, which have at most two terms, are fed
-      first, in ``_relation_tags`` order.
+      first, in ``_relation_tags`` order.  A row whose two slots already
+      share a root is skipped before any binomial is computed: it holds
+      on that tree (the reason is at the skip).
     * Then the slots are visited from the last in canonical order, and
       every (T3a) and (T3b) row with a term on a visited slot
       (``_tags_touching``) is fed once, unless the slot is in a zero tree
       when visited.  Every such row has a term on one of the last slots,
       y(2,3)_j, so once all of those have been visited outside a zero tree
       every row has been fed and the other slots are not visited.
+    * The rank ceiling ends both: the live roots, those not marked zero,
+      start at one per slot, and each join or zero mark removes one.
+      With floor = 1 when ``lam`` is not James and 0 when it is, no row
+      is fed once at most ``floor`` live roots are left.
 
     The rows returned, in this order, are: each long row moved onto the
     final roots, with its terms on zero trees dropped and those on one
@@ -593,21 +602,33 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     then, slot by slot, ("zero", r, s, i): y_v = 0 for every slot v of a
     zero tree, and ("link", r, s, i): y_v - g_v * y_root for every other
     slot v that is not a root.  A root is the largest slot of its tree,
-    so a link row's pivot is its own slot.  Write W for the span of the
-    zero and link rows.  The rows span exactly the paper's rows:
+    so a link row's pivot is its own slot.  There may be no long rows:
+    when the ceiling ends the build, every long row moved onto the final
+    roots is left empty (the proof below), and only zero and link rows
+    are left.  Write W for the span of the zero and link rows.  The rows
+    span exactly the paper's rows:
 
     * Every row returned is a combination of the paper's rows.  A join,
       a zero mark or a long row is its relation minus multiples of the
       zero and link relations the forest held before it, so by induction
       every zero and link relation the forest ever holds, and every long
       row, lies in the span of the relations fed so far.
-    * Every paper row lies in W plus the span of the long rows.  The
-      forest only gains joins and zero marks, so what it held at any
-      time lies in W.  A relation fed to it is therefore in W, or, for a
-      long row, the final long row plus an element of W.  If some (T3a)
-      or (T3b) row is never fed, some y(2,3)_j was in a zero tree when
-      visited, so every slot was visited, each term of that row was on a
-      slot of a zero tree, and the row lies in W.
+    * If every row was fed, every paper row lies in W plus the span of
+      the long rows.  The forest only gains joins and zero marks, so what
+      it held at any time lies in W.  A relation fed to it is therefore
+      in W, or, for a long row, the final long row plus an element of W.
+      If some (T3a) or (T3b) row is never fed, some y(2,3)_j was in a
+      zero tree when visited, so every slot was visited, each term of
+      that row was on a slot of a zero tree, and the row lies in W.
+    * If the ceiling ended the build, the zero and link rows alone have
+      rank V - live >= V - floor, one pivot per slot that is not a live
+      root.  The paper's rows have rank at most V - floor: for a
+      non-James ``lam`` the standard multi-sequence is a nonzero solution
+      of all of them.  As the rows returned lie in the span of the
+      paper's rows, the two spans are equal.  So every long row moved
+      onto the final roots is left empty: with no live root all its terms
+      are dropped, and on the one live root of a non-James ``lam`` a
+      nonzero sum would raise the rank to V.
 
     So the unique RREF, and with it ``nullspace`` and ``dim_E``, are those
     of the paper's rows.
@@ -625,6 +646,11 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
     cached = binom.get
     long_rows: list[tuple[RowTag, dict[int, int]]] = []
+    # The rank ceiling: ``live`` counts the roots not marked zero, and each
+    # join or zero mark lowers it by one.  The rows stop once it reaches
+    # ``floor``, the fewest live roots the paper's rows can leave.
+    live = len(slots)
+    floor = 0 if is_james_partition(lam, p) else 1
 
     # With at most three rows, the one triple's (T3a) and (T3b) rows come
     # last in ``_relation_tags``; every row before them has two terms, so
@@ -642,6 +668,17 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
             x, gx = find(u)
         if parent[y] != y:
             y, gy = find(v)
+        if x == y:
+            # Both slots are on one tree, and the row already holds there.
+            # Over Z the standard multi-sequence satisfies it, C1 std_u =
+            # +-C2 std_v, and std is nonzero on every slot.  Every join in
+            # this loop has both coefficients units mod p, so it ties slots
+            # of equal v_p(std), and all slots of a tree share one
+            # valuation v.  So C1 and C2 both vanish mod p, or both are
+            # units; then the row holds for std / p**v mod p, which is
+            # nonzero on the tree and satisfies its joins, so it agrees
+            # with the tree's gains and sums to 0 on the root.
+            continue
         cx = cy = 0
         if not zero[x]:
             cx = cached((a1, b1))
@@ -653,21 +690,22 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
             if cy is None:
                 cy = binom[a2, b2] = _binom_mod_p(a2, b2, p)
             cy = sign2 * cy * gy % p
-        if x == y:
-            # Never a disagreeing cycle: the integer standard multi-sequence
-            # satisfies these rows and is nonzero on every slot.  The sum is
-            # nonzero exactly when one coefficient vanishes mod p.
-            if (cx + cy) % p:
-                zero[x] = True
-        elif cx and cy:
+        if cx and cy:
             forest.join(x, cx, y, cy)
         elif cx or cy:
             zero[x if cx else y] = True
+        else:
+            continue
+        live -= 1
+        if live <= floor:
+            break
     # Every (T3a) and (T3b) row has a term on some y(2,3)_j, the last slots
     # in canonical order, so the slots are visited from the last, and the
     # visit stops at the others once every y(2,3)_j was outside a zero tree.
+    # No slot is visited once the rows have reached the rank ceiling, nor
+    # below three rows, which have no (T3) rows.
     fed: set[RowTag] = set()
-    stop = offsets[2][3] if lam.n == 3 else len(slots)  # no (T3) rows below three
+    stop = offsets[2][3] if lam.n == 3 and live > floor else len(slots)
     for pos in reversed(range(len(slots))):
         if pos < stop:
             break
@@ -705,13 +743,20 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
                         row[x] = coef
                     else:
                         del row[x]
+            if len(row) > 2:
+                long_rows.append((tag, row))
+                continue
             if len(row) == 2:
                 (x, cx), (y, cy) = row.items()
                 forest.join(x, cx, y, cy)
-            elif len(row) == 1:
-                zero[next(iter(row))] = True
             elif row:
-                long_rows.append((tag, row))
+                zero[next(iter(row))] = True
+            else:
+                continue
+            live -= 1
+            if live <= floor:
+                stop = len(slots)  # no slot is visited after this one
+                break
 
     rows: list[dict[int, int]] = []
     tags: list[RowTag] = []
@@ -747,9 +792,10 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     and (T2) relations, which have at most two terms, reduced by a
     weighted union-find over the slots to zero and link rows, and the
     (T3a) and (T3b) relations fed to it from the slots not forced to 0,
-    kept as long rows where they have three terms or more on the roots
-    (the proof that these span the paper's rows is there).  For n >= 4 it
-    holds the (C) spanning rows of ``_commuting_rows`` and then, for every
+    kept as long rows where they have three terms or more on the roots,
+    until the rows reach the rank ceiling (the proof that these span the
+    paper's rows is there).  For n >= 4 it holds the (C) spanning rows of
+    ``_commuting_rows`` and then, for every
     triple r < s < t in lexicographic order, the rows of
     ``_triple_block(part_r, part_s, part_t, p)`` moved onto the pairs
     (r, s), (r, t) and (s, t), tagged ("B", r, s, t, local pivot).  The
@@ -833,8 +879,22 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     pivot row thus never has an entry on another pivot column, and the
     result is the unique RREF of the row space.  Keys are in the order the
     pivots were found; memory is at most one sparse row per slot.
+
+    Precondition: the system's rows lie in the span of the relation rows
+    of ``system.lam``.  Every ``build_relation_system`` result satisfies
+    it, and so does any subset of its rows.  The elimination then stops
+    at the rank ceiling: V = ``num_slots`` pivots, or V - 1 when ``lam``
+    is not James (so it has at least two rows).  In that case the standard
+    multi-sequence is a nonzero solution of every relation row, so their
+    span has rank at most V - 1; the pivot rows found lie in that span and
+    already have rank V - 1, so the two spans are equal, the rows not yet
+    read add nothing, and the unique RREF, ``nullspace``, ``dim_E`` and
+    every basis are those of all the rows.
     """
     p = system.p
+    full = system.num_slots  # the rank ceiling
+    if not is_james_partition(system.lam, p):
+        full -= 1
     rref: dict[int, dict[int, int]] = {}
     for sparse in system.sparse_rows:
         row = sparse.copy()
@@ -854,7 +914,7 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
             if factor:
                 _subtract(earlier, factor, pivot_row, p)
         rref[lead] = pivot_row
-        if len(rref) == system.num_slots:
+        if len(rref) == full:
             break
     return rref
 

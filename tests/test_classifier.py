@@ -365,6 +365,28 @@ def test_classifier_matches_oracle_small_sweep():
                     assert c.ext1_dim in (0, 1)
 
 
+def test_classifier_matches_oracle_on_every_residue_of_a_deep_top_part():
+    # Every binomial of the oracle that reads part_1 has a lower index of
+    # at most part_2 + part_3 < p**L, so by Lucas's theorem it reads only
+    # part_1 mod p**L.  One deep top part per residue class mod p**L puts
+    # val_p(part_1 + 1) anywhere below L, which the small sweeps, with
+    # part_1 <= 14, barely reach.  3,038 classes in all.
+    classes = 0
+    for p in (2, 3, 5, 7):
+        for d in range(1, 9):
+            for mu in enumerate_partitions(d, d):
+                lower = mu.parts[0] + (mu.parts[1] if mu.n > 1 else 0)
+                modulus = p
+                while modulus <= lower:
+                    modulus *= p
+                lift = modulus * (p**40 + 1)
+                for residue in range(modulus):
+                    lam = Partition((residue + lift, *mu.parts))
+                    assert ext1_dim(lam, p).ext1_dim == ext1_dim_oracle(lam, p), (p, lam.parts)
+                classes += modulus
+    assert classes == 3038
+
+
 def test_gl2_examples():
     # (t-s, u-s) = (9, 3) pointed at p=3.
     assert gl2_ext_dim(12, 0, 9, 3, 3) == 1

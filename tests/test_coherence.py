@@ -145,9 +145,10 @@ def test_relation_system_single_row_example():
     assert len(system.rows) == 1
     assert system.row_tags == (("T3a", 1, 2, 3, 1, 1),)
     assert system.rows[0] == (2, 2, 2)
-    # At p=2 the (T1) row links x to z and the (T3b) row y - x links that
-    # tree to y, the largest slot and so the root; the (T3a) row then sums
-    # to 0 on the root.  One link row per slot other than the root.
+    # At p=2 the (T1) row links x to z, the (T3a) row x + z sums to 0 on
+    # their tree, and the (T3b) row y - x links that tree to y, the largest
+    # slot and so the root.  The build stops after that join, the last
+    # (T3) row.  One link row per slot other than the root.
     system = build_relation_system(Partition((1, 1, 1)), 2)
     assert system.row_tags == (("link", 1, 2, 1), ("link", 1, 3, 1))
     assert system.rows == ((1, 0, 1), (0, 1, 1))
@@ -484,6 +485,20 @@ def test_commuting_rows_span_the_transcription(parts):
         assert_rref_matches_transcription((10**30 + 7, *parts), p)
 
 
+def test_echelon_rank_matches_the_dense_rank_at_the_ceiling():
+    # `_echelon` stops at V - 1 pivots for a non-James shape with at least
+    # two rows; its rank must still be that of every row of the system.
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for parts in SPANNING_SHAPES:
+            lam = Partition((10**30 + 7, *parts))
+            for system in (build_relation_system(lam, p), paper_system(lam, p)):
+                rank = len(_echelon(system))
+                assert rank == len(rref_mod_p(system.rows, p)[1]), (p, parts)
+                seen.add((is_james_partition(lam, p), system.num_slots - rank))
+    assert {(False, 1), (False, 2), (True, 1)} <= seen
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     parts=st.lists(st.integers(1, 8), min_size=1, max_size=6),
@@ -517,13 +532,49 @@ def test_built_system_has_the_rref_of_the_paper_rows():
         ((406, 406), 2),
     ],
 )
-def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_wide_shapes(parts, p):
-    # Wide shapes of the benchmark's oracle-large workload: most slots end
-    # in zero trees, so most (T3a) and (T3b) rows are never fed.
+def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_wide_shapes(
+    parts, p, monkeypatch
+):
+    # Wide shapes of the benchmark's oracle-large workload, none of them
+    # James.  The (E), (T1) and (T2) rows alone reach the rank ceiling,
+    # V - 1, so no slot is visited for the (T3a) and (T3b) rows and only
+    # zero and link rows are left.
+    visited = []
+
+    def touching(lam, slot, p):
+        visited.append(slot)
+        return _tags_touching(lam, slot, p)
+
+    monkeypatch.setattr("spechtex.coherence._tags_touching", touching)
     lam = Partition(parts)
     built = build_relation_system(lam, p)
+    assert visited == []
+    assert {tag[0] for tag in built.row_tags} <= {"zero", "link"}
+    assert len(built.row_tags) == built.num_slots - 1
     assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
-    assert {tag[0] for tag in built.row_tags} <= {"zero", "link", "T3a", "T3b"}
+
+
+@pytest.mark.parametrize(
+    "parts, p, james, dim",
+    [
+        ((80999, 26, 26), 3, True, 1),
+        ((603683, 39, 9), 3, False, 2),
+    ],
+)
+def test_gain_graph_system_has_the_rref_of_the_paper_rows_below_the_ceiling(
+    parts, p, james, dim
+):
+    # The rank ceiling never fires on these: a James shape (floor 0, and
+    # its canonical multi-sequence keeps a root live) and a non-James one
+    # with two live roots left, which keeps a (T3a) long row.  Every row
+    # is fed, and the system still has the paper's RREF.
+    lam = Partition(parts)
+    built = build_relation_system(lam, p)
+    assert is_james_partition(lam, p) == james
+    assert dim_E(lam, p) == dim
+    assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
+    if not james:
+        assert any(tag[0] == "T3a" for tag in built.row_tags)
 
 
 def test_gain_graph_build_memory_stays_small_on_a_wide_two_row_shape():

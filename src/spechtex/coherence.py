@@ -161,50 +161,42 @@ class SystemTooLargeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RelationSystem:
-    """F_p matrix whose nullspace is the coherent multi-sequence space.
+    """F_p rows whose nullspace is the coherent multi-sequence space.
 
-    The rows span the same space as the paper's relations but are not all
-    of them.  With at most three rows they are what the gain graph of
-    ``_gain_graph_rows`` leaves of the paper's (E), (T1), (T2), (T3a) and
-    (T3b) relations: the long rows, tagged by the (T3a) or (T3b) relation
-    each came from, then one row per slot that is not a root of its tree,
-    tagged ("zero", r, s, i) for y(r,s)_i = 0 or ("link", r, s, i) for
-    y(r,s)_i = g * y_root.  There may be no long rows: the build stops at
-    the rank ceiling, rank V - 1 for a non-James partition (whose
-    standard multi-sequence is a nonzero solution), and then holds only
-    zero and link rows.  With four or more, the (C) rows come first and
-    are the spanning set of ``_commuting_rows``, at most one row per
-    slot; their tags have ``tag[0] == "C"`` and name a zero, ratio or link
-    row, and ``is_coherent`` checks (C) against the same rows.  Then come
-    the triple blocks, tagged ("B", r, s, t, local pivot): for each triple
-    of rows r < s < t, the RREF of the three-row system of (part_r,
-    part_s, part_t) (``_triple_block``) moved onto the pairs (r, s),
-    (r, t) and (s, t).  They span the (E) and (T) relations because each
-    of those lies in one triple and reads only that triple's parts, and
-    every pair lies in a triple (the proof is in
-    ``build_relation_system``), so the unique RREF and the nullspace are
-    those of the paper's rows.  ``sparse_rows`` holds each row as {slot
-    position: coefficient}, coefficients in [1, p), in a dict of its own;
-    ``rows`` expands them on demand.
+    ``rows`` holds each row as {slot position: coefficient}, coefficients
+    in [1, p), in a dict of its own, and ``row_tags`` its tag.  The rows
+    span the same space as the paper's relations but are not all of them.
+    With at most three rows they are what the gain graph of
+    ``_gain_graph_rows`` leaves of the (E), (T1), (T2), (T3a) and (T3b)
+    relations: the long rows, tagged by the (T3a) or (T3b) relation each
+    came from, then ("zero", r, s, i) for y(r,s)_i = 0 and ("link", r, s,
+    i) for y(r,s)_i = g * y_root; there may be no long rows once the
+    build reaches ``_rank_ceiling``.  With four or more, the (C) spanning
+    rows of ``_commuting_rows`` come first (``tag[0] == "C"``), then the
+    triple blocks, tagged ("B", r, s, t, local pivot).  Why each form
+    spans the paper's rows is in ``_gain_graph_rows`` and
+    ``build_relation_system``.
     """
 
     lam: Partition
     p: int
     num_slots: int
-    sparse_rows: tuple[dict[int, int], ...]
+    rows: tuple[dict[int, int], ...]
     row_tags: tuple[RowTag, ...]
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The kept rows as dense tuples of ints, in ``row_tags`` order."""
-        zero = [0] * self.num_slots
-        dense = []
-        for sparse in self.sparse_rows:
-            row = zero.copy()
-            for col, coef in sparse.items():
-                row[col] = coef
-            dense.append(tuple(row))
-        return tuple(dense)
+
+def _rank_ceiling(lam: Partition, p: int) -> int:
+    """The largest rank the relation rows of ``lam`` at ``p`` can have.
+
+    ``slot_count(lam)``, less one when ``lam`` is not James.  The standard
+    multi-sequence y(r,s)_i = C(part_r + i, i) solves every relation row
+    of the paper, and it is nonzero exactly when ``lam`` is not James; a
+    nonzero solution leaves the rows rank at most V - 1.  So a set of
+    rows that lies in the span of the relation rows and reaches this rank
+    spans all of them, and the rows not yet read add nothing.  The same
+    solution is the one ``ext1_dim_oracle`` takes out of dim_E.
+    """
+    return slot_count(lam) - (0 if is_james_partition(lam, p) else 1)
 
 
 def _relation_tags(lam: Partition) -> Iterator[RowTag]:
@@ -324,12 +316,15 @@ class _GainForest:
         return v, g
 
     def join(self, x: int, cx: int, y: int, cy: int) -> None:
-        """Impose cx * y_x + cy * y_y = 0 on two distinct roots, cx and cy nonzero."""
+        """Impose cx * y_x + cy * y_y = 0 on two distinct roots, cx and cy nonzero.
+
+        Neither root may be marked zero: a term on a zero tree is dropped
+        before its row reaches the forest.
+        """
         if x > y:
             x, cx, y, cy = y, cy, x, cx
         self.parent[x] = y
         self.gain[x] = -cy * pow(cx, self.p - 2, self.p) % self.p
-        self.zero[y] = self.zero[y] or self.zero[x]
 
 
 def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
@@ -591,10 +586,10 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       when visited.  Every such row has a term on one of the last slots,
       y(2,3)_j, so once all of those have been visited outside a zero tree
       every row has been fed and the other slots are not visited.
-    * The rank ceiling ends both: the live roots, those not marked zero,
-      start at one per slot, and each join or zero mark removes one.
-      With floor = 1 when ``lam`` is not James and 0 when it is, no row
-      is fed once at most ``floor`` live roots are left.
+    * ``_rank_ceiling`` ends both: the live roots, those not marked zero,
+      start at one per slot, and each join or zero mark removes one, so
+      the zero and link relations the forest holds have rank V - live.
+      No row is fed once that rank reaches the ceiling.
 
     The rows returned, in this order, are: each long row moved onto the
     final roots, with its terms on zero trees dropped and those on one
@@ -620,15 +615,13 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       If some (T3a) or (T3b) row is never fed, some y(2,3)_j was in a
       zero tree when visited, so every slot was visited, each term of
       that row was on a slot of a zero tree, and the row lies in W.
-    * If the ceiling ended the build, the zero and link rows alone have
-      rank V - live >= V - floor, one pivot per slot that is not a live
-      root.  The paper's rows have rank at most V - floor: for a
-      non-James ``lam`` the standard multi-sequence is a nonzero solution
-      of all of them.  As the rows returned lie in the span of the
-      paper's rows, the two spans are equal.  So every long row moved
-      onto the final roots is left empty: with no live root all its terms
-      are dropped, and on the one live root of a non-James ``lam`` a
-      nonzero sum would raise the rank to V.
+    * If the ceiling ended the build, the zero and link rows alone, one
+      pivot per slot that is not a live root, reach ``_rank_ceiling``
+      inside the span of the paper's rows, so they span it (the proof is
+      there).  So every long row moved onto the final roots is left
+      empty: with no live root all its terms are dropped, and on the one
+      live root of a non-James ``lam`` a nonzero sum would raise the
+      rank past the ceiling.
 
     So the unique RREF, and with it ``nullspace`` and ``dim_E``, are those
     of the paper's rows.
@@ -646,11 +639,11 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
     cached = binom.get
     long_rows: list[tuple[RowTag, dict[int, int]]] = []
-    # The rank ceiling: ``live`` counts the roots not marked zero, and each
-    # join or zero mark lowers it by one.  The rows stop once it reaches
-    # ``floor``, the fewest live roots the paper's rows can leave.
+    # ``live`` counts the roots not marked zero, and each join or zero mark
+    # lowers it by one.  The rows stop once it reaches ``floor``, where the
+    # zero and link rows reach the rank ceiling.
     live = len(slots)
-    floor = 0 if is_james_partition(lam, p) else 1
+    floor = live - _rank_ceiling(lam, p)
 
     # With at most three rows, the one triple's (T3a) and (T3b) rows come
     # last in ``_relation_tags``; every row before them has two terms, so
@@ -793,7 +786,7 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     weighted union-find over the slots to zero and link rows, and the
     (T3a) and (T3b) relations fed to it from the slots not forced to 0,
     kept as long rows where they have three terms or more on the roots,
-    until the rows reach the rank ceiling (the proof that these span the
+    until the rows reach ``_rank_ceiling`` (the proof that these span the
     paper's rows is there).  For n >= 4 it holds the (C) spanning rows of
     ``_commuting_rows`` and then, for every
     triple r < s < t in lexicographic order, the rows of
@@ -883,20 +876,14 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     Precondition: the system's rows lie in the span of the relation rows
     of ``system.lam``.  Every ``build_relation_system`` result satisfies
     it, and so does any subset of its rows.  The elimination then stops
-    at the rank ceiling: V = ``num_slots`` pivots, or V - 1 when ``lam``
-    is not James (so it has at least two rows).  In that case the standard
-    multi-sequence is a nonzero solution of every relation row, so their
-    span has rank at most V - 1; the pivot rows found lie in that span and
-    already have rank V - 1, so the two spans are equal, the rows not yet
-    read add nothing, and the unique RREF, ``nullspace``, ``dim_E`` and
-    every basis are those of all the rows.
+    once the pivot rows reach ``_rank_ceiling``: the rows not yet read
+    add nothing, so the unique RREF, ``nullspace``, ``dim_E`` and every
+    basis are those of all the rows.
     """
     p = system.p
-    full = system.num_slots  # the rank ceiling
-    if not is_james_partition(system.lam, p):
-        full -= 1
+    full = _rank_ceiling(system.lam, p)
     rref: dict[int, dict[int, int]] = {}
-    for sparse in system.sparse_rows:
+    for sparse in system.rows:
         row = sparse.copy()
         for col in [col for col in sparse if col in rref]:
             _subtract(row, row.pop(col), rref[col], p)
@@ -956,11 +943,12 @@ def dim_E(lam: Partition, p: int) -> int:
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:
-    """dim of the first extension group: dim_E, minus 1 when non-James."""
-    dim = dim_E(lam, p)
-    if is_james_partition(lam, p):
-        return dim
-    return dim - 1
+    """dim of the first extension group: dim_E, minus 1 when non-James.
+
+    dim_E is V less the rank, and ``_rank_ceiling`` is V less one exactly
+    when ``lam`` is not James, so this is ``_rank_ceiling`` less the rank.
+    """
+    return _rank_ceiling(lam, p) - len(_echelon(build_relation_system(lam, p)))
 
 
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
@@ -973,9 +961,13 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     binomial C(a+i, h) on a slot is 0 mod p (by Lucas's theorem, some
     digit of h exceeds that of a+i) has no term on that slot, so the slot
     does not bring the row in.  Each evaluated row walks all of its
-    ``_row_terms`` and sums those on nonzero slots.  This walk costs in
-    proportion to the rows touching the nonzero slots and their terms, not
-    to the whole system.  (C) is then checked on every row of
+    ``_row_terms`` and sums those on nonzero slots.  A row is read at the
+    first nonzero slot it has a term on: ``_tags_touching`` yields it for
+    every slot of its terms, so a term on an earlier nonzero slot means
+    the row was read there, and it is skipped without a record of the rows
+    read.  This walk costs in proportion to the rows touching the nonzero
+    slots and their terms, not to the whole system, and its memory does
+    not grow with them.  (C) is then checked on every row of
     ``_commuting_rows``, which span both orders of every (C) row: at most
     ``slot_count(lam)`` rows and the binomials std_P(j), whatever the
     support.  Raises ``ValueError`` unless ``ms`` is a multi-sequence of
@@ -988,19 +980,19 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
         )
     offsets = _pair_offsets(lam)
     support = {offsets[r][s] + i - 1: value for (r, s, i), value in ms.entries}
-    seen: set[RowTag] = set()
     for slot, _value in ms.entries:
+        here = offsets[slot.r][slot.s] + slot.i - 1
         for tag in _tags_touching(lam, slot, p):
-            if tag in seen:
-                continue
-            seen.add(tag)
             total = 0
             for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
                 pos = offsets[r][s] + i - 1
                 if pos in support:
+                    if pos < here:
+                        break  # read at that earlier slot
                     total += support[pos] * _coefficient(p, sign, a1, b1, a2, b2)
-            if total % p:
-                return False
+            else:
+                if total % p:
+                    return False
     for _tag, row in _commuting_rows(lam, p):
         if sum(coef * support[pos] for pos, coef in row.items() if pos in support) % p:
             return False

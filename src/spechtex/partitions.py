@@ -55,10 +55,6 @@ class Partition:
             raise IndexError(f"row {r} out of range for {self}")
         return self.parts[r - 1]
 
-    def tail(self, start: int) -> "Partition":
-        """The partition formed by rows ``start..n`` (1-indexed)."""
-        return Partition(self.parts[start - 1 :])
-
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.parts) + ")"
 

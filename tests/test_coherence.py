@@ -33,6 +33,7 @@ from spechtex.coherence import (
     _commuting_rows,
     _echelon,
     _iter_relation_rows,
+    _relation_tags,
     _row_terms,
     _tagged_rows,
     _tags_touching,
@@ -79,6 +80,17 @@ def dense(ms):
 def from_dense(lam, p, values):
     """The multi-sequence with the given value on each slot in canonical order."""
     return multisequence_from_slots(lam, p, dict(zip(canonical_slot_order(lam), values)))
+
+
+def dense_rows(system):
+    """The system's rows as dense tuples over its slots, in ``row_tags`` order."""
+    dense = []
+    for sparse in system.rows:
+        row = [0] * system.num_slots
+        for col, coef in sparse.items():
+            row[col] = coef
+        dense.append(tuple(row))
+    return dense
 
 
 def test_standard_multisequence_examples():
@@ -144,14 +156,14 @@ def test_relation_system_single_row_example():
     assert system.num_slots == 3
     assert len(system.rows) == 1
     assert system.row_tags == (("T3a", 1, 2, 3, 1, 1),)
-    assert system.rows[0] == (2, 2, 2)
+    assert dense_rows(system) == [(2, 2, 2)]
     # At p=2 the (T1) row links x to z, the (T3a) row x + z sums to 0 on
     # their tree, and the (T3b) row y - x links that tree to y, the largest
     # slot and so the root.  The build stops after that join, the last
     # (T3) row.  One link row per slot other than the root.
     system = build_relation_system(Partition((1, 1, 1)), 2)
     assert system.row_tags == (("link", 1, 2, 1), ("link", 1, 3, 1))
-    assert system.rows == ((1, 0, 1), (0, 1, 1))
+    assert dense_rows(system) == [(1, 0, 1), (0, 1, 1)]
     assert [dense(v) for v in nullspace(system)] == [(1, 1, 1)]
 
 
@@ -242,7 +254,7 @@ def assert_matches_python_rref(lam, p, system=None):
     ``system`` defaults to ``build_relation_system(lam, p)``."""
     if system is None:
         system = build_relation_system(lam, p)
-    rref, pivots = rref_mod_p(system.rows, p)
+    rref, pivots = rref_mod_p(dense_rows(system), p)
     assert dense_echelon(system) == (rref, pivots), (p, lam.parts)
     expected = nullspace_from_rref(rref, pivots, system.num_slots, p)
     assert [dense(v) for v in nullspace(system)] == expected, (p, lam.parts)
@@ -261,7 +273,7 @@ def test_nullspace_matches_independent_elimination():
     # within its first 64 rows.)
     lam = Partition((1,) * 9)
     system, pivots = assert_matches_python_rref(lam, 2, paper_system(lam, 2))
-    assert len(rref_mod_p(system.rows[:64], 2)[1]) < len(pivots)
+    assert len(rref_mod_p(dense_rows(system)[:64], 2)[1]) < len(pivots)
 
 
 def test_nullspace_matches_independent_elimination_across_blocks():
@@ -271,8 +283,8 @@ def test_nullspace_matches_independent_elimination_across_blocks():
     lam = Partition((1,) * 14)
     for system in (build_relation_system(lam, 3), paper_system(lam, 3)):
         system, pivots = assert_matches_python_rref(lam, 3, system)
-        assert (len(system.sparse_rows), system.num_slots) == (454, 91)
-        assert len(system.sparse_rows) > len(pivots)
+        assert (len(system.rows), system.num_slots) == (454, 91)
+        assert len(system.rows) > len(pivots)
 
 
 @pytest.mark.parametrize("parts", [(3, 2, 1), (1,) * 7, (1,) * 9, (40000, 6, 3)])
@@ -286,7 +298,7 @@ def test_nullspace_with_a_top_part_beyond_int64():
     for p in (2, 3, 5, 7):
         assert ext1_dim_oracle(lam, p) == ext1_dim(lam, p).ext1_dim
         system = build_relation_system(lam, p)
-        assert all(1 <= coef < p for row in system.sparse_rows for coef in row.values())
+        assert all(1 <= coef < p for row in system.rows for coef in row.values())
         assert_matches_python_rref(lam, p)
 
 
@@ -311,7 +323,7 @@ def without_rows(system, dropped):
     kept = [k for k, tag in enumerate(system.row_tags) if not dropped(tag)]
     return replace(
         system,
-        sparse_rows=tuple(system.sparse_rows[k] for k in kept),
+        rows=tuple(system.rows[k] for k in kept),
         row_tags=tuple(system.row_tags[k] for k in kept),
     )
 
@@ -325,7 +337,7 @@ def assert_rref_matches_transcription(parts, p, literal=None):
         literal = transcribed_rows_mod_p(parts, p)
     position = {slot: k for k, slot in enumerate(transcribed_slots(parts))}
 
-    def dense_rows(rows):
+    def dense_literal(rows):
         vectors = []
         for row in rows:
             vec = [0] * len(position)
@@ -335,9 +347,9 @@ def assert_rref_matches_transcription(parts, p, literal=None):
         return vectors
 
     system = build_relation_system(Partition(parts), p)
-    assert dense_echelon(system) == rref_mod_p(dense_rows(literal.values()), p), (p, parts)
+    assert dense_echelon(system) == rref_mod_p(dense_literal(literal.values()), p), (p, parts)
     spanning = without_rows(system, lambda tag: tag[0] != "C")
-    expected = rref_mod_p(dense_rows(row for tag, row in literal.items() if tag[0] == "C"), p)
+    expected = rref_mod_p(dense_literal(row for tag, row in literal.items() if tag[0] == "C"), p)
     assert dense_echelon(spanning) == expected, (p, parts)
     assert len(expected[1]) == len(spanning.row_tags), (p, parts)
     return system
@@ -365,7 +377,7 @@ def assert_blocks_match_transcription(system):
     slots = transcribed_slots(parts)
     got = [
         (tag, {slots[pos]: coef for pos, coef in sparse.items()})
-        for tag, sparse in zip(system.row_tags, system.sparse_rows)
+        for tag, sparse in zip(system.row_tags, system.rows)
         if tag[0] != "C"
     ]
     expected = []
@@ -387,7 +399,7 @@ def assert_gain_graph_rows(system, literal):
     a root.  A root is a slot without such a row, so a link row's other
     entry is a larger slot, and the long rows lie on roots only."""
     p, slots = system.p, transcribed_slots(system.lam.parts)
-    rows = list(zip(system.row_tags, system.sparse_rows))
+    rows = list(zip(system.row_tags, system.rows))
     long_rows = [(tag, row) for tag, row in rows if tag[0] in ("T3a", "T3b")]
     assert rows[: len(long_rows)] == long_rows, (p, system.row_tags)
     slot_rows = rows[len(long_rows) :]
@@ -494,7 +506,7 @@ def test_echelon_rank_matches_the_dense_rank_at_the_ceiling():
             lam = Partition((10**30 + 7, *parts))
             for system in (build_relation_system(lam, p), paper_system(lam, p)):
                 rank = len(_echelon(system))
-                assert rank == len(rref_mod_p(system.rows, p)[1]), (p, parts)
+                assert rank == len(rref_mod_p(dense_rows(system), p)[1]), (p, parts)
                 seen.add((is_james_partition(lam, p), system.num_slots - rank))
     assert {(False, 1), (False, 2), (True, 1)} <= seen
 
@@ -552,6 +564,27 @@ def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_wide_shapes(
     assert {tag[0] for tag in built.row_tags} <= {"zero", "link"}
     assert len(built.row_tags) == built.num_slots - 1
     assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
+
+
+@pytest.mark.parametrize("parts, p", [((59048, 107, 96), 3), ((4095, 127, 127), 2)])
+def test_gain_graph_expands_few_of_the_t3_rows_on_wide_shapes(parts, p, monkeypatch):
+    # The (T3a) and (T3b) rows are read from the slots outside zero trees,
+    # y(2,3)_j first, not in ``_relation_tags`` order: on these shapes the
+    # build expands 483 of 14,928 and 191 of 24,257 of them.  Feeding them
+    # all in tag order gave the same bases but made such shapes up to four
+    # times slower (ROADMAP, "Dropped").
+    expanded = []
+
+    def row_terms(lam, tag, p):
+        if tag[0] in ("T3a", "T3b"):
+            expanded.append(tag)
+        return _row_terms(lam, tag, p)
+
+    monkeypatch.setattr("spechtex.coherence._row_terms", row_terms)
+    lam = Partition(parts)
+    build_relation_system(lam, p)
+    t3_rows = sum(tag[0] in ("T3a", "T3b") for tag in _relation_tags(lam))
+    assert 0 < len(expanded) < t3_rows / 10, (len(expanded), t3_rows)
 
 
 @pytest.mark.parametrize(
@@ -640,7 +673,7 @@ def built_outputs(shapes, p):
     outputs = {}
     for parts in shapes:
         system = build_relation_system(Partition(parts), p)
-        rows = [list(sparse.items()) for sparse in system.sparse_rows]
+        rows = [list(sparse.items()) for sparse in system.rows]
         basis = [ms.entries for ms in nullspace(system)]
         outputs[parts] = (system.row_tags, rows, basis)
     return outputs
@@ -663,7 +696,7 @@ def test_changing_a_built_system_leaves_later_builds_alone():
     lam = Partition((5, 4, 3, 3, 1))
     first = build_relation_system(lam, 3)
     expected = built_outputs([lam.parts], 3)
-    for k, sparse in enumerate(first.sparse_rows):
+    for k, sparse in enumerate(first.rows):
         for col in sparse:
             sparse[col] = k % 2 + 1
         sparse[k % first.num_slots] = 2
@@ -706,6 +739,22 @@ def test_is_coherent_examples():
     assert is_coherent(standard_multisequence(lam, 3), lam, 3)
     unit = multisequence_from_slots(lam, 3, {(1, 2, 1): 1})
     assert not is_coherent(unit, lam, 3)
+
+
+def test_is_coherent_memory_does_not_grow_with_the_rows_it_reads():
+    # (1^30) is James at p = 2, and its canonical witness is nonzero on
+    # all 435 slots, each touching dozens of rows; every row is read once,
+    # at its first nonzero slot, with no record of the rows read.
+    lam = Partition((1,) * 30)
+    witness = canonical_multisequence(lam, 2)
+    assert len(witness.entries) == slot_count(lam) == 435
+    tracemalloc.start()
+    try:
+        assert is_coherent(witness, lam, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * len(witness.entries), peak
 
 
 def test_is_coherent_rejects_length_mismatch():
@@ -775,7 +824,7 @@ def dense_is_coherent(ms, lam, p):
     against every relation.  Its (C) rows are the spanning rows that
     ``is_coherent`` reads too; ``transcribed_is_coherent`` checks (C)
     independently."""
-    rows = build_relation_system(lam, p).rows
+    rows = dense_rows(build_relation_system(lam, p))
     values = dense(ms)
     return all(sum(c * v for c, v in zip(row, values)) % p == 0 for row in rows)
 
@@ -814,30 +863,36 @@ DEEP_TOP_SHAPES = [
 
 
 def test_tags_touching_cover_every_kept_row_on_a_slot():
+    # ``_tags_touching`` yields, once each, exactly the rows whose
+    # ``_row_terms`` hold the slot, whatever the term's coefficient:
+    # ``is_coherent`` reads a row only at its first nonzero slot, and that
+    # is sound only if every slot of its terms yields it.
     groups = [enumerate_partitions(d, max(d, 1)) for d in range(10)]
     groups.append([Partition(parts) for parts in DEEP_TOP_SHAPES])
     for p in (2, 3, 5, 7):
         for group in groups:
             for lam in group:
                 rows = list(_tagged_rows(lam, p))
-                candidates = {tag for tag, _row in rows}
                 zero = (0,) * slot_count(lam)
                 kept = {
                     tag: tuple(row.get(pos, 0) for pos in range(len(zero)))
                     for tag, row in rows
                     if row
                 }
-                for pos, slot in enumerate(canonical_slot_order(lam)):
+                holding = {slot: set() for slot in canonical_slot_order(lam)}
+                for tag, _row in rows:
+                    term_slots = [term[:3] for term in _row_terms(lam, tag, p)]
+                    assert len(set(term_slots)) == len(term_slots), tag
+                    for slot in term_slots:
+                        holding[slot].add(tag)
+                for pos, (slot, tags) in enumerate(holding.items()):
                     touching = list(_tags_touching(lam, slot, p))
                     assert len(set(touching)) == len(touching), (lam.parts, slot)
-                    assert set(touching) <= candidates, (lam.parts, slot)
+                    assert set(touching) == tags, (p, lam.parts, slot)
                     for tag in touching:
-                        term_slots = [term[:3] for term in _row_terms(lam, tag, p)]
-                        assert tuple(slot) in term_slots, tag
-                        assert len(set(term_slots)) == len(term_slots), tag
                         assert dense_row(lam, p, tag) == kept.get(tag, zero), tag
                     on_slot = {tag for tag, row in kept.items() if row[pos]}
-                    assert on_slot <= set(touching), (p, lam.parts, slot)
+                    assert on_slot <= tags, (p, lam.parts, slot)
 
 
 def test_is_coherent_matches_dense_check_on_every_witness():
@@ -951,5 +1006,33 @@ def test_zero_commuting_rows_carry_rank(top, lower, zero_rows, rank):
     verdicts = [is_coherent(ms, lam, p) for ms in nullspace(reduced)]
     assert verdicts == [transcribed_is_coherent(ms, literal) for ms in nullspace(reduced)]
     assert sorted(verdicts) == [False, True]
+    assert ext1_dim(lam, p).case_tag == "split"
+    assert ext1_dim(lam, p).ext1_dim == ext1_dim_oracle(lam, p) == 0
+
+
+@pytest.mark.parametrize(
+    "parts, p, ratio_tag, rank",
+    [
+        ((67, 11, 2, 1), 2, ("C", "ratio", 1, 2, 8), 17),
+        ((32, 11, 2, 1, 1), 3, ("C", "ratio", 1, 2, 9), 21),
+    ],
+)
+def test_ratio_commuting_rows_carry_rank(parts, p, ratio_tag, rank):
+    """Without one (C) ratio row, these split partitions lose one rank: the
+    nullspace gains a dimension, and the oracle would read ext1 = 1 where
+    the classifier reads 0.  Neither basis vector of the smaller system is
+    coherent.  No shape with d <= 18 and at most 8 parts was found to need
+    a ratio row; these were found by a random search over deeper ones."""
+    lam = Partition(parts)
+    system = build_relation_system(lam, p)
+    reduced = without_rows(system, lambda tag: tag == ratio_tag)
+    assert len(system.row_tags) - len(reduced.row_tags) == 1
+    assert system.num_slots == rank + 1
+    assert (len(_echelon(system)), len(_echelon(reduced))) == (rank, rank - 1)
+    assert (dim_E(lam, p), len(nullspace(reduced))) == (1, 2)
+    literal = transcribed_rows_mod_p(parts, p)
+    for ms in nullspace(reduced):
+        assert not is_coherent(ms, lam, p)
+        assert not transcribed_is_coherent(ms, literal)
     assert ext1_dim(lam, p).case_tag == "split"
     assert ext1_dim(lam, p).ext1_dim == ext1_dim_oracle(lam, p) == 0

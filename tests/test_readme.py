@@ -30,7 +30,7 @@ def resolves(dotted):
 
 def test_readme_library_names_resolve_on_the_package():
     names = [n for n in library_names() if n.split(".")[0] not in vars(builtins)]
-    assert "triple_verdict" in names and "RelationSystem.sparse_rows" in names
+    assert "triple_verdict" in names and "RelationSystem.rows" in names
     assert [n for n in names if not resolves(n)] == []
 
 

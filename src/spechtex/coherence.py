@@ -171,11 +171,13 @@ class RelationSystem:
     relations: the long rows, tagged by the (T3a) or (T3b) relation each
     came from, then ("zero", r, s, i) for y(r,s)_i = 0 and ("link", r, s,
     i) for y(r,s)_i = g * y_root; there may be no long rows once the
-    build reaches ``_rank_ceiling``.  With four or more, the (C) spanning
-    rows of ``_commuting_rows`` come first (``tag[0] == "C"``), then the
-    triple blocks, tagged ("B", r, s, t, local pivot).  Why each form
-    spans the paper's rows is in ``_gain_graph_rows`` and
-    ``build_relation_system``.
+    build reaches ``_rank_ceiling``.  Which link and long rows are kept
+    follows the order the gain graph is fed in (``_live_pair_rows``), not
+    the order of ``_relation_tags``; their span does not.  With four or
+    more, the (C) spanning rows of ``_commuting_rows`` come first
+    (``tag[0] == "C"``), then the triple blocks, tagged ("B", r, s, t,
+    local pivot).  Why each form spans the paper's rows is in
+    ``_gain_graph_rows`` and ``build_relation_system``.
     """
 
     lam: Partition
@@ -204,8 +206,11 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
 
     (E) for every pair, then (T1), (T2), (T3a), (T3b) for every triple,
     with pairs, triples and row indices in ascending lexicographic order,
-    so the row order is deterministic.  The library reads the (C) rows
-    from ``_commuting_rows``; ``_iter_relation_rows`` lists both orders.
+    so the row order is deterministic.  Only ``_tagged_rows`` reads them:
+    the build lists its two-term rows with ``_live_pair_rows`` and its
+    (T3a) and (T3b) rows with ``_tags_touching``, and the library reads
+    the (C) rows from ``_commuting_rows``; ``_iter_relation_rows`` lists
+    both orders.
     """
     n = lam.n
     part = (0,) + lam.parts  # part[r] = part_r
@@ -565,6 +570,109 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
                 return
 
 
+def _digit_max(n: int, h: int, p: int) -> int:
+    """The digit-wise maximum of n and h in base p.
+
+    A number adds to it without a base-p carry iff it adds without one to
+    n and to h.
+    """
+    if p == 2:
+        return n | h
+    out, scale = n, 1
+    while h:
+        dn, dh = n % p, h % p
+        if dh > dn:
+            out += (dh - dn) * scale
+        n //= p
+        h //= p
+        scale *= p
+    return out
+
+
+def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """The (E), (T1) and (T2) rows with a coefficient nonzero mod p, for at most three rows.
+
+    Each row C(a1, b1) y_u - C(a2, b2) y_v = 0 comes as (u, v, a1, b1, a2,
+    b2), u and v slot positions, its terms in ``_row_terms`` order; the
+    caller computes the binomials.  First come the rows whose two
+    coefficients are both nonzero mod p, family by family, then those with
+    exactly one; each such row comes once.  A row with both coefficients
+    0 mod p is never visited: by Kummer's theorem C(m + h, h) is nonzero
+    mod p exactly when h adds to m without a base-p carry, so
+    ``_lucas_range(m, ..., carry_free=True)`` lists the live indices of
+    each family, as below.  What is held at a time is at most as long as
+    a row of ``lam``.
+    """
+    parts, n = lam.parts, lam.n
+    if n == 3:
+        a, b, c = parts
+        x0, z0, y0 = -1, b - 1, b + c - 1  # slot (1, 2, i) is at x0 + i
+        # Whether a + i adds to k <= c <= b without a carry reads only the
+        # digits of a + i below ``span``, a power of p above b.
+        span = p
+        while span <= b:
+            span *= p
+        low_a = a % span
+        # (T2): C(a+k, k) y_j - C(b+j, j) z_k for j + k <= c; the first is
+        # nonzero iff k adds to a without a carry, the second iff j adds
+        # to b.
+        ks = _lucas_range(a, 1, c - 1, p, carry_free=True)
+        js = _lucas_range(b, 1, c - 1, p, carry_free=True)
+    for both in (True, False):
+        # (E) on pair (r, s), A = part_r: C(A+i+j, j) y_i - C(i+j, i) y_{i+j}.
+        # The first is nonzero iff j adds to A + i without a carry, the
+        # second iff j adds to i without one; both are iff j adds to their
+        # digit-wise maximum without one.
+        base = -1  # slot (r, s, i) is at base + i
+        for r in range(1, n + 1):
+            top = parts[r - 1]
+            for width in parts[r:]:
+                for i in range(1, width):
+                    ai, hi = top + i, width - i
+                    if both:
+                        live = _lucas_range(_digit_max(ai, i, p), 1, hi, p, carry_free=True)
+                    else:
+                        live = set(_lucas_range(ai, 1, hi, p, carry_free=True))
+                        live.symmetric_difference_update(_lucas_range(i, 1, hi, p, carry_free=True))
+                    for j in live:
+                        yield base + i, base + i + j, ai + j, j, i + j, i
+                base += width
+        if n < 3:
+            continue
+        # (T1): C(a+i+k, k) x_i - C(a+i+k, i) z_k, k by k; write m = a + k.
+        # The second is nonzero iff i adds to m without a carry.  Then each
+        # digit of m + i is the sum of those of m and i, and the first is
+        # nonzero iff each digit of k is at most that sum (Lucas): both are
+        # iff each digit of i lies between those of M - m and p - 1 - m, M
+        # the digit-wise maximum of m and k, i.e. i = (M - m) + h with h
+        # adding to M without a carry.  In general the first is nonzero iff
+        # a + i adds to k without a carry (Kummer, as m + i - k = a + i).
+        for k in range(1, c + 1):
+            m = a + k
+            if both:
+                most = _digit_max(m, k, p)
+                shift = most - m
+                live = _lucas_range(most, 0 if shift else 1, b - shift, p, carry_free=True)
+                live = map(shift.__add__, live)
+            else:
+                live = set(_lucas_range(m, 1, b, p, carry_free=True))
+                tops = _lucas_range(k, low_a + 1, low_a + b, p, carry_free=True)
+                live.symmetric_difference_update(map((-low_a).__add__, tops))
+            for i in live:
+                yield x0 + i, z0 + k, m + i, k, m + i, i
+        # (T2): both nonzero, then j live and k not, then k live and j not.
+        if not both:
+            live_k, live_j = set(ks), set(js)
+            dead_k = [k for k in range(1, c) if k not in live_k]
+            dead_j = [j for j in range(1, c) if j not in live_j]
+        for j_list, k_list in ((js, ks),) if both else ((js, dead_k), (dead_j, ks)):
+            for j in j_list:
+                for k in k_list:
+                    if j + k > c:
+                        break
+                    yield y0 + j, z0 + k, a + k, k, b + j, j
+
+
 def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list[RowTag]]:
     """Rows spanning the paper's relations of ``lam`` with at most three rows.
 
@@ -577,9 +685,11 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     slot outside a zero tree, through a memo kept for the one call.
 
     * The (E), (T1) and (T2) rows, which have at most two terms, are fed
-      first, in ``_relation_tags`` order.  A row whose two slots already
-      share a root is skipped before any binomial is computed: it holds
-      on that tree (the reason is at the skip).
+      first, as ``_live_pair_rows`` lists them: those with both
+      coefficients nonzero mod p, which can join two trees, then those
+      with one, which can only mark a tree zero.  A row whose two slots
+      already share a root is skipped before any binomial is computed: it
+      holds on that tree (the reason is at the skip).
     * Then the slots are visited from the last in canonical order, and
       every (T3a) and (T3b) row with a term on a visited slot
       (``_tags_touching``) is fed once, unless the slot is in a zero tree
@@ -608,13 +718,15 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       zero and link relations the forest held before it, so by induction
       every zero and link relation the forest ever holds, and every long
       row, lies in the span of the relations fed so far.
-    * If every row was fed, every paper row lies in W plus the span of
-      the long rows.  The forest only gains joins and zero marks, so what
-      it held at any time lies in W.  A relation fed to it is therefore
-      in W, or, for a long row, the final long row plus an element of W.
-      If some (T3a) or (T3b) row is never fed, some y(2,3)_j was in a
-      zero tree when visited, so every slot was visited, each term of
-      that row was on a slot of a zero tree, and the row lies in W.
+    * If the ceiling did not end the build, every paper row lies in W
+      plus the span of the long rows.  The forest only gains joins and
+      zero marks, so what it held at any time lies in W.  A relation fed
+      to it is therefore in W, or, for a long row, the final long row plus
+      an element of W.  Every (E), (T1) and (T2) row with a coefficient
+      nonzero mod p was fed; the others are zero rows.  If some (T3a) or
+      (T3b) row is never fed, some y(2,3)_j was in a zero tree when
+      visited, so every slot was visited, each term of that row was on a
+      slot of a zero tree, and the row lies in W.
     * If the ceiling ended the build, the zero and link rows alone, one
       pivot per slot that is not a live root, reach ``_rank_ceiling``
       inside the span of the paper's rows, so they span it (the proof is
@@ -624,7 +736,16 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       rank past the ceiling.
 
     So the unique RREF, and with it ``nullspace`` and ``dim_E``, are those
-    of the paper's rows.
+    of the paper's rows.  No step reads the order in which the rows are
+    fed, so any order gives this RREF; only the link rows and which long
+    rows are kept can change with it:
+
+    * below the ceiling every live row is fed, in whatever order, and
+      once the ceiling is reached the rows not fed add nothing
+      (``_rank_ceiling``); a row with both coefficients 0 mod p is the
+      zero row, so leaving it out changes nothing;
+    * the skip of a row whose slots share a root holds in any order, as
+      every join of the first loop has two unit coefficients.
     """
     parts = lam.parts
     offsets = _pair_offsets(lam)
@@ -645,17 +766,10 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     live = len(slots)
     floor = live - _rank_ceiling(lam, p)
 
-    # With at most three rows, the one triple's (T3a) and (T3b) rows come
-    # last in ``_relation_tags``; every row before them has two terms, so
-    # it is settled here without the row dict the longer rows below need
-    # (most rows are of this kind, and small systems pay for every dict).
-    for tag in _relation_tags(lam):
-        if tag[0] == "T3a":
-            break
-        first, second = _row_terms(lam, tag, p)
-        r, s, i, sign, a1, b1, _, _ = first
-        r2, s2, i2, sign2, a2, b2, _, _ = second
-        u, v = offsets[r][s] + i - 1, offsets[r2][s2] + i2 - 1
+    # The two-term rows are settled here without the row dict the longer
+    # rows below need (most rows are of this kind, and small systems pay
+    # for every dict).
+    for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p):
         x, y, gx, gy = parent[u], parent[v], gain[u], gain[v]
         if parent[x] != x:
             x, gx = find(u)
@@ -677,12 +791,12 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
             cx = cached((a1, b1))
             if cx is None:
                 cx = binom[a1, b1] = _binom_mod_p(a1, b1, p)
-            cx = sign * cx * gx % p
+            cx = cx * gx % p
         if not zero[y]:
             cy = cached((a2, b2))
             if cy is None:
                 cy = binom[a2, b2] = _binom_mod_p(a2, b2, p)
-            cy = sign2 * cy * gy % p
+            cy = -cy * gy % p
         if cx and cy:
             forest.join(x, cx, y, cy)
         elif cx or cy:
@@ -782,14 +896,15 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """A system of rows spanning every relation row of ``lam`` at ``p``.
 
     For at most three rows it holds ``_gain_graph_rows``: the (E), (T1)
-    and (T2) relations, which have at most two terms, reduced by a
-    weighted union-find over the slots to zero and link rows, and the
-    (T3a) and (T3b) relations fed to it from the slots not forced to 0,
-    kept as long rows where they have three terms or more on the roots,
-    until the rows reach ``_rank_ceiling`` (the proof that these span the
-    paper's rows is there).  For n >= 4 it holds the (C) spanning rows of
-    ``_commuting_rows`` and then, for every
-    triple r < s < t in lexicographic order, the rows of
+    and (T2) relations, which have at most two terms, those with two
+    coefficients nonzero mod p first, reduced by a weighted union-find
+    over the slots to zero and link rows, and the (T3a) and (T3b)
+    relations fed to it from the slots not forced to 0, kept as long rows
+    where they have three terms or more on the roots, until the rows
+    reach ``_rank_ceiling`` (the proof that these span the paper's rows
+    is there).  For n >= 4 it holds the (C) spanning rows of
+    ``_commuting_rows`` and then, for every triple r < s < t in
+    lexicographic order, the rows of
     ``_triple_block(part_r, part_s, part_t, p)`` moved onto the pairs
     (r, s), (r, t) and (s, t), tagged ("B", r, s, t, local pivot).  The
     (C) rows come first so that elimination meets the many two-term and

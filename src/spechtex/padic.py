@@ -180,6 +180,8 @@ def _lucas_range(n: int, lo: int, hi: int, p: int, carry_free: bool = False) -> 
         chunk = bound // scale % size
         row = rows[chunk] if rows else range(chunk + 1)
         if chunk:
+            # No h above hi // scale can land in [lo, hi].
+            row = row[: bisect_right(row, hi // scale)]
             found = [base + h * scale for base in found for h in row]
         # The lower chunks add at most bound % scale.
         found = found[bisect_left(found, lo - bound % scale) : bisect_right(found, hi)]

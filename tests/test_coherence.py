@@ -33,6 +33,7 @@ from spechtex.coherence import (
     _commuting_rows,
     _echelon,
     _iter_relation_rows,
+    _live_pair_rows,
     _relation_tags,
     _row_terms,
     _tagged_rows,
@@ -49,6 +50,7 @@ from spechtex.coherence import (
     slot_count,
     standard_multisequence,
 )
+from spechtex.padic import binom_mod_p
 from spechtex.partitions import (
     Partition,
     enumerate_partitions,
@@ -608,6 +610,80 @@ def test_gain_graph_system_has_the_rref_of_the_paper_rows_below_the_ceiling(
     assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
     if not james:
         assert any(tag[0] == "T3a" for tag in built.row_tags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    top=st.one_of(st.integers(1, 90), st.sampled_from((10**6, 10**30 + 7))),
+    lower=st.lists(st.integers(1, 60), max_size=2),
+    p=st.sampled_from((2, 3, 5, 7, 11, 131, 32749)),
+)
+def test_live_pair_rows_are_the_live_two_term_rows(top, lower, p):
+    # 131 and 32749 are above the digit table of ``_lucas_range``; at
+    # p = 7, lower rows above 49 reach its chunk path.
+    lower = sorted(lower, reverse=True)
+    lam = Partition((max([top, *lower]), *lower))
+    listed = []
+    for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p):
+        row = {u: binom_mod_p(a1, b1, p), v: -binom_mod_p(a2, b2, p) % p}
+        listed.append({pos: coef for pos, coef in row.items() if coef})
+    assert all(listed), (lam.parts, p)  # no row with both coefficients 0
+    sizes = [len(row) for row in listed]
+    assert sizes == sorted(sizes, reverse=True), (lam.parts, p)  # both nonzero first
+    expected = []
+    for tag, sparse in _tagged_rows(lam, p):
+        if tag[0] == "T3a":
+            break  # with at most three rows, the two-term rows come first
+        if sparse:
+            expected.append(sparse)
+    got = sorted(sorted(row.items()) for row in listed)
+    assert got == sorted(sorted(row.items()) for row in expected), (lam.parts, p)
+
+
+@pytest.mark.parametrize(
+    "parts, p",
+    [
+        ((974026, 46, 31), 3),
+        ((733347, 47, 46), 2),
+        ((61300, 59, 23), 5),
+        ((975597, 56, 31), 7),
+        ((406, 406), 2),
+    ],
+)
+def test_gain_graph_feeds_fewer_than_half_of_the_two_term_rows_on_wide_shapes(
+    parts, p, monkeypatch
+):
+    # The rows with both coefficients 0 mod p are never listed, and those
+    # with two nonzero ones come first, so the rank ceiling is reached
+    # after 31-47% of the (E), (T1) and (T2) rows on the three-row shapes
+    # and 1.6% on (406, 406).
+    fed = 0
+
+    def counted(lam, p):
+        nonlocal fed
+        for row in _live_pair_rows(lam, p):
+            fed += 1
+            yield row
+
+    monkeypatch.setattr("spechtex.coherence._live_pair_rows", counted)
+    lam = Partition(parts)
+    build_relation_system(lam, p)
+    two_term = sum(tag[0] in ("E", "T1", "T2") for tag in _relation_tags(lam))
+    assert 0 < fed < two_term / 2, (fed, two_term)
+
+
+def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_random_wide_shapes():
+    # The two shapes below the ceiling feed every live row, then (T3) rows.
+    rng = random.Random(16)
+    cases = [((80999, 26, 26), 3), ((603683, 39, 9), 3)]
+    for p in (2, 3, 5, 7) * 8:
+        b = rng.randint(20, 60)
+        c = rng.randint(20, b)
+        cases.append(((rng.randint(b, 10**6), b, c), p))
+    for parts, p in cases:
+        lam = Partition(parts)
+        built = build_relation_system(lam, p)
+        assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
 
 
 def test_gain_graph_build_memory_stays_small_on_a_wide_two_row_shape():

@@ -165,19 +165,18 @@ class RelationSystem:
 
     ``rows`` holds each row as {slot position: coefficient}, coefficients
     in [1, p), in a dict of its own, and ``row_tags`` its tag.  The rows
-    span the same space as the paper's relations but are not all of them.
-    With at most three rows they are what the gain graph of
-    ``_gain_graph_rows`` leaves of the (E), (T1), (T2), (T3a) and (T3b)
-    relations: the long rows, tagged by the (T3a) or (T3b) relation each
-    came from, then ("zero", r, s, i) for y(r,s)_i = 0 and ("link", r, s,
-    i) for y(r,s)_i = g * y_root; there may be no long rows once the
-    build reaches ``_rank_ceiling``.  Which link and long rows are kept
-    follows the order the gain graph is fed in (``_live_pair_rows``), not
-    the order of ``_relation_tags``; their span does not.  With four or
-    more, the (C) spanning rows of ``_commuting_rows`` come first
-    (``tag[0] == "C"``), then the triple blocks, tagged ("B", r, s, t,
-    local pivot).  Why each form spans the paper's rows is in
-    ``_gain_graph_rows`` and ``build_relation_system``.
+    span the same space as the paper's relations but are not all of them:
+    they are what the gain graph of ``_gain_graph_rows`` leaves of the
+    relations fed to it.  First come the long rows, on the roots of its
+    trees, each tagged by the row it came from: a (T3a) or (T3b) relation
+    with at most three rows, a triple block row ("B", r, s, t, local
+    pivot) of ``_spanning_rows`` with four or more (its (C) rows have at
+    most two terms, so none is long).  Then, slot by slot, ("zero", r, s,
+    i) for y(r,s)_i = 0 and ("link", r, s, i) for y(r,s)_i = g * y_root.
+    There may be no long rows once the build reaches ``_rank_ceiling``.
+    Which link and long rows are kept follows the order the gain graph is
+    fed in, not the order of ``_relation_tags``; their span does not.  Why
+    the rows span the paper's rows is in ``_gain_graph_rows``.
     """
 
     lam: Partition
@@ -331,6 +330,30 @@ class _GainForest:
         self.parent[x] = y
         self.gain[x] = -cy * pow(cx, self.p - 2, self.p) % self.p
 
+    def move(self, row: dict[int, int]) -> dict[int, int]:
+        """The row sum coef * y_u, coefficients nonzero mod p, on the roots.
+
+        Each term becomes coef * g * y_root (y_u = g * y_root); terms on
+        zero trees are dropped and those on one root summed, and a root
+        whose sum is 0 mod p is left out.
+        """
+        parent, gain, zero, p = self.parent, self.gain, self.zero, self.p
+        moved: dict[int, int] = {}
+        for u, coef in row.items():
+            x = parent[u]
+            if parent[x] == x:  # u is a root or hangs on one
+                g = gain[u]
+            else:
+                x, g = self.find(u)
+            if zero[x]:
+                continue
+            coef = (moved.get(x, 0) + coef * g) % p
+            if coef:
+                moved[x] = coef
+            else:
+                del moved[x]
+        return moved
+
 
 def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
     """sign * C(a1, b1) * C(a2, b2) mod p, for a term of ``_row_terms``."""
@@ -395,28 +418,38 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterat
             yield ("T3b", r, x, y, m, i)
 
 
+def _sparse_row(
+    lam: Partition, tag: RowTag, p: int, offsets: list[list[int]], binom: dict[tuple[int, int], int]
+) -> dict[int, int]:
+    """One row of ``_row_terms`` as {slot position: coefficient}, zeros omitted.
+
+    ``binom`` memoises C(a, b) mod p over the calls of one caller.
+    """
+    cached = binom.get
+    row = {}
+    for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
+        coef = cached((a1, b1))
+        if coef is None:
+            coef = binom[a1, b1] = _binom_mod_p(a1, b1, p)
+        if not coef:
+            continue
+        if b2:
+            coef2 = cached((a2, b2))
+            if coef2 is None:
+                coef2 = binom[a2, b2] = _binom_mod_p(a2, b2, p)
+            if not coef2:
+                continue
+            coef *= coef2
+        row[offsets[r][s] + i - 1] = sign * coef % p
+    return row
+
+
 def _tagged_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
     """Rows of ``_relation_tags`` as (tag, {slot position: coefficient}), zeros omitted."""
     offsets = _pair_offsets(lam)
     binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
-    cached = binom.get
     for tag in _relation_tags(lam):
-        row = {}
-        for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
-            coef = cached((a1, b1))
-            if coef is None:
-                coef = binom[a1, b1] = _binom_mod_p(a1, b1, p)
-            if not coef:
-                continue
-            if b2:
-                coef2 = cached((a2, b2))
-                if coef2 is None:
-                    coef2 = binom[a2, b2] = _binom_mod_p(a2, b2, p)
-                if not coef2:
-                    continue
-                coef *= coef2
-            row[offsets[r][s] + i - 1] = sign * coef % p
-        yield tag, row
+        yield tag, _sparse_row(lam, tag, p, offsets, binom)
 
 
 def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
@@ -673,33 +706,106 @@ def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int
                     yield y0 + j, z0 + k, a + k, k, b + j, j
 
 
+def _t3_rows(
+    lam: Partition, p: int, forest: _GainForest, slots: list[tuple[int, int, int]]
+) -> Iterator[tuple[RowTag, dict[int, int]]]:
+    """The (T3a) and (T3b) rows of a three-row ``lam``, read from the live slots.
+
+    The slots are visited from the last in canonical order, and every
+    (T3a) and (T3b) row with a term on a visited slot (``_tags_touching``)
+    is yielded once, as (tag, {slot position: coefficient}), unless the
+    slot is in a zero tree of ``forest`` when visited.  Every such row has
+    a term on one of the last slots, y(2,3)_j, so once all of those have
+    been visited outside a zero tree every row has been yielded and the
+    other slots are not visited.  The forest is read between rows, so the
+    zero trees the caller marks on the way count.
+    """
+    offsets = _pair_offsets(lam)
+    parent, zero = forest.parent, forest.zero
+    binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
+    fed: set[RowTag] = set()
+    stop = offsets[2][3]
+    for pos in reversed(range(len(slots))):
+        if pos < stop:
+            break
+        root = parent[pos]
+        if parent[root] != root:
+            root = forest.find(pos)[0]
+        if zero[root]:
+            stop = 0
+            continue
+        for tag in _tags_touching(lam, slots[pos], p):
+            if tag[0] not in ("T3a", "T3b") or tag in fed:
+                continue
+            fed.add(tag)
+            yield tag, _sparse_row(lam, tag, p, offsets, binom)
+
+
+def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
+    """Rows spanning every relation row of ``lam`` with four rows or more.
+
+    The (C) spanning rows of ``_commuting_rows`` (``tag[0] == "C"``), then,
+    for every triple r < s < t in lexicographic order, the rows of
+    ``_triple_block(part_r, part_s, part_t, p)`` moved onto the pairs
+    (r, s), (r, t) and (s, t), tagged ("B", r, s, t, local pivot), each as
+    {slot position: coefficient}.  They are generated as they are read,
+    so a caller that stops early builds no later row.  The blocks span the
+    paper's (E), (T1), (T2), (T3a) and (T3b) rows:
+
+    * each such row of ``lam`` lies in one triple (r, s, t): the (T) rows
+      of that triple, or the (E) rows of a pair of it, and its
+      coefficients read only part_r, part_s and part_t (``_row_terms``).
+      Moved onto local rows 1, 2, 3 it is the same row of the three-row
+      system of (part_r, part_s, part_t), and every row of that system is
+      such a row of ``lam``, moved;
+    * moving the slots of a triple is injective and linear, so the moved
+      block spans the moved three-row system;
+    * with n >= 3 every pair lies in some triple, so every (E) row is in
+      some block; and a union of row sets spans the sum of their spans.
+    """
+    yield from _commuting_rows(lam, p)
+    n, parts, offsets = lam.n, lam.parts, _pair_offsets(lam)
+    for r in range(1, n - 1):
+        for s in range(r + 1, n):
+            for t in range(s + 1, n + 1):
+                b, c = parts[s - 1], parts[t - 1]
+                rs, rt, st = offsets[r][s], offsets[r][t], offsets[s][t]
+                where = (*range(rs, rs + b), *range(rt, rt + c), *range(st, st + c))
+                for row in _triple_block(parts[r - 1], b, c, p):
+                    yield ("B", r, s, t, row[0][0]), {where[col]: coef for col, coef in row}
+
+
 def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list[RowTag]]:
-    """Rows spanning the paper's relations of ``lam`` with at most three rows.
+    """Rows spanning the paper's relations of ``lam``, and their tags.
 
-    Each relation is fed in turn to a ``_GainForest`` over the slot
-    positions: its terms on slots of zero trees are dropped, the others
-    are moved onto their roots (y_v = g * y_root) and summed per root.
-    Of what is left, nothing means the relation already holds; one term
-    marks its tree zero; two join the trees; three or more are kept as a
-    long row on the roots.  A binomial is computed only for a term on a
-    slot outside a zero tree, through a memo kept for the one call.
+    Relations are fed in turn to a ``_GainForest`` over the slot
+    positions, which moves each onto the roots of its slots (y_v = g *
+    y_root; ``_GainForest.move``): terms on slots of zero trees are
+    dropped, the others summed per root.  Of what is left, nothing means
+    the relation already holds; one term marks its tree zero; two join
+    the trees; three or more are kept as a long row on the roots.  What
+    is fed depends on the shape:
 
-    * The (E), (T1) and (T2) rows, which have at most two terms, are fed
-      first, as ``_live_pair_rows`` lists them: those with both
-      coefficients nonzero mod p, which can join two trees, then those
-      with one, which can only mark a tree zero.  A row whose two slots
-      already share a root is skipped before any binomial is computed: it
-      holds on that tree (the reason is at the skip).
-    * Then the slots are visited from the last in canonical order, and
-      every (T3a) and (T3b) row with a term on a visited slot
-      (``_tags_touching``) is fed once, unless the slot is in a zero tree
-      when visited.  Every such row has a term on one of the last slots,
-      y(2,3)_j, so once all of those have been visited outside a zero tree
-      every row has been fed and the other slots are not visited.
-    * ``_rank_ceiling`` ends both: the live roots, those not marked zero,
-      start at one per slot, and each join or zero mark removes one, so
-      the zero and link relations the forest holds have rank V - live.
-      No row is fed once that rank reaches the ceiling.
+    * With at most three rows, first the (E), (T1) and (T2) rows, which
+      have at most two terms, as ``_live_pair_rows`` lists them: those
+      with both coefficients nonzero mod p, which can join two trees,
+      then those with one, which can only mark a tree zero.  They are
+      settled without a row dict (most rows are of this kind, and small
+      systems pay for every dict): a row whose two slots already share a
+      root is skipped before any binomial is computed, as it holds on
+      that tree (the reason is at the skip), and a binomial is computed
+      only for a slot outside a zero tree, through a memo kept for the
+      one call.  Then the (T3a) and (T3b) rows of ``_t3_rows``, read from
+      the slots outside zero trees.
+    * With four rows or more, the rows of ``_spanning_rows`` as they are
+      generated: the (C) spanning rows, then the triple blocks, triple by
+      triple.  A block row is defined only mod p, with no integer row
+      behind it for the skip's argument, so its sum on the tree is always
+      computed.
+    * ``_rank_ceiling`` ends the feed: the live roots, those not marked
+      zero, start at one per slot, and each join or zero mark removes
+      one, so the zero and link relations the forest holds have rank
+      V - live.  No row is fed once that rank reaches the ceiling.
 
     The rows returned, in this order, are: each long row moved onto the
     final roots, with its terms on zero trees dropped and those on one
@@ -713,16 +819,20 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     are left.  Write W for the span of the zero and link rows.  The rows
     span exactly the paper's rows:
 
-    * Every row returned is a combination of the paper's rows.  A join,
-      a zero mark or a long row is its relation minus multiples of the
-      zero and link relations the forest held before it, so by induction
-      every zero and link relation the forest ever holds, and every long
-      row, lies in the span of the relations fed so far.
+    * Every row returned is a combination of the paper's rows.  Every row
+      fed is one: a paper row, or a row of ``_spanning_rows``, which span
+      the same rows (the proof is there).  A join, a zero mark or a long
+      row is its relation minus multiples of the zero and link relations
+      the forest held before it, so by induction every zero and link
+      relation the forest ever holds, and every long row, lies in the
+      span of the relations fed so far.
     * If the ceiling did not end the build, every paper row lies in W
       plus the span of the long rows.  The forest only gains joins and
       zero marks, so what it held at any time lies in W.  A relation fed
       to it is therefore in W, or, for a long row, the final long row plus
-      an element of W.  Every (E), (T1) and (T2) row with a coefficient
+      an element of W.  With four rows or more every row of
+      ``_spanning_rows`` was fed, and they span the paper's rows.  With
+      at most three, every (E), (T1) and (T2) row with a coefficient
       nonzero mod p was fed; the others are zero rows.  If some (T3a) or
       (T3b) row is never fed, some y(2,3)_j was in a zero tree when
       visited, so every slot was visited, each term of that row was on a
@@ -745,10 +855,9 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       (``_rank_ceiling``); a row with both coefficients 0 mod p is the
       zero row, so leaving it out changes nothing;
     * the skip of a row whose slots share a root holds in any order, as
-      every join of the first loop has two unit coefficients.
+      every join of the two-term loop has two unit coefficients.
     """
     parts = lam.parts
-    offsets = _pair_offsets(lam)
     slots = [
         (r, s, i)
         for r in range(1, lam.n + 1)
@@ -757,125 +866,81 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     ]
     forest = _GainForest(len(slots), p)
     find, parent, gain, zero = forest.find, forest.parent, forest.gain, forest.zero
-    binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
-    cached = binom.get
-    long_rows: list[tuple[RowTag, dict[int, int]]] = []
     # ``live`` counts the roots not marked zero, and each join or zero mark
     # lowers it by one.  The rows stop once it reaches ``floor``, where the
     # zero and link rows reach the rank ceiling.
     live = len(slots)
     floor = live - _rank_ceiling(lam, p)
 
-    # The two-term rows are settled here without the row dict the longer
-    # rows below need (most rows are of this kind, and small systems pay
-    # for every dict).
-    for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p):
-        x, y, gx, gy = parent[u], parent[v], gain[u], gain[v]
-        if parent[x] != x:
-            x, gx = find(u)
-        if parent[y] != y:
-            y, gy = find(v)
-        if x == y:
-            # Both slots are on one tree, and the row already holds there.
-            # Over Z the standard multi-sequence satisfies it, C1 std_u =
-            # +-C2 std_v, and std is nonzero on every slot.  Every join in
-            # this loop has both coefficients units mod p, so it ties slots
-            # of equal v_p(std), and all slots of a tree share one
-            # valuation v.  So C1 and C2 both vanish mod p, or both are
-            # units; then the row holds for std / p**v mod p, which is
-            # nonzero on the tree and satisfies its joins, so it agrees
-            # with the tree's gains and sums to 0 on the root.
+    if lam.n >= 4:
+        stream = _spanning_rows(lam, p)
+    else:
+        binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
+        cached = binom.get
+        for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p):
+            x, y, gx, gy = parent[u], parent[v], gain[u], gain[v]
+            if parent[x] != x:
+                x, gx = find(u)
+            if parent[y] != y:
+                y, gy = find(v)
+            if x == y:
+                # Both slots are on one tree, and the row already holds
+                # there.  Over Z the standard multi-sequence satisfies it,
+                # C1 std_u = +-C2 std_v, and std is nonzero on every slot.
+                # Every join in this loop has both coefficients units mod
+                # p, so it ties slots of equal v_p(std), and all slots of a
+                # tree share one valuation v.  So C1 and C2 both vanish
+                # mod p, or both are units; then the row holds for std /
+                # p**v mod p, which is nonzero on the tree and satisfies
+                # its joins, so it agrees with the tree's gains and sums to
+                # 0 on the root.
+                continue
+            cx = cy = 0
+            if not zero[x]:
+                cx = cached((a1, b1))
+                if cx is None:
+                    cx = binom[a1, b1] = _binom_mod_p(a1, b1, p)
+                cx = cx * gx % p
+            if not zero[y]:
+                cy = cached((a2, b2))
+                if cy is None:
+                    cy = binom[a2, b2] = _binom_mod_p(a2, b2, p)
+                cy = -cy * gy % p
+            if cx and cy:
+                forest.join(x, cx, y, cy)
+            elif cx or cy:
+                zero[x if cx else y] = True
+            else:
+                continue
+            live -= 1
+            if live <= floor:
+                break
+        # Below three rows there are no (T3) rows.
+        stream = _t3_rows(lam, p, forest, slots) if lam.n == 3 and live > floor else ()
+
+    long_rows: list[tuple[RowTag, dict[int, int]]] = []
+    for tag, row in stream:
+        row = forest.move(row)
+        if len(row) > 2:
+            long_rows.append((tag, row))
             continue
-        cx = cy = 0
-        if not zero[x]:
-            cx = cached((a1, b1))
-            if cx is None:
-                cx = binom[a1, b1] = _binom_mod_p(a1, b1, p)
-            cx = cx * gx % p
-        if not zero[y]:
-            cy = cached((a2, b2))
-            if cy is None:
-                cy = binom[a2, b2] = _binom_mod_p(a2, b2, p)
-            cy = -cy * gy % p
-        if cx and cy:
+        if len(row) == 2:
+            (x, cx), (y, cy) = row.items()
             forest.join(x, cx, y, cy)
-        elif cx or cy:
-            zero[x if cx else y] = True
+        elif row:
+            zero[next(iter(row))] = True
         else:
             continue
         live -= 1
         if live <= floor:
             break
-    # Every (T3a) and (T3b) row has a term on some y(2,3)_j, the last slots
-    # in canonical order, so the slots are visited from the last, and the
-    # visit stops at the others once every y(2,3)_j was outside a zero tree.
-    # No slot is visited once the rows have reached the rank ceiling, nor
-    # below three rows, which have no (T3) rows.
-    fed: set[RowTag] = set()
-    stop = offsets[2][3] if lam.n == 3 and live > floor else len(slots)
-    for pos in reversed(range(len(slots))):
-        if pos < stop:
-            break
-        root = parent[pos]
-        if parent[root] != root:
-            root = find(pos)[0]
-        if zero[root]:
-            stop = 0
-            continue
-        for tag in _tags_touching(lam, slots[pos], p):
-            if tag[0] not in ("T3a", "T3b") or tag in fed:
-                continue
-            fed.add(tag)
-            row: dict[int, int] = {}
-            for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
-                u = offsets[r][s] + i - 1
-                x = parent[u]
-                if parent[x] == x:  # u is a root or hangs on one
-                    gx = gain[u]
-                else:
-                    x, gx = find(u)
-                if zero[x]:
-                    continue
-                coef = cached((a1, b1))
-                if coef is None:
-                    coef = binom[a1, b1] = _binom_mod_p(a1, b1, p)
-                if coef and b2:
-                    coef2 = cached((a2, b2))
-                    if coef2 is None:
-                        coef2 = binom[a2, b2] = _binom_mod_p(a2, b2, p)
-                    coef *= coef2
-                if coef:
-                    coef = (row.get(x, 0) + sign * coef * gx) % p
-                    if coef:
-                        row[x] = coef
-                    else:
-                        del row[x]
-            if len(row) > 2:
-                long_rows.append((tag, row))
-                continue
-            if len(row) == 2:
-                (x, cx), (y, cy) = row.items()
-                forest.join(x, cx, y, cy)
-            elif row:
-                zero[next(iter(row))] = True
-            else:
-                continue
-            live -= 1
-            if live <= floor:
-                stop = len(slots)  # no slot is visited after this one
-                break
 
     rows: list[dict[int, int]] = []
     tags: list[RowTag] = []
     for tag, row in long_rows:
-        moved: dict[int, int] = {}
-        for old, coef in row.items():
-            root, g = find(old)
-            if not zero[root]:
-                moved[root] = (moved.get(root, 0) + coef * g) % p
-        moved = {root: coef for root, coef in moved.items() if coef}
-        if moved:
-            rows.append(moved)
+        row = forest.move(row)
+        if row:
+            rows.append(row)
             tags.append(tag)
     for pos, slot in enumerate(slots):
         root = parent[pos]
@@ -895,35 +960,19 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
 def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """A system of rows spanning every relation row of ``lam`` at ``p``.
 
-    For at most three rows it holds ``_gain_graph_rows``: the (E), (T1)
-    and (T2) relations, which have at most two terms, those with two
-    coefficients nonzero mod p first, reduced by a weighted union-find
-    over the slots to zero and link rows, and the (T3a) and (T3b)
-    relations fed to it from the slots not forced to 0, kept as long rows
-    where they have three terms or more on the roots, until the rows
-    reach ``_rank_ceiling`` (the proof that these span the paper's rows
-    is there).  For n >= 4 it holds the (C) spanning rows of
-    ``_commuting_rows`` and then, for every triple r < s < t in
-    lexicographic order, the rows of
-    ``_triple_block(part_r, part_s, part_t, p)`` moved onto the pairs
-    (r, s), (r, t) and (s, t), tagged ("B", r, s, t, local pivot).  The
-    (C) rows come first so that elimination meets the many two-term and
-    unit rows before the others.
-
-    Why the blocks span the same rows as the paper's (E), (T1), (T2),
-    (T3a) and (T3b) relations, so that the unique RREF, ``nullspace``,
-    ``dim_E`` and every basis are unchanged:
-
-    * each such row of ``lam`` lies in one triple (r, s, t): the (T) rows
-      of that triple, or the (E) rows of a pair of it, and its
-      coefficients read only part_r, part_s and part_t (``_row_terms``).
-      Moved onto local rows 1, 2, 3 it is the same row of the three-row
-      system of (part_r, part_s, part_t), and every row of that system is
-      such a row of ``lam``, moved;
-    * moving the slots of a triple is injective and linear, so the moved
-      block spans the moved three-row system;
-    * with n >= 3 every pair lies in some triple, so every (E) row is in
-      some block; and a union of row sets spans the sum of their spans.
+    It holds ``_gain_graph_rows``, for every shape: the relations are fed
+    to a weighted union-find over the slots as they are generated, until
+    the rows reach ``_rank_ceiling``, and what is left is a few long rows
+    on the roots of its trees and one zero or link row per slot that is
+    not a root (the proof that these span the paper's rows is there).
+    With at most three rows the relations fed are the paper's: the (E),
+    (T1) and (T2) rows, those with two coefficients nonzero mod p first,
+    then the (T3a) and (T3b) rows from the slots not forced to 0.  With
+    four or more they are the (C) spanning rows of ``_commuting_rows``
+    and then, triple by triple, the rows of each triple's three-row RREF
+    (``_triple_block``) moved onto its pairs (``_spanning_rows``), so the
+    unique RREF, ``nullspace``, ``dim_E`` and every basis are those of the
+    paper's rows.
 
     Raises ``SystemTooLargeError`` before generating any row or block when
     the paper's candidate rows times the slots exceed ``MAX_CELLS``.  A
@@ -938,25 +987,7 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
             f"relation system for {lam} has {cells} candidate cells "
             f"(rows x slots), above the budget of {MAX_CELLS}"
         )
-    n = lam.n
-    if n < 4:
-        rows, tags = _gain_graph_rows(lam, p)
-        return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags))
-    rows: list[dict[int, int]] = []
-    tags: list[RowTag] = []
-    for tag, sparse in _commuting_rows(lam, p):
-        rows.append(sparse)
-        tags.append(tag)
-    parts, offsets = lam.parts, _pair_offsets(lam)
-    for r in range(1, n - 1):
-        for s in range(r + 1, n):
-            for t in range(s + 1, n + 1):
-                b, c = parts[s - 1], parts[t - 1]
-                rs, rt, st = offsets[r][s], offsets[r][t], offsets[s][t]
-                where = (*range(rs, rs + b), *range(rt, rt + c), *range(st, st + c))
-                for row in _triple_block(parts[r - 1], b, c, p):
-                    rows.append({where[col]: coef for col, coef in row})
-                    tags.append(("B", r, s, t, row[0][0]))
+    rows, tags = _gain_graph_rows(lam, p)
     return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags))
 
 
@@ -986,7 +1017,14 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     implicit), and that column is cleared from the earlier pivot rows.  A
     pivot row thus never has an entry on another pivot column, and the
     result is the unique RREF of the row space.  Keys are in the order the
-    pivots were found; memory is at most one sparse row per slot.
+    pivots were found.
+
+    An index maps each column to the pivots whose rows hold it, so a new
+    pivot is cleared from exactly those rows and the others are not read.
+    It is kept exact: an entry a clear creates is added, one it cancels is
+    removed.  So the index holds one entry per nonzero entry of the
+    running RREF, and memory is at most one sparse row per slot, and as
+    much again for the index.
 
     Precondition: the system's rows lie in the span of the relation rows
     of ``system.lam``.  Every ``build_relation_system`` result satisfies
@@ -998,6 +1036,7 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     p = system.p
     full = _rank_ceiling(system.lam, p)
     rref: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}  # column -> pivots whose rows hold it
     for sparse in system.rows:
         row = sparse.copy()
         for col in [col for col in sparse if col in rref]:
@@ -1011,10 +1050,22 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
         else:
             inv = pow(scale, p - 2, p)
             pivot_row = {col: coef * inv % p for col, coef in row.items()}
-        for earlier in rref.values():
-            factor = earlier.pop(lead, 0)
-            if factor:
-                _subtract(earlier, factor, pivot_row, p)
+        for col in pivot_row:
+            if col in holders:
+                holders[col].add(lead)
+            else:
+                holders[col] = {lead}
+        for pivot in holders.pop(lead, ()):
+            earlier = rref[pivot]
+            factor = earlier.pop(lead)
+            for col, coef in pivot_row.items():
+                value = (earlier.get(col, 0) - factor * coef) % p
+                if value:
+                    earlier[col] = value
+                    holders[col].add(pivot)
+                else:
+                    del earlier[col]
+                    holders[col].discard(pivot)
         rref[lead] = pivot_row
         if len(rref) == full:
             break

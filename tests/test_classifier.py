@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from oracles import rref_mod_p
@@ -12,6 +15,7 @@ from spechtex.classifier import (
 )
 from spechtex.coherence import (
     SlotIndex,
+    SystemTooLargeError,
     canonical_slot_order,
     ext1_dim_oracle,
     is_coherent,
@@ -385,6 +389,62 @@ def test_classifier_matches_oracle_on_every_residue_of_a_deep_top_part():
                     assert ext1_dim(lam, p).ext1_dim == ext1_dim_oracle(lam, p), (p, lam.parts)
                 classes += modulus
     assert classes == 3038
+
+
+def tall_james_chain(rng, p, rows):
+    """A James partition with ``rows`` rows, drawn bottom-up: each lower row
+    James over the one below, of at most max(3, p - 1) where that row
+    allows it, else the least that is, and a top part below 10**6."""
+    low = max(3, p - 1)
+    chain = [rng.randint(1, low)]
+    while len(chain) < rows - 1:
+        below = chain[-1]
+        options = [a for a in range(below, low + 1) if is_james_pair(a, below, p)]
+        a = below
+        while not options:
+            a += 1
+            if is_james_pair(a, below, p):
+                options = [a]
+        chain.append(rng.choice(options))
+    step = p
+    while step <= chain[-1]:
+        step *= p
+    chain.append(rng.randint(1, 10**6 // step) * step - 1)
+    return tuple(reversed(chain))
+
+
+def one_row_perturbation(rng, parts):
+    """``parts`` with one row one longer or shorter, still a partition."""
+    moves = []
+    for k in range(len(parts)):
+        for delta in (-1, 1):
+            moved = list(parts)
+            moved[k] += delta
+            if moved[k] >= 1 and moved == sorted(moved, reverse=True):
+                moves.append(tuple(moved))
+    return rng.choice(moves)
+
+
+def test_classifier_matches_oracle_on_seeded_tall_shapes():
+    # James chains of 8-16 rows and one-row perturbations of them, which
+    # the sweeps (d <= 14, so at most 14 rows of 1) barely reach.  Draws
+    # above the oracle's size budget are skipped.
+    rng = random.Random(17)
+    verdicts = Counter()
+    for p in (2, 3, 5, 7):
+        for _ in range(10):
+            chain = tall_james_chain(rng, p, rng.randint(8, 16))
+            for parts in (chain, one_row_perturbation(rng, chain)):
+                lam = Partition(parts)
+                try:
+                    oracle = ext1_dim_oracle(lam, p)
+                except SystemTooLargeError:
+                    verdicts["refused"] += 1
+                    continue
+                assert ext1_dim(lam, p).ext1_dim == oracle, (p, parts)
+                verdicts[is_james_partition(lam, p), oracle] += 1
+    assert verdicts[True, 1] and verdicts[True, 2] and verdicts[False, 0], verdicts
+    assert sum(verdicts.values()) - verdicts["refused"] >= 50, verdicts
 
 
 def test_gl2_examples():

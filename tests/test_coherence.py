@@ -36,6 +36,7 @@ from spechtex.coherence import (
     _live_pair_rows,
     _relation_tags,
     _row_terms,
+    _spanning_rows,
     _tagged_rows,
     _tags_touching,
     _triple_block,
@@ -236,11 +237,8 @@ def dense_echelon(system):
     return rows, pivots
 
 
-def paper_system(lam, p):
-    """A `RelationSystem` of the (C) spanning rows and then the paper's
-    nonzero (E), (T1), (T2), (T3a) and (T3b) rows, with no triple blocks."""
-    rows = list(_commuting_rows(lam, p))
-    rows += [(tag, sparse) for tag, sparse in _tagged_rows(lam, p) if sparse]
+def system_of(lam, p, rows):
+    """A `RelationSystem` of the (tag, {slot position: coefficient}) rows."""
     return RelationSystem(
         lam,
         p,
@@ -248,6 +246,21 @@ def paper_system(lam, p):
         tuple(sparse for _tag, sparse in rows),
         tuple(tag for tag, _sparse in rows),
     )
+
+
+def paper_system(lam, p):
+    """A `RelationSystem` of the (C) spanning rows and then the paper's
+    nonzero (E), (T1), (T2), (T3a) and (T3b) rows, with no triple blocks."""
+    rows = list(_commuting_rows(lam, p))
+    rows += [(tag, sparse) for tag, sparse in _tagged_rows(lam, p) if sparse]
+    return system_of(lam, p, rows)
+
+
+def stream_system(lam, p):
+    """A `RelationSystem` of every row `build_relation_system` would feed its
+    gain graph from four rows on, none of them reduced: the (C) spanning
+    rows, then every triple block moved onto its pairs (`_spanning_rows`)."""
+    return system_of(lam, p, list(_spanning_rows(lam, p)))
 
 
 def assert_matches_python_rref(lam, p, system=None):
@@ -271,8 +284,7 @@ def test_nullspace_matches_independent_elimination():
                 assert_matches_python_rref(lam, p)
     # Over the paper's rows, pivots keep arriving after the first 64 rows,
     # so new pivot columns are cleared from a running RREF that already has
-    # many rows.  (The built system, of triple blocks, has all 35 pivots
-    # within its first 64 rows.)
+    # many rows.  (The built system has one row per pivot.)
     lam = Partition((1,) * 9)
     system, pivots = assert_matches_python_rref(lam, 2, paper_system(lam, 2))
     assert len(rref_mod_p(dense_rows(system)[:64], 2)[1]) < len(pivots)
@@ -280,13 +292,19 @@ def test_nullspace_matches_independent_elimination():
 
 def test_nullspace_matches_independent_elimination_across_blocks():
     # 454 rows into a running RREF of up to 91 pivot rows: 90 (C) rows,
-    # then one row per triple, a triple block of the built system or the
-    # paper's single (T3a) row.
+    # then one row per triple, a triple block of the stream the build
+    # feeds or the paper's single (T3a) row.
     lam = Partition((1,) * 14)
-    for system in (build_relation_system(lam, 3), paper_system(lam, 3)):
+    streamed = stream_system(lam, 3)
+    for system in (streamed, paper_system(lam, 3)):
         system, pivots = assert_matches_python_rref(lam, 3, system)
         assert (len(system.rows), system.num_slots) == (454, 91)
         assert len(system.rows) > len(pivots)
+    # The gain graph reduces the stream to one zero or link row per pivot.
+    built, pivots = assert_matches_python_rref(lam, 3)
+    assert len(built.rows) == len(pivots) == 90
+    assert {tag[0] for tag in built.row_tags} <= {"zero", "link"}
+    assert dense_echelon(built) == dense_echelon(streamed)
 
 
 @pytest.mark.parametrize("parts", [(3, 2, 1), (1,) * 7, (1,) * 9, (40000, 6, 3)])
@@ -331,10 +349,12 @@ def without_rows(system, dropped):
 
 
 def assert_rref_matches_transcription(parts, p, literal=None):
-    """``_echelon``'s RREF equals ``rref_mod_p`` of every transcribed row,
-    both orders of the (C) rows included; so does the RREF of the (C) rows
-    alone against the transcribed (C) rows, and the (C) rows are linearly
-    independent.  Returns the system."""
+    """``_echelon``'s RREF of the built system equals ``rref_mod_p`` of
+    every transcribed row, both orders of the (C) rows included, and so
+    does that of ``stream_system`` from four rows on; the RREF of the
+    stream's (C) rows alone equals that of the transcribed (C) rows, and
+    the (C) rows are linearly independent.  Returns the built system and
+    the stream."""
     if literal is None:
         literal = transcribed_rows_mod_p(parts, p)
     position = {slot: k for k, slot in enumerate(transcribed_slots(parts))}
@@ -348,13 +368,18 @@ def assert_rref_matches_transcription(parts, p, literal=None):
             vectors.append(vec)
         return vectors
 
-    system = build_relation_system(Partition(parts), p)
-    assert dense_echelon(system) == rref_mod_p(dense_literal(literal.values()), p), (p, parts)
-    spanning = without_rows(system, lambda tag: tag[0] != "C")
+    lam = Partition(parts)
+    system = build_relation_system(lam, p)
+    full = rref_mod_p(dense_literal(literal.values()), p)
+    assert dense_echelon(system) == full, (p, parts)
+    streamed = stream_system(lam, p)
+    if lam.n >= 4:
+        assert dense_echelon(streamed) == full, (p, parts)
+    spanning = without_rows(streamed, lambda tag: tag[0] != "C")
     expected = rref_mod_p(dense_literal(row for tag, row in literal.items() if tag[0] == "C"), p)
     assert dense_echelon(spanning) == expected, (p, parts)
     assert len(expected[1]) == len(spanning.row_tags), (p, parts)
-    return system
+    return system, streamed
 
 
 @lru_cache(maxsize=None)
@@ -393,16 +418,19 @@ def assert_blocks_match_transcription(system):
     assert got == expected, (p, parts)
 
 
-def assert_gain_graph_rows(system, literal):
-    """The rows of a system with at most three rows, as the gain graph
-    leaves them: first the long rows, each tagged by the (T3a) or (T3b)
-    relation it came from; then, slot by slot in canonical order, a zero
-    row {v: 1} or a link row {v: 1, root: c} for every slot v that is not
-    a root.  A root is a slot without such a row, so a link row's other
-    entry is a larger slot, and the long rows lie on roots only."""
+def assert_gain_graph_rows(system, origins):
+    """The rows of a built system, as the gain graph leaves them: first the
+    long rows, each tagged by the row it came from, a tag of ``origins``:
+    a (T3a) or (T3b) relation with at most three rows, a "B" row of the
+    stream with four or more (a (C) row has at most two terms); then, slot
+    by slot in canonical order, a zero row {v: 1} or a link row {v: 1,
+    root: c} for every slot v that is not a root.  A root is a slot
+    without such a row, so a link row's other entry is a larger slot, and
+    the long rows lie on roots only."""
     p, slots = system.p, transcribed_slots(system.lam.parts)
+    families = ("T3a", "T3b") if system.lam.n < 4 else ("B",)
     rows = list(zip(system.row_tags, system.rows))
-    long_rows = [(tag, row) for tag, row in rows if tag[0] in ("T3a", "T3b")]
+    long_rows = [(tag, row) for tag, row in rows if tag[0] not in ("zero", "link")]
     assert rows[: len(long_rows)] == long_rows, (p, system.row_tags)
     slot_rows = rows[len(long_rows) :]
     pivots = [slots.index(tag[1:]) for tag, _row in slot_rows]
@@ -416,7 +444,7 @@ def assert_gain_graph_rows(system, literal):
             (first, one), (root, coef) = sorted(row.items())
             assert (first, one) == (pos, 1) and root in roots and 1 <= coef < p, (p, tag, row)
     for tag, row in long_rows:
-        assert tag in literal, (p, tag)
+        assert tag[0] in families and tag in origins, (p, tag)
         assert row and set(row) <= roots, (p, tag, row)
         assert all(1 <= coef < p for coef in row.values()), (p, tag, row)
 
@@ -427,9 +455,9 @@ def assert_rows_match_transcription(parts):
     rows that do not vanish mod p, (C) rows of both orders included; so
     are the nonzero rows of ``_tagged_rows`` for the (E), (T1), (T2),
     (T3a) and (T3b) families; the RREF of the built system is that of
-    every transcribed row; and the system holds the gain-graph rows of
-    ``assert_gain_graph_rows`` for at most three rows, the transcribed
-    triple blocks after its (C) rows for more."""
+    every transcribed row; the system holds the gain-graph rows of
+    ``assert_gain_graph_rows``; and from four rows on the stream it is
+    reduced from holds the transcribed triple blocks after its (C) rows."""
     lam = Partition(parts)
     slots = transcribed_slots(parts)
     for p in TRANSCRIPTION_PRIMES:
@@ -440,7 +468,7 @@ def assert_rows_match_transcription(parts):
             if sparse
         }
         assert list(candidates.items()) == list(literal.items()), (p, parts)
-        system = assert_rref_matches_transcription(parts, p, literal)
+        system, streamed = assert_rref_matches_transcription(parts, p, literal)
         expected = {tag: row for tag, row in literal.items() if tag[0] != "C"}
         tagged = [(tag, sparse) for tag, sparse in _tagged_rows(lam, p) if sparse]
         assert [tag for tag, _sparse in tagged] == list(expected), (p, parts)
@@ -450,7 +478,8 @@ def assert_rows_match_transcription(parts):
         if lam.n < 4:
             assert_gain_graph_rows(system, literal)
         else:
-            assert_blocks_match_transcription(system)
+            assert_blocks_match_transcription(streamed)
+            assert_gain_graph_rows(system, set(streamed.row_tags))
 
 
 def test_relation_rows_match_the_literal_transcription():
@@ -473,7 +502,7 @@ def test_commuting_rows_come_first_and_are_at_most_one_per_slot():
     for p in (2, 3, 5, 7):
         for d in range(15):
             for lam in enumerate_partitions(d, max(d, 1)):
-                system = build_relation_system(lam, p)
+                system = stream_system(lam, p)
                 commuting = [tag[0] == "C" for tag in system.row_tags]
                 assert commuting == sorted(commuting, reverse=True), (p, lam.parts)
                 assert sum(commuting) <= system.num_slots, (p, lam.parts)
@@ -515,6 +544,29 @@ def test_echelon_rank_matches_the_dense_rank_at_the_ceiling():
 
 @settings(max_examples=40, deadline=None)
 @given(
+    parts=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    p=st.sampled_from((2, 3, 5, 7, 11)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_echelon_matches_the_dense_rref_in_any_row_order(parts, p, seed):
+    # Shuffled, the paper's rows find their pivots in many orders, so a new
+    # pivot column is cleared from earlier pivot rows that gained or lost
+    # entries in different orders; a stale or missing entry of the column
+    # index would leave a pivot column uncleared in some row.
+    lam = Partition(tuple(sorted(parts, reverse=True)))
+    system = paper_system(lam, p)
+    order = list(range(len(system.rows)))
+    random.Random(seed).shuffle(order)
+    shuffled = replace(
+        system,
+        rows=tuple(system.rows[k] for k in order),
+        row_tags=tuple(system.row_tags[k] for k in order),
+    )
+    assert dense_echelon(shuffled) == rref_mod_p(dense_rows(shuffled), p), (lam.parts, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
     parts=st.lists(st.integers(1, 8), min_size=1, max_size=6),
     p=st.sampled_from((2, 3, 5, 7, 11)),
 )
@@ -523,17 +575,24 @@ def test_commuting_rows_span_the_transcription_property(parts, p):
 
 
 def test_built_system_has_the_rref_of_the_paper_rows():
-    # Triple blocks replace the paper's rows only from four rows on.
+    # Triple blocks replace the paper's rows only from four rows on, in the
+    # stream the build feeds its gain graph; the built system is in the
+    # gain graph's form and has the RREF of the paper's rows too.
     shapes = [
         lam.parts for d in range(4, 13) for lam in enumerate_partitions(d, d) if lam.n >= 4
     ]
-    shapes += [(10**30 + 7, *parts) for parts in SPANNING_SHAPES]
-    for p in (2, 3, 5, 7):
-        for parts in shapes:
-            lam = Partition(parts)
-            built = build_relation_system(lam, p)
-            assert any(tag[0] == "B" for tag in built.row_tags), (p, parts)
-            assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
+    deep = [(10**30 + 7, *parts) for parts in SPANNING_SHAPES]
+    cases = [(parts, p) for p in (2, 3, 5, 7) for parts in shapes + deep]
+    cases += [(parts, 32749) for parts in deep]
+    for parts, p in cases:
+        lam = Partition(parts)
+        streamed = stream_system(lam, p)
+        assert any(tag[0] == "B" for tag in streamed.row_tags), (p, parts)
+        paper = dense_echelon(paper_system(lam, p))
+        assert dense_echelon(streamed) == paper, (p, parts)
+        built = build_relation_system(lam, p)
+        assert_gain_graph_rows(built, set(streamed.row_tags))
+        assert dense_echelon(built) == paper, (p, parts)
 
 
 @pytest.mark.parametrize(
@@ -897,8 +956,8 @@ def dense_is_coherent(ms, lam, p):
     """The full check: every row of the relation system against the values.
 
     The rows span the same space as every relation, so this is the check
-    against every relation.  Its (C) rows are the spanning rows that
-    ``is_coherent`` reads too; ``transcribed_is_coherent`` checks (C)
+    against every relation.  They are reduced from the (C) spanning rows
+    that ``is_coherent`` reads too; ``transcribed_is_coherent`` checks (C)
     independently."""
     rows = dense_rows(build_relation_system(lam, p))
     values = dense(ms)
@@ -1034,8 +1093,9 @@ def test_is_coherent_matches_dense_check_with_a_deep_top_part(top, lower, p, dat
 
 def test_is_coherent_matches_the_transcribed_commuting_rows():
     """``is_coherent`` against the transcription, per (C) row kind, on the
-    nullspace of the system without the rows of that kind, for every
-    partition with at least 4 rows and d <= 10 at p in {2, 3, 5}.
+    nullspace of the stream the build feeds (``stream_system``) without
+    the rows of that kind, for every partition with at least 4 rows and
+    d <= 10 at p in {2, 3, 5}.
 
     The vectors that break a (C) relation here all break a link row: for
     every partition with d <= 13 at p in {2, 3, 5, 7}, the zero and ratio
@@ -1050,7 +1110,8 @@ def test_is_coherent_matches_the_transcribed_commuting_rows():
             for lam in enumerate_partitions(d, d):
                 if lam.n < 4:
                     continue
-                system = build_relation_system(lam, p)
+                system = stream_system(lam, p)
+                assert dense_echelon(system) == dense_echelon(build_relation_system(lam, p))
                 literal = transcribed_rows_mod_p(lam.parts, p)
                 for kind in ("zero", "ratio", "link"):
                     reduced = without_rows(system, lambda tag: tag[1:2] == (kind,))
@@ -1069,11 +1130,16 @@ def test_is_coherent_matches_the_transcribed_commuting_rows():
     [((5, 1, 1), 5, 9), ((5, 2, 1, 1), 9, 15), ((5, 2, 2, 1, 1), 15, 23)],
 )
 def test_zero_commuting_rows_carry_rank(top, lower, zero_rows, rank):
-    """Without its (C) zero rows, the system of a split partition loses one
-    rank at p = 3: its nullspace gains a vector that breaks a (C) relation,
-    and the oracle would read ext1 = 1 where the classifier reads 0."""
+    """Without its (C) zero rows, the stream the build of a split partition
+    feeds its gain graph loses one rank at p = 3: its nullspace gains a
+    vector that breaks a (C) relation, and the oracle would read ext1 = 1
+    where the classifier reads 0.  The built system, reduced from the
+    whole stream, holds one row per rank."""
     lam, p = Partition((top, *lower)), 3
-    system = build_relation_system(lam, p)
+    system = stream_system(lam, p)
+    built = build_relation_system(lam, p)
+    assert dense_echelon(built) == dense_echelon(system)
+    assert len(built.rows) == rank
     reduced = without_rows(system, lambda tag: tag[:2] == ("C", "zero"))
     assert len(system.row_tags) - len(reduced.row_tags) == zero_rows
     assert (len(_echelon(system)), len(_echelon(reduced))) == (rank, rank - 1)
@@ -1094,13 +1160,17 @@ def test_zero_commuting_rows_carry_rank(top, lower, zero_rows, rank):
     ],
 )
 def test_ratio_commuting_rows_carry_rank(parts, p, ratio_tag, rank):
-    """Without one (C) ratio row, these split partitions lose one rank: the
-    nullspace gains a dimension, and the oracle would read ext1 = 1 where
-    the classifier reads 0.  Neither basis vector of the smaller system is
-    coherent.  No shape with d <= 18 and at most 8 parts was found to need
+    """Without one (C) ratio row, the streams these split partitions feed
+    the gain graph lose one rank: the nullspace gains a dimension, and the
+    oracle would read ext1 = 1 where the classifier reads 0.  Neither basis
+    vector of the smaller system is coherent, and the built system holds
+    one row per rank.  No shape with d <= 18 and at most 8 parts was found to need
     a ratio row; these were found by a random search over deeper ones."""
     lam = Partition(parts)
-    system = build_relation_system(lam, p)
+    system = stream_system(lam, p)
+    built = build_relation_system(lam, p)
+    assert dense_echelon(built) == dense_echelon(system)
+    assert len(built.rows) == rank
     reduced = without_rows(system, lambda tag: tag == ratio_tag)
     assert len(system.row_tags) - len(reduced.row_tags) == 1
     assert system.num_slots == rank + 1

@@ -293,8 +293,7 @@ class _GainForest:
     ``parent[v]`` and ``gain[v]`` say y_v = gain[v] * y_parent[v]; a root
     is its own parent, with gain 1.  ``zero[root]`` marks a tree whose
     nodes are all forced to 0.  A root is always the largest node of its
-    tree.  The nodes are slot positions in ``_gain_graph_rows`` and the
-    indices of pairs of rows in ``_commuting_rows``.
+    tree.  The nodes are the slot positions of ``_gain_graph_rows``.
     """
 
     __slots__ = ("p", "parent", "gain", "zero")
@@ -533,17 +532,25 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
     * link rows std_Q(i0) y(P)_{j0} - std_P(j0) y(Q)_{i0} for every edge
       {P, Q} of the disjointness graph on N.  The edge vectors of a graph
       span the same space as those of a spanning forest, so one link per
-      forest edge is enough.  The forest keeps each edge, in lexicographic
-      pair order, whose ends are not yet joined by the edges kept before
-      it; that decision depends only on the edge order, so the rows are
-      deterministic.  A ``_GainForest`` (all gains 1) tracks the trees.
+      forest edge is enough.  The forest is that of a breadth-first
+      search: each component starts at its first pair in lexicographic
+      order, and each pair P taken from the queue links to every pair not
+      yet reached that is disjoint from P, in lexicographic order, which
+      then joins the queue.  A pair is reached once, by one link from a
+      pair reached before it, so the links form a tree on each component;
+      the search reads only the pair order, so the rows are deterministic.
 
-    A pair P contributes at most part_r zero and ratio rows, and at most
-    part_r - 1 when P is in N; the forest has fewer than |N| edges.  So
-    there are at most ``slot_count(lam)`` rows in all.  Each std_P is a
-    prefix of C(part_q + j, j) over j <= part_{q+1}, computed once per q.
-    Tags are ("C", "zero", q, r, j) and ("C", "ratio", q, r, j), pair by
-    pair in ascending order, then ("C", "link", q, r, s, t).
+    P = (q, r) has a disjoint partner in N exactly when fewer than |N|
+    pairs of N meet P.  With degree[x] the number of pairs of N that hold
+    row x, those are degree[q] + degree[r] pairs, less one when P is in N
+    (P holds both q and r).  A pair P contributes at most part_r zero and
+    ratio rows, and at most part_r - 1 when P is in N; the forest has
+    fewer than |N| edges.  So there are at most ``slot_count(lam)`` rows
+    in all.  Each std_P is a prefix of C(part_q + j, j) over j <=
+    part_{q+1}, computed once per q.  Tags are ("C", "zero", q, r, j) and
+    ("C", "ratio", q, r, j), pair by pair in ascending order, then
+    ("C", "link", q, r, s, t) for the link from P = (q, r) to the pair
+    Q = (s, t) it reaches, in the order of the search.
     """
     n = lam.n
     if n < 4:
@@ -553,18 +560,22 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
     std = _commuting_std(lam, p)
     pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
     lead = {}  # P in N -> j0 = min S_P
+    degree = [0] * (n + 1)  # row x -> pairs of N that hold it
     for q, r in pairs:
         values = std[q - 1]
         j0 = next((j for j in range(1, parts[r - 1] + 1) if values[j - 1]), 0)
         if j0:
             lead[q, r] = j0
+            degree[q] += 1
+            degree[r] += 1
 
+    size = len(lead)
     for q, r in pairs:
-        if all(q in Q or r in Q for Q in lead):
+        j0 = lead.get((q, r))
+        if degree[q] + degree[r] - (j0 is not None) >= size:
             continue  # no disjoint partner in N
         base = offsets[q][r] - 1
         values = std[q - 1]
-        j0 = lead.get((q, r))
         for j in range(1, parts[r - 1] + 1):
             if not values[j - 1]:
                 yield ("C", "zero", q, r, j), {base + j: 1}
@@ -574,33 +585,26 @@ def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, 
                     base + j: values[j0 - 1],
                 }
 
-    # The spanning forest, over the indices of the pairs in N; once it is
-    # one tree, every later edge closes a cycle.
-    heads = list(lead)
-    forest = _GainForest(len(heads), p)
-    find, parent = forest.find, forest.parent
-    trees = len(heads)
-    for k, (q, r) in enumerate(heads):
-        for l in range(k + 1, len(heads)):
-            s, t = heads[l]
-            if s in (q, r) or t in (q, r):
-                continue
-            x, y = parent[k], parent[l]
-            if parent[x] != x:
-                x = find(k)[0]
-            if parent[y] != y:
-                y = find(l)[0]
-            if x == y:
-                continue
-            forest.join(x, 1, y, -1)
-            j0, i0 = lead[q, r], lead[s, t]
-            yield ("C", "link", q, r, s, t), {
-                offsets[q][r] + j0 - 1: std[s - 1][i0 - 1],
-                offsets[s][t] + i0 - 1: -std[q - 1][j0 - 1] % p,
-            }
-            trees -= 1
-            if trees == 1:
+    # The breadth-first search; ``unreached`` keeps lexicographic order.
+    unreached = list(lead)
+    while unreached:
+        queue = [unreached.pop(0)]
+        for q, r in queue:  # the pairs reached below join the queue
+            if not unreached:
                 return
+            j0 = lead[q, r]
+            left = []
+            for s, t in unreached:
+                if s in (q, r) or t in (q, r):
+                    left.append((s, t))
+                    continue
+                i0 = lead[s, t]
+                yield ("C", "link", q, r, s, t), {
+                    offsets[q][r] + j0 - 1: std[s - 1][i0 - 1],
+                    offsets[s][t] + i0 - 1: -std[q - 1][j0 - 1] % p,
+                }
+                queue.append((s, t))
+            unreached = left
 
 
 def _digit_max(n: int, h: int, p: int) -> int:
@@ -775,8 +779,12 @@ def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, i
                     yield ("B", r, s, t, row[0][0]), {where[col]: coef for col, coef in row}
 
 
-def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list[RowTag]]:
+def _gain_graph_rows(
+    lam: Partition, p: int, ceiling: int
+) -> tuple[list[dict[int, int]], list[RowTag]]:
     """Rows spanning the paper's relations of ``lam``, and their tags.
+
+    ``ceiling`` is ``_rank_ceiling(lam, p)``, which the caller computes.
 
     Relations are fed in turn to a ``_GainForest`` over the slot
     positions, which moves each onto the roots of its slots (y_v = g *
@@ -802,7 +810,7 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       triple.  A block row is defined only mod p, with no integer row
       behind it for the skip's argument, so its sum on the tree is always
       computed.
-    * ``_rank_ceiling`` ends the feed: the live roots, those not marked
+    * ``ceiling`` ends the feed: the live roots, those not marked
       zero, start at one per slot, and each join or zero mark removes
       one, so the zero and link relations the forest holds have rank
       V - live.  No row is fed once that rank reaches the ceiling.
@@ -870,7 +878,7 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     # lowers it by one.  The rows stop once it reaches ``floor``, where the
     # zero and link rows reach the rank ceiling.
     live = len(slots)
-    floor = live - _rank_ceiling(lam, p)
+    floor = live - ceiling
 
     if lam.n >= 4:
         stream = _spanning_rows(lam, p)
@@ -979,6 +987,14 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     triple's three-row system has no more candidate rows and slots than
     ``lam``'s, so no block is ever refused.
     """
+    return _built_system(lam, p)[0]
+
+
+def _built_system(lam: Partition, p: int) -> tuple[RelationSystem, int]:
+    """``build_relation_system(lam, p)`` and ``_rank_ceiling(lam, p)``.
+
+    The ceiling is computed once, for the build and for the rank.
+    """
     validate_prime(p)
     vdim = slot_count(lam)
     cells = _candidate_row_count(lam) * vdim
@@ -987,8 +1003,9 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
             f"relation system for {lam} has {cells} candidate cells "
             f"(rows x slots), above the budget of {MAX_CELLS}"
         )
-    rows, tags = _gain_graph_rows(lam, p)
-    return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags))
+    ceiling = _rank_ceiling(lam, p)
+    rows, tags = _gain_graph_rows(lam, p, ceiling)
+    return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags)), ceiling
 
 
 @lru_cache(maxsize=1024)
@@ -1004,12 +1021,26 @@ def _triple_block(a: int, b: int, c: int, p: int) -> tuple[tuple[tuple[int, int]
     at most b + 2c rows, and a row's entries other than its pivot lie on
     the block's free columns.
     """
-    echelon = _echelon(build_relation_system(Partition((a, b, c)), p))
+    system, ceiling = _built_system(Partition((a, b, c)), p)
+    echelon = _reduce(system.rows, p, ceiling)
     return tuple(((pivot, 1), *sorted(echelon[pivot].items())) for pivot in sorted(echelon))
 
 
 def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     """The RREF of the system's rows as {pivot column: {free column: coef}}.
+
+    ``_reduce`` of all of them, stopped at ``_rank_ceiling``.  Precondition:
+    the system's rows lie in the span of the relation rows of
+    ``system.lam``.  Every ``build_relation_system`` result satisfies it,
+    and so does any subset of its rows.  Their rank is then at most the
+    ceiling, so the unique RREF, ``nullspace``, ``dim_E`` and every basis
+    are those of all the rows.
+    """
+    return _reduce(system.rows, system.p, _rank_ceiling(system.lam, system.p))
+
+
+def _reduce(rows: tuple[dict[int, int], ...], p: int, full: int) -> dict[int, dict[int, int]]:
+    """The RREF of ``rows`` over F_p as {pivot column: {free column: coef}}.
 
     Exact sparse Gauss-Jordan over F_p.  Each row in turn has the running
     RREF substituted for its pivot columns; a surviving row becomes the
@@ -1026,18 +1057,13 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     running RREF, and memory is at most one sparse row per slot, and as
     much again for the index.
 
-    Precondition: the system's rows lie in the span of the relation rows
-    of ``system.lam``.  Every ``build_relation_system`` result satisfies
-    it, and so does any subset of its rows.  The elimination then stops
-    once the pivot rows reach ``_rank_ceiling``: the rows not yet read
-    add nothing, so the unique RREF, ``nullspace``, ``dim_E`` and every
-    basis are those of all the rows.
+    Precondition: the rows have rank at most ``full``.  The elimination
+    stops once the pivot rows reach it: the rows not yet read then add
+    nothing, so the result is the RREF of all the rows.
     """
-    p = system.p
-    full = _rank_ceiling(system.lam, p)
     rref: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}  # column -> pivots whose rows hold it
-    for sparse in system.rows:
+    for sparse in rows:
         row = sparse.copy()
         for col in [col for col in sparse if col in rref]:
             _subtract(row, row.pop(col), rref[col], p)
@@ -1102,10 +1128,45 @@ def nullspace(system: RelationSystem) -> list[MultiSequence]:
     ]
 
 
+def _rank(system: RelationSystem, ceiling: int) -> int:
+    """The rank of a ``build_relation_system`` result; ``ceiling`` is its ``_rank_ceiling``.
+
+    It is the number of zero and link rows, plus the rank of the long rows
+    before them, which ``_reduce`` finds from those rows alone.  The proof
+    reads the form of the system (``_gain_graph_rows``).  Call a slot a
+    live root when it is the root of a tree not marked zero.
+
+    * Each zero row y_v = 0 and each link row y_v - g * y_root has a term
+      on its own slot v, and v is not a live root: it lies in a zero tree,
+      or it is not a root.
+    * No other row has a term on v.  Each slot has at most one zero or
+      link row.  A link row's other term is on the root of a tree not
+      marked zero, so on a live root.  A long row is moved onto the final
+      roots with its terms on zero trees dropped, so it lies on live roots
+      only.
+    * So in a combination of the rows that sums to 0, the entry of the sum
+      on v is the coefficient of v's row, which is therefore 0.  What is
+      left is a combination of the long rows that sums to 0.
+
+    Hence the zero and link rows are independent, and independent of the
+    long rows, and the rank is their number plus the rank of the long
+    rows.  That total is at most ``ceiling``, so the long rows have rank
+    at most ``ceiling`` less that number, where ``_reduce`` stops.
+    """
+    tags = system.row_tags
+    long = next((k for k, tag in enumerate(tags) if tag[0] in ("zero", "link")), len(tags))
+    short = len(tags) - long
+    return short + len(_reduce(system.rows[:long], system.p, ceiling - short))
+
+
 def dim_E(lam: Partition, p: int) -> int:
-    """Dimension of the space of coherent multi-sequences."""
-    system = build_relation_system(lam, p)
-    return system.num_slots - len(_echelon(system))
+    """Dimension of the space of coherent multi-sequences.
+
+    V less the rank of the built system, which ``_rank`` reads from the
+    count of its zero and link rows and the rank of its long rows alone.
+    """
+    system, ceiling = _built_system(lam, p)
+    return system.num_slots - _rank(system, ceiling)
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:
@@ -1113,8 +1174,12 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
 
     dim_E is V less the rank, and ``_rank_ceiling`` is V less one exactly
     when ``lam`` is not James, so this is ``_rank_ceiling`` less the rank.
+    The rank is the number of zero and link rows of the built system plus
+    the rank of its long rows alone (``_rank`` proves it); the ceiling is
+    computed once, for the build and for the rank.
     """
-    return _rank_ceiling(lam, p) - len(_echelon(build_relation_system(lam, p)))
+    system, ceiling = _built_system(lam, p)
+    return ceiling - _rank(system, ceiling)
 
 
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
@@ -34,6 +34,8 @@ from spechtex.coherence import (
     _echelon,
     _iter_relation_rows,
     _live_pair_rows,
+    _rank,
+    _rank_ceiling,
     _relation_tags,
     _row_terms,
     _spanning_rows,
@@ -542,6 +544,25 @@ def test_echelon_rank_matches_the_dense_rank_at_the_ceiling():
     assert {(False, 1), (False, 2), (True, 1)} <= seen
 
 
+def test_rank_from_the_slot_rows_matches_the_echelon():
+    # `_rank` counts the zero and link rows and reduces only the long rows
+    # before them; it must give the rank of every row of the system.
+    cases = [
+        (lam, p)
+        for p in (2, 3, 5, 7)
+        for d in range(13)
+        for lam in enumerate_partitions(d, max(d, 1))
+    ]
+    cases += [(Partition((1,) * 14), 3), (Partition((999999, 35, 30, 20)), 7)]
+    long_rows = {}
+    for lam, p in cases:
+        system = build_relation_system(lam, p)
+        assert _rank(system, _rank_ceiling(lam, p)) == len(_echelon(system)), (p, lam.parts)
+        long_rows[lam.parts, p] = sum(tag[0] not in ("zero", "link") for tag in system.row_tags)
+    assert long_rows[(1, 1, 1, 1), 3] == long_rows[(4, 1, 1, 1), 3] == 4
+    assert long_rows[(3, 3, 1, 1), 5] == 4
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     parts=st.lists(st.integers(1, 6), min_size=1, max_size=6),
@@ -759,23 +780,57 @@ def test_gain_graph_build_memory_stays_small_on_a_wide_two_row_shape():
     assert peak <= 8 * 2**20, peak
 
 
-def test_commuting_links_are_the_lexicographic_spanning_forest():
-    # The link rows of ``_commuting_rows`` follow the forest that keeps an
-    # edge of the disjointness graph exactly when no earlier kept edge
-    # already joins its ends, edges in lexicographic pair order; computed
-    # here by a search over the kept edges instead of a union-find.
-    for p in (2, 3, 5):
+def test_commuting_links_are_the_breadth_first_spanning_forest():
+    # The link rows of ``_commuting_rows`` follow a breadth-first search of
+    # the disjointness graph on the pairs with a (C) head, each component
+    # started at its first pair in lexicographic order; computed here from
+    # adjacency lists.  Independently of the search order, every link
+    # joins two disjoint head pairs, and the links are a spanning tree of
+    # each component of the graph.
+    for p in (2, 3, 5, 7):
         for d in range(4, 13):
             for lam in enumerate_partitions(d, d):
                 heads = supported_pairs(lam, p)
-                kept = []
-                for k, (q, r) in enumerate(heads):
-                    for s, t in heads[k + 1 :]:
-                        if {q, r} & {s, t} or reachable(kept, (q, r), (s, t)):
-                            continue
-                        kept.append((q, r, s, t))
+                edges = [
+                    (*P, *Q)
+                    for k, P in enumerate(heads)
+                    for Q in heads[k + 1 :]
+                    if not set(P) & set(Q)
+                ]
                 links = [tag[2:] for tag, _row in _commuting_rows(lam, p) if tag[1] == "link"]
-                assert links == kept, (p, lam.parts)
+                assert links == breadth_first_forest(heads), (p, lam.parts)
+                for q, r, s, t in links:
+                    assert (q, r) in heads and (s, t) in heads, (p, lam.parts)
+                    assert not {q, r} & {s, t}, (p, lam.parts)
+                left = list(heads)
+                while left:
+                    start = left[0]
+                    component = [P for P in left if reachable(edges, start, P)]
+                    left = [P for P in left if P not in component]
+                    inside = [link for link in links if link[:2] in component]
+                    assert len(inside) == len(component) - 1, (p, lam.parts)
+                    assert all(reachable(inside, start, P) for P in component), (p, lam.parts)
+
+
+def breadth_first_forest(heads):
+    """The edges (q, r, s, t) of a breadth-first search of the disjointness
+    graph on ``heads``, each component from its first pair in ``heads``,
+    each pair's neighbours in ``heads`` order."""
+    neighbours = {P: [Q for Q in heads if not set(P) & set(Q)] for P in heads}
+    seen, forest = set(), []
+    for start in heads:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            P = queue.popleft()
+            for Q in neighbours[P]:
+                if Q not in seen:
+                    seen.add(Q)
+                    queue.append(Q)
+                    forest.append((*P, *Q))
+    return forest
 
 
 def supported_pairs(lam, p):

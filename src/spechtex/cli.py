@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .classifier import Classification, ext1_dim, h0_dim, sl2_verdict
 from .coherence import (
     build_relation_system,
+    check_budget,
     ext1_dim_oracle,
     nullspace,
 )
@@ -136,6 +137,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for d in range(args.d_max + 1):
         parts_max = args.parts_max if args.parts_max is not None else max(d, 1)
         for lam in enumerate_partitions(d, parts_max):
+            check_budget(lam)  # refuse the range before classifying any of it
             tasks.append((p, lam.parts))
 
     workers = min(args.jobs, len(tasks), _usable_cpus())

@@ -170,9 +170,10 @@ class RelationSystem:
     relations fed to it.  First come the long rows, on the roots of its
     trees, each tagged by the row it came from: a (T3a) or (T3b) relation
     with at most three rows, a triple block row ("B", r, s, t, local
-    pivot) of ``_spanning_rows`` with four or more (its (C) rows have at
-    most two terms, so none is long).  Then, slot by slot, ("zero", r, s,
-    i) for y(r,s)_i = 0 and ("link", r, s, i) for y(r,s)_i = g * y_root.
+    pivot) of ``_spanning_rows`` with four or more ((C) is written into
+    the trees before any row is fed, so no long row comes from it).
+    Then, slot by slot, ("zero", r, s, i) for y(r,s)_i = 0 and ("link",
+    r, s, i) for y(r,s)_i = g * y_root.
     There may be no long rows once the build reaches ``_rank_ceiling``.
     Which link and long rows are kept follows the order the gain graph is
     fed in, not the order of ``_relation_tags``; their span does not.  Why
@@ -186,6 +187,7 @@ class RelationSystem:
     row_tags: tuple[RowTag, ...]
 
 
+@lru_cache(maxsize=8)
 def _rank_ceiling(lam: Partition, p: int) -> int:
     """The largest rank the relation rows of ``lam`` at ``p`` can have.
 
@@ -195,7 +197,9 @@ def _rank_ceiling(lam: Partition, p: int) -> int:
     nonzero solution leaves the rows rank at most V - 1.  So a set of
     rows that lies in the span of the relation rows and reaches this rank
     spans all of them, and the rows not yet read add nothing.  The same
-    solution is the one ``ext1_dim_oracle`` takes out of dim_E.
+    solution is the one ``ext1_dim_oracle`` takes out of dim_E.  Kept
+    for the last few (lam, p), so a build and the reduction of its system
+    compute it once.
     """
     return slot_count(lam) - (0 if is_james_partition(lam, p) else 1)
 
@@ -208,8 +212,8 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
     so the row order is deterministic.  Only ``_tagged_rows`` reads them:
     the build lists its two-term rows with ``_live_pair_rows`` and its
     (T3a) and (T3b) rows with ``_tags_touching``, and the library reads
-    the (C) rows from ``_commuting_rows``; ``_iter_relation_rows`` lists
-    both orders.
+    the (C) relations from ``_commuting_classes``; ``_iter_relation_rows``
+    lists both orders of the (C) rows.
     """
     n = lam.n
     part = (0,) + lam.parts  # part[r] = part_r
@@ -456,8 +460,9 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
 
     ``_tagged_rows``, then both orders ("C", q, r, s, t, i, j) of every (C)
     row std_Q(i) y(P)_j - std_P(j) y(Q)_i, P = (q, r) and Q = (s, t)
-    disjoint.  The library reads (C) from ``_commuting_rows``, which spans
-    these; the stream is for callers that count rows per family.
+    disjoint.  The library reads (C) from ``_commuting_classes``, which
+    says what these rows say; the stream is for callers that count rows
+    per family.
     """
     yield from _tagged_rows(lam, p)
     offsets, std, n = _pair_offsets(lam), _commuting_std(lam, p), lam.n
@@ -502,109 +507,88 @@ def _commuting_std(lam: Partition, p: int) -> list[list[int]]:
     ]
 
 
-def _commuting_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
-    """A spanning set of the (C) rows of both orders of every block.
+def _commuting_classes(lam: Partition, p: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The (C) relations of ``lam`` at ``p``, as zero slots and classes of slots.
 
     For a pair P = (q, r) let std_P(j) = C(part_q + j, j) mod p for
-    1 <= j <= part_r, S_P the j with std_P(j) nonzero, and N the pairs
-    with S_P nonempty.  The (C) row (P, Q, i, j) for disjoint pairs P and
-    Q = (s, t) is std_Q(i) y(P)_j - std_P(j) y(Q)_i, and the row (Q, P,
-    j, i) is its negative, so one order spans both.  In the block (P, Q):
+    1 <= j <= part_r (``_commuting_std``), S_P the j with std_P(j)
+    nonzero, and call P a head when S_P is nonempty.  The (C) row (P, Q,
+    i, j) for disjoint pairs P and Q = (s, t) is std_Q(i) y(P)_j -
+    std_P(j) y(Q)_i, and the row (Q, P, j, i) is its negative.  In the
+    block (P, Q), a row with i in S_Q and j not in S_P is a nonzero
+    multiple of y(P)_j (and symmetrically), and one with i not in S_Q and
+    j not in S_P is zero.  With f_v = y_v / std_P(j) on the slot v =
+    (P, j), a row with i in S_Q and j in S_P is std_Q(i) std_P(j)
+    (f_{P,j} - f_{Q,i}): an edge vector of the complete bipartite graph
+    on the slots of S_P and S_Q.  Over all blocks these edges connect the
+    slots of S_P over the heads P of each component of two heads or more
+    of the disjointness graph on the heads, and the edge vectors of a
+    connected graph span the differences of its nodes.  So the (C) rows
+    say exactly:
 
-    * a row with i in S_Q and j not in S_P is a nonzero multiple of
-      y(P)_j, so the block holds y(P)_j = 0 for every j not in S_P when
-      S_Q is nonempty, and by symmetry y(Q)_i = 0 for i not in S_Q when
-      S_P is nonempty; a row with i not in S_Q and j not in S_P is zero;
-    * with f_{P,j} = y(P)_j / std_P(j), a row with i in S_Q and j in S_P
-      is std_Q(i) std_P(j) (f_{P,j} - f_{Q,i}).  These are the edge
-      vectors of the complete bipartite graph on S_P and S_Q, which is
-      connected, so they span the same space as the edge vectors of any
-      spanning tree: f_{P,j} - f_{P,j0} for j in S_P, f_{Q,i} - f_{Q,i0}
-      for i in S_Q, and f_{P,j0} - f_{Q,i0}, with j0 = min S_P and
-      i0 = min S_Q.
+    * y_v = 0 on each zero slot: (P, j), j not in S_P, for every pair P
+      disjoint from some head;
+    * f_v = f_w for all slots v, w of one class: the slots (P, j), j in
+      S_P, of the heads P of one such component.
 
-    Over all blocks, the (C) rows therefore span exactly
+    With the largest slot of each class K as its root, the relations y_v
+    = 0 on the zero slots and y_v std_root - y_root std_v = 0 on the other
+    slots v of each class span these, as f_v - f_w = (f_v - f_root) - (f_w
+    - f_root).  They are independent: each has a term on its own slot v,
+    which no other one has, as zero slots and classes are disjoint and a
+    root has no relation of its own.  So they are #zeros + sum(|K| - 1)
+    independent relations in the span of the paper's rows.
 
-    * zero rows y(P)_j = 0 for j not in S_P, for every P with a disjoint
-      partner in N;
-    * ratio rows std_P(j0) y(P)_j - std_P(j) y(P)_{j0} for j in S_P other
-      than j0, for every P in N with a disjoint partner in N;
-    * link rows std_Q(i0) y(P)_{j0} - std_P(j0) y(Q)_{i0} for every edge
-      {P, Q} of the disjointness graph on N.  The edge vectors of a graph
-      span the same space as those of a spanning forest, so one link per
-      forest edge is enough.  The forest is that of a breadth-first
-      search: each component starts at its first pair in lexicographic
-      order, and each pair P taken from the queue links to every pair not
-      yet reached that is disjoint from P, in lexicographic order, which
-      then joins the queue.  A pair is reached once, by one link from a
-      pair reached before it, so the links form a tree on each component;
-      the search reads only the pair order, so the rows are deterministic.
-
-    P = (q, r) has a disjoint partner in N exactly when fewer than |N|
-    pairs of N meet P.  With degree[x] the number of pairs of N that hold
-    row x, those are degree[q] + degree[r] pairs, less one when P is in N
-    (P holds both q and r).  A pair P contributes at most part_r zero and
-    ratio rows, and at most part_r - 1 when P is in N; the forest has
-    fewer than |N| edges.  So there are at most ``slot_count(lam)`` rows
-    in all.  Each std_P is a prefix of C(part_q + j, j) over j <=
-    part_{q+1}, computed once per q.  Tags are ("C", "zero", q, r, j) and
-    ("C", "ratio", q, r, j), pair by pair in ascending order, then
-    ("C", "link", q, r, s, t) for the link from P = (q, r) to the pair
-    Q = (s, t) it reaches, in the order of the search.
+    P has a disjoint head exactly when fewer heads than all meet it:
+    degree[q] + degree[r], with degree[x] the heads that hold row x, less
+    one when P is a head.  A breadth-first search over the heads finds the
+    components.  Returns the zero slots, ascending, and the classes in the
+    order of their first head, each as (slot position, std_P(j)) pairs in
+    ascending position.
     """
     n = lam.n
     if n < 4:
-        return  # no two disjoint pairs
+        return [], []  # no two disjoint pairs
     parts = lam.parts
     offsets = _pair_offsets(lam)
     std = _commuting_std(lam, p)
     pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
-    lead = {}  # P in N -> j0 = min S_P
-    degree = [0] * (n + 1)  # row x -> pairs of N that hold it
-    for q, r in pairs:
-        values = std[q - 1]
-        j0 = next((j for j in range(1, parts[r - 1] + 1) if values[j - 1]), 0)
-        if j0:
-            lead[q, r] = j0
-            degree[q] += 1
-            degree[r] += 1
+    heads = [(q, r) for q, r in pairs if any(std[q - 1][: parts[r - 1]])]
+    is_head = set(heads)
+    degree = [0] * (n + 1)  # row x -> heads that hold it
+    for q, r in heads:
+        degree[q] += 1
+        degree[r] += 1
 
-    size = len(lead)
+    size = len(heads)
+    zeros = []
     for q, r in pairs:
-        j0 = lead.get((q, r))
-        if degree[q] + degree[r] - (j0 is not None) >= size:
-            continue  # no disjoint partner in N
-        base = offsets[q][r] - 1
-        values = std[q - 1]
-        for j in range(1, parts[r - 1] + 1):
-            if not values[j - 1]:
-                yield ("C", "zero", q, r, j), {base + j: 1}
-            elif j0 is not None and j > j0:
-                yield ("C", "ratio", q, r, j), {
-                    base + j0: -values[j - 1] % p,
-                    base + j: values[j0 - 1],
-                }
+        if degree[q] + degree[r] - ((q, r) in is_head) < size:
+            base = offsets[q][r]
+            values = std[q - 1]
+            zeros += [base + j for j in range(parts[r - 1]) if not values[j]]
 
-    # The breadth-first search; ``unreached`` keeps lexicographic order.
-    unreached = list(lead)
+    classes = []
+    unreached = heads  # lexicographic order
     while unreached:
-        queue = [unreached.pop(0)]
-        for q, r in queue:  # the pairs reached below join the queue
+        component = [unreached[0]]
+        unreached = unreached[1:]
+        for q, r in component:  # the heads reached below join it
             if not unreached:
-                return
-            j0 = lead[q, r]
+                break
             left = []
-            for s, t in unreached:
-                if s in (q, r) or t in (q, r):
-                    left.append((s, t))
-                    continue
-                i0 = lead[s, t]
-                yield ("C", "link", q, r, s, t), {
-                    offsets[q][r] + j0 - 1: std[s - 1][i0 - 1],
-                    offsets[s][t] + i0 - 1: -std[q - 1][j0 - 1] % p,
-                }
-                queue.append((s, t))
+            for head in unreached:
+                (left if q in head or r in head else component).append(head)
             unreached = left
+        if len(component) > 1:
+            component.sort()
+            classes.append([
+                (offsets[q][r] + j, value)
+                for q, r in component
+                for j, value in enumerate(std[q - 1][: parts[r - 1]])
+                if value
+            ])
+    return zeros, classes
 
 
 def _digit_max(n: int, h: int, p: int) -> int:
@@ -746,10 +730,9 @@ def _t3_rows(
 
 
 def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
-    """Rows spanning every relation row of ``lam`` with four rows or more.
+    """Rows spanning the (E) and (T) rows of ``lam`` with four rows or more.
 
-    The (C) spanning rows of ``_commuting_rows`` (``tag[0] == "C"``), then,
-    for every triple r < s < t in lexicographic order, the rows of
+    For every triple r < s < t in lexicographic order, the rows of
     ``_triple_block(part_r, part_s, part_t, p)`` moved onto the pairs
     (r, s), (r, t) and (s, t), tagged ("B", r, s, t, local pivot), each as
     {slot position: coefficient}.  They are generated as they are read,
@@ -767,7 +750,6 @@ def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, i
     * with n >= 3 every pair lies in some triple, so every (E) row is in
       some block; and a union of row sets spans the sum of their spans.
     """
-    yield from _commuting_rows(lam, p)
     n, parts, offsets = lam.n, lam.parts, _pair_offsets(lam)
     for r in range(1, n - 1):
         for s in range(r + 1, n):
@@ -779,12 +761,8 @@ def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, i
                     yield ("B", r, s, t, row[0][0]), {where[col]: coef for col, coef in row}
 
 
-def _gain_graph_rows(
-    lam: Partition, p: int, ceiling: int
-) -> tuple[list[dict[int, int]], list[RowTag]]:
+def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list[RowTag]]:
     """Rows spanning the paper's relations of ``lam``, and their tags.
-
-    ``ceiling`` is ``_rank_ceiling(lam, p)``, which the caller computes.
 
     Relations are fed in turn to a ``_GainForest`` over the slot
     positions, which moves each onto the roots of its slots (y_v = g *
@@ -805,14 +783,16 @@ def _gain_graph_rows(
       only for a slot outside a zero tree, through a memo kept for the
       one call.  Then the (T3a) and (T3b) rows of ``_t3_rows``, read from
       the slots outside zero trees.
-    * With four rows or more, the rows of ``_spanning_rows`` as they are
-      generated: the (C) spanning rows, then the triple blocks, triple by
-      triple.  A block row is defined only mod p, with no integer row
-      behind it for the skip's argument, so its sum on the tree is always
-      computed.
-    * ``ceiling`` ends the feed: the live roots, those not marked
-      zero, start at one per slot, and each join or zero mark removes
-      one, so the zero and link relations the forest holds have rank
+    * With four rows or more, the forest starts from the independent
+      (C) relations of ``_commuting_classes``: each zero slot marked zero,
+      and each class one tree on its largest slot, with gain std_v /
+      std_root on its other slots.  Then the triple blocks of
+      ``_spanning_rows`` are fed as they are generated.  A block row is
+      defined only mod p, with no integer row behind it for the skip's
+      argument, so its sum on the tree is always computed.
+    * ``_rank_ceiling`` ends the feed: the live roots, those not marked
+      zero, start at one per slot, and each join, zero mark or (C)
+      relation removes one, so the relations the forest holds have rank
       V - live.  No row is fed once that rank reaches the ceiling.
 
     The rows returned, in this order, are: each long row moved onto the
@@ -829,17 +809,19 @@ def _gain_graph_rows(
 
     * Every row returned is a combination of the paper's rows.  Every row
       fed is one: a paper row, or a row of ``_spanning_rows``, which span
-      the same rows (the proof is there).  A join, a zero mark or a long
+      the paper's (E) and (T) rows (the proof is there), and so are the
+      (C) relations the forest starts with.  A join, a zero mark or a long
       row is its relation minus multiples of the zero and link relations
       the forest held before it, so by induction every zero and link
       relation the forest ever holds, and every long row, lies in the
-      span of the relations fed so far.
+      span of the (C) relations and the relations fed so far.
     * If the ceiling did not end the build, every paper row lies in W
       plus the span of the long rows.  The forest only gains joins and
       zero marks, so what it held at any time lies in W.  A relation fed
       to it is therefore in W, or, for a long row, the final long row plus
-      an element of W.  With four rows or more every row of
-      ``_spanning_rows`` was fed, and they span the paper's rows.  With
+      an element of W.  With four rows or more the forest started with
+      relations spanning the (C) rows, and every row of
+      ``_spanning_rows``, spanning the others, was fed.  With
       at most three, every (E), (T1) and (T2) row with a coefficient
       nonzero mod p was fed; the others are zero rows.  If some (T3a) or
       (T3b) row is never fed, some y(2,3)_j was in a zero tree when
@@ -878,10 +860,21 @@ def _gain_graph_rows(
     # lowers it by one.  The rows stop once it reaches ``floor``, where the
     # zero and link rows reach the rank ceiling.
     live = len(slots)
-    floor = live - ceiling
+    floor = live - _rank_ceiling(lam, p)
 
     if lam.n >= 4:
-        stream = _spanning_rows(lam, p)
+        zeros, classes = _commuting_classes(lam, p)
+        for v in zeros:
+            zero[v] = True
+        live -= len(zeros)
+        for cls in classes:
+            root, top = cls.pop()
+            inv = pow(top, p - 2, p)
+            for v, value in cls:
+                parent[v] = root
+                gain[v] = value * inv % p
+            live -= len(cls)
+        stream = _spanning_rows(lam, p) if live > floor else ()
     else:
         binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
         cached = binom.get
@@ -976,36 +969,30 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     With at most three rows the relations fed are the paper's: the (E),
     (T1) and (T2) rows, those with two coefficients nonzero mod p first,
     then the (T3a) and (T3b) rows from the slots not forced to 0.  With
-    four or more they are the (C) spanning rows of ``_commuting_rows``
-    and then, triple by triple, the rows of each triple's three-row RREF
-    (``_triple_block``) moved onto its pairs (``_spanning_rows``), so the
-    unique RREF, ``nullspace``, ``dim_E`` and every basis are those of the
-    paper's rows.
+    four or more the forest starts with the (C) relations of
+    ``_commuting_classes``, and then, triple by triple, the rows of each
+    triple's three-row RREF (``_triple_block``) moved onto its pairs
+    (``_spanning_rows``) are fed, so the unique RREF, ``nullspace``,
+    ``dim_E`` and every basis are those of the paper's rows.
 
-    Raises ``SystemTooLargeError`` before generating any row or block when
-    the paper's candidate rows times the slots exceed ``MAX_CELLS``.  A
-    triple's three-row system has no more candidate rows and slots than
-    ``lam``'s, so no block is ever refused.
-    """
-    return _built_system(lam, p)[0]
-
-
-def _built_system(lam: Partition, p: int) -> tuple[RelationSystem, int]:
-    """``build_relation_system(lam, p)`` and ``_rank_ceiling(lam, p)``.
-
-    The ceiling is computed once, for the build and for the rank.
+    Raises ``SystemTooLargeError`` before generating any row or block
+    (``check_budget``).  A triple's three-row system has no more candidate
+    rows and slots than ``lam``'s, so no block is ever refused.
     """
     validate_prime(p)
-    vdim = slot_count(lam)
-    cells = _candidate_row_count(lam) * vdim
+    check_budget(lam)
+    rows, tags = _gain_graph_rows(lam, p)
+    return RelationSystem(lam, p, slot_count(lam), tuple(rows), tuple(tags))
+
+
+def check_budget(lam: Partition) -> None:
+    """Raise ``SystemTooLargeError`` if ``lam`` has over ``MAX_CELLS`` candidate rows x slots."""
+    cells = _candidate_row_count(lam) * slot_count(lam)
     if cells > MAX_CELLS:
         raise SystemTooLargeError(
             f"relation system for {lam} has {cells} candidate cells "
             f"(rows x slots), above the budget of {MAX_CELLS}"
         )
-    ceiling = _rank_ceiling(lam, p)
-    rows, tags = _gain_graph_rows(lam, p, ceiling)
-    return RelationSystem(lam, p, vdim, tuple(rows), tuple(tags)), ceiling
 
 
 @lru_cache(maxsize=1024)
@@ -1021,8 +1008,7 @@ def _triple_block(a: int, b: int, c: int, p: int) -> tuple[tuple[tuple[int, int]
     at most b + 2c rows, and a row's entries other than its pivot lie on
     the block's free columns.
     """
-    system, ceiling = _built_system(Partition((a, b, c)), p)
-    echelon = _reduce(system.rows, p, ceiling)
+    echelon = _echelon(build_relation_system(Partition((a, b, c)), p))
     return tuple(((pivot, 1), *sorted(echelon[pivot].items())) for pivot in sorted(echelon))
 
 
@@ -1128,8 +1114,8 @@ def nullspace(system: RelationSystem) -> list[MultiSequence]:
     ]
 
 
-def _rank(system: RelationSystem, ceiling: int) -> int:
-    """The rank of a ``build_relation_system`` result; ``ceiling`` is its ``_rank_ceiling``.
+def _rank(system: RelationSystem) -> int:
+    """The rank of a ``build_relation_system`` result.
 
     It is the number of zero and link rows, plus the rank of the long rows
     before them, which ``_reduce`` finds from those rows alone.  The proof
@@ -1150,12 +1136,13 @@ def _rank(system: RelationSystem, ceiling: int) -> int:
 
     Hence the zero and link rows are independent, and independent of the
     long rows, and the rank is their number plus the rank of the long
-    rows.  That total is at most ``ceiling``, so the long rows have rank
-    at most ``ceiling`` less that number, where ``_reduce`` stops.
+    rows.  That total is at most ``_rank_ceiling``, so the long rows have
+    rank at most the ceiling less that number, where ``_reduce`` stops.
     """
     tags = system.row_tags
     long = next((k for k, tag in enumerate(tags) if tag[0] in ("zero", "link")), len(tags))
     short = len(tags) - long
+    ceiling = _rank_ceiling(system.lam, system.p)
     return short + len(_reduce(system.rows[:long], system.p, ceiling - short))
 
 
@@ -1165,8 +1152,8 @@ def dim_E(lam: Partition, p: int) -> int:
     V less the rank of the built system, which ``_rank`` reads from the
     count of its zero and link rows and the rank of its long rows alone.
     """
-    system, ceiling = _built_system(lam, p)
-    return system.num_slots - _rank(system, ceiling)
+    system = build_relation_system(lam, p)
+    return system.num_slots - _rank(system)
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:
@@ -1175,11 +1162,10 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
     dim_E is V less the rank, and ``_rank_ceiling`` is V less one exactly
     when ``lam`` is not James, so this is ``_rank_ceiling`` less the rank.
     The rank is the number of zero and link rows of the built system plus
-    the rank of its long rows alone (``_rank`` proves it); the ceiling is
-    computed once, for the build and for the rank.
+    the rank of its long rows alone (``_rank`` proves it).
     """
-    system, ceiling = _built_system(lam, p)
-    return ceiling - _rank(system, ceiling)
+    system = build_relation_system(lam, p)
+    return _rank_ceiling(lam, p) - _rank(system)
 
 
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
@@ -1198,11 +1184,12 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     the row was read there, and it is skipped without a record of the rows
     read.  This walk costs in proportion to the rows touching the nonzero
     slots and their terms, not to the whole system, and its memory does
-    not grow with them.  (C) is then checked on every row of
-    ``_commuting_rows``, which span both orders of every (C) row: at most
-    ``slot_count(lam)`` rows and the binomials std_P(j), whatever the
-    support.  Raises ``ValueError`` unless ``ms`` is a multi-sequence of
-    ``lam`` at ``p``.
+    not grow with them.  (C) is then checked as ``_commuting_classes``
+    states it: no zero slot in the support, and y_v std_w = y_w std_v on
+    each class, w its first slot, so a class is in the support wholly or
+    not at all, with one value of y / std; at most one read per slot.
+    Raises ``ValueError`` unless ``ms`` is a multi-sequence of ``lam`` at
+    ``p``.
     """
     validate_prime(p)
     if (ms.lam, ms.p) != (lam, p):
@@ -1224,7 +1211,12 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
             else:
                 if total % p:
                     return False
-    for _tag, row in _commuting_rows(lam, p):
-        if sum(coef * support[pos] for pos, coef in row.items() if pos in support) % p:
-            return False
+    zeros, classes = _commuting_classes(lam, p)
+    if any(pos in support for pos in zeros):
+        return False
+    for (first, std_first), *rest in classes:
+        y_first = support.get(first, 0)
+        for pos, std in rest:
+            if (support.get(pos, 0) * std_first - y_first * std) % p:
+                return False
     return True

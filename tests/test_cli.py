@@ -4,6 +4,7 @@ import time
 import pytest
 
 import spechtex.cli
+import spechtex.coherence
 from spechtex.cli import main
 
 
@@ -115,6 +116,19 @@ def test_oversized_oracle_system_exits_2(capsys):
         capsys, "classify", "--p", "3", "--lambda", "1000,1000,1000", "--method", "closed"
     )
     assert code == 0
+
+
+def test_sweep_refuses_an_over_budget_range_before_classifying_any(capsys, monkeypatch):
+    # Under a budget of 2,000 candidate cells (1^6) is too large; the sweep
+    # checks the whole range first, so nothing is classified and no JSON
+    # is written.
+    calls = []
+    monkeypatch.setattr(spechtex.coherence, "MAX_CELLS", 2000)
+    monkeypatch.setattr(spechtex.cli, "ext1_dim", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, "sweep", "--p", "3", "--d-max", "8")
+    assert code == 2
+    assert out == "" and "(1,1,1,1,1,1) has" in err and "budget" in err
+    assert calls == []
 
 
 def test_missing_subcommand_exits_2():

@@ -30,12 +30,11 @@ from spechtex.coherence import (
     SlotIndex,
     SystemTooLargeError,
     _candidate_row_count,
-    _commuting_rows,
+    _commuting_classes,
     _echelon,
     _iter_relation_rows,
     _live_pair_rows,
     _rank,
-    _rank_ceiling,
     _relation_tags,
     _row_terms,
     _spanning_rows,
@@ -250,19 +249,50 @@ def system_of(lam, p, rows):
     )
 
 
+def commuting_rows(lam, p):
+    """The (C) relations of ``_commuting_classes`` as tagged rows.
+
+    ("C", "zero", q, r, j): y_v = 0 for each zero slot v = (q, r, j).
+    Within each class, y_v std_w - y_w std_v for the first slot w of v's
+    pair and every other slot v = (q, r, j) of that pair, tagged ("C",
+    "ratio", q, r, j); and for the first slot v of every later pair (s, t)
+    and the class's first slot w, on the pair (q, r), tagged ("C", "link",
+    q, r, s, t).  One row per slot of the relations the build writes into
+    its forest, spanning the same space."""
+    slots = canonical_slot_order(lam)
+    zeros, classes = _commuting_classes(lam, p)
+    rows = [(("C", "zero", *slots[v]), {v: 1}) for v in zeros]
+    for cls in classes:
+        first, std_first = cls[0]
+        leads = {}  # pair -> (its first slot, std there)
+        for v, std in cls:
+            q, r, j = slots[v]
+            if (q, r) not in leads:
+                leads[q, r] = v, std
+                if v != first:
+                    tag = ("C", "link", *slots[first][:2], q, r)
+                    rows.append((tag, {v: std_first, first: -std % p}))
+            else:
+                w, std_w = leads[q, r]
+                rows.append((("C", "ratio", q, r, j), {v: std_w, w: -std % p}))
+    return rows
+
+
 def paper_system(lam, p):
-    """A `RelationSystem` of the (C) spanning rows and then the paper's
-    nonzero (E), (T1), (T2), (T3a) and (T3b) rows, with no triple blocks."""
-    rows = list(_commuting_rows(lam, p))
+    """A `RelationSystem` of the (C) rows of `commuting_rows` and then the
+    paper's nonzero (E), (T1), (T2), (T3a) and (T3b) rows, with no triple
+    blocks."""
+    rows = commuting_rows(lam, p)
     rows += [(tag, sparse) for tag, sparse in _tagged_rows(lam, p) if sparse]
     return system_of(lam, p, rows)
 
 
 def stream_system(lam, p):
-    """A `RelationSystem` of every row `build_relation_system` would feed its
-    gain graph from four rows on, none of them reduced: the (C) spanning
-    rows, then every triple block moved onto its pairs (`_spanning_rows`)."""
-    return system_of(lam, p, list(_spanning_rows(lam, p)))
+    """A `RelationSystem` of every relation `build_relation_system` settles
+    in its gain graph from four rows on, none of them reduced: the (C)
+    rows of `commuting_rows`, then every triple block moved onto its pairs
+    (`_spanning_rows`)."""
+    return system_of(lam, p, commuting_rows(lam, p) + list(_spanning_rows(lam, p)))
 
 
 def assert_matches_python_rref(lam, p, system=None):
@@ -500,16 +530,24 @@ def test_relation_rows_match_the_literal_transcription_with_a_deep_top_part(top)
         assert_rows_match_transcription((top, *parts))
 
 
-def test_commuting_rows_come_first_and_are_at_most_one_per_slot():
+def test_commuting_relations_are_at_most_one_per_slot():
+    # Zero slots and classes are disjoint and a class has two slots or
+    # more, so the (C) relations number at most one per slot; from four
+    # rows on, the rows the build feeds after writing them are all blocks.
     for p in (2, 3, 5, 7):
         for d in range(15):
             for lam in enumerate_partitions(d, max(d, 1)):
-                system = stream_system(lam, p)
-                commuting = [tag[0] == "C" for tag in system.row_tags]
-                assert commuting == sorted(commuting, reverse=True), (p, lam.parts)
-                assert sum(commuting) <= system.num_slots, (p, lam.parts)
-                kinds = {tag[1] for tag in system.row_tags if tag[0] == "C"}
+                zeros, classes = _commuting_classes(lam, p)
+                members = [v for cls in classes for v, _std in cls]
+                assert all(len(cls) >= 2 for cls in classes), (p, lam.parts)
+                assert len(set(zeros + members)) == len(zeros) + len(members), (p, lam.parts)
+                rows = commuting_rows(lam, p)
+                assert len(rows) == len(zeros) + len(members) - len(classes), (p, lam.parts)
+                assert len(rows) <= slot_count(lam), (p, lam.parts)
+                kinds = {tag[1] for tag, _row in rows}
                 assert kinds <= {"zero", "ratio", "link"}, (p, lam.parts)
+                if lam.n >= 4:
+                    assert {tag[0] for tag, _row in _spanning_rows(lam, p)} == {"B"}
 
 
 #: Four to six rows, long enough that most pairs have several (C) slots.
@@ -557,7 +595,7 @@ def test_rank_from_the_slot_rows_matches_the_echelon():
     long_rows = {}
     for lam, p in cases:
         system = build_relation_system(lam, p)
-        assert _rank(system, _rank_ceiling(lam, p)) == len(_echelon(system)), (p, lam.parts)
+        assert _rank(system) == len(_echelon(system)), (p, lam.parts)
         long_rows[lam.parts, p] = sum(tag[0] not in ("zero", "link") for tag in system.row_tags)
     assert long_rows[(1, 1, 1, 1), 3] == long_rows[(4, 1, 1, 1), 3] == 4
     assert long_rows[(3, 3, 1, 1), 5] == 4
@@ -780,57 +818,60 @@ def test_gain_graph_build_memory_stays_small_on_a_wide_two_row_shape():
     assert peak <= 8 * 2**20, peak
 
 
-def test_commuting_links_are_the_breadth_first_spanning_forest():
-    # The link rows of ``_commuting_rows`` follow a breadth-first search of
-    # the disjointness graph on the pairs with a (C) head, each component
-    # started at its first pair in lexicographic order; computed here from
-    # adjacency lists.  Independently of the search order, every link
-    # joins two disjoint head pairs, and the links are a spanning tree of
-    # each component of the graph.
+def test_commuting_classes_are_the_components_of_the_disjointness_graph():
+    # The classes of ``_commuting_classes`` are the components of two
+    # heads or more of the disjointness graph on the pairs with a (C)
+    # head, found here by a plain breadth-first search over adjacency
+    # lists, in the order of their first head: each holds, in slot order,
+    # the slots (q, r, j) of its heads with std = C(part_q + j, j) nonzero
+    # mod p, and that std.  The zero slots are the (q, r, j) with std 0 mod
+    # p on every pair disjoint from some head.
     for p in (2, 3, 5, 7):
         for d in range(4, 13):
             for lam in enumerate_partitions(d, d):
+                parts = lam.parts
+                position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
+                std = {
+                    (q, r, j): pascal_binom(parts[q - 1] + j, j) % p
+                    for q, r, j in position
+                }
                 heads = supported_pairs(lam, p)
-                edges = [
-                    (*P, *Q)
-                    for k, P in enumerate(heads)
-                    for Q in heads[k + 1 :]
-                    if not set(P) & set(Q)
+                classes = [
+                    [
+                        (position[q, r, j], std[q, r, j])
+                        for q, r in component
+                        for j in range(1, parts[r - 1] + 1)
+                        if std[q, r, j]
+                    ]
+                    for component in disjointness_components(heads)
+                    if len(component) > 1
                 ]
-                links = [tag[2:] for tag, _row in _commuting_rows(lam, p) if tag[1] == "link"]
-                assert links == breadth_first_forest(heads), (p, lam.parts)
-                for q, r, s, t in links:
-                    assert (q, r) in heads and (s, t) in heads, (p, lam.parts)
-                    assert not {q, r} & {s, t}, (p, lam.parts)
-                left = list(heads)
-                while left:
-                    start = left[0]
-                    component = [P for P in left if reachable(edges, start, P)]
-                    left = [P for P in left if P not in component]
-                    inside = [link for link in links if link[:2] in component]
-                    assert len(inside) == len(component) - 1, (p, lam.parts)
-                    assert all(reachable(inside, start, P) for P in component), (p, lam.parts)
+                zeros = [
+                    position[q, r, j]
+                    for q, r, j in position
+                    if not std[q, r, j] and any(not {q, r} & set(P) for P in heads)
+                ]
+                assert _commuting_classes(lam, p) == (zeros, classes), (p, parts)
 
 
-def breadth_first_forest(heads):
-    """The edges (q, r, s, t) of a breadth-first search of the disjointness
-    graph on ``heads``, each component from its first pair in ``heads``,
-    each pair's neighbours in ``heads`` order."""
+def disjointness_components(heads):
+    """The components of the disjointness graph on ``heads``, each sorted,
+    in the order of their first pair in ``heads``."""
     neighbours = {P: [Q for Q in heads if not set(P) & set(Q)] for P in heads}
-    seen, forest = set(), []
+    seen, components = set(), []
     for start in heads:
         if start in seen:
             continue
         seen.add(start)
-        queue = deque([start])
+        component, queue = [start], deque([start])
         while queue:
-            P = queue.popleft()
-            for Q in neighbours[P]:
+            for Q in neighbours[queue.popleft()]:
                 if Q not in seen:
                     seen.add(Q)
+                    component.append(Q)
                     queue.append(Q)
-                    forest.append((*P, *Q))
-    return forest
+        components.append(sorted(component))
+    return components
 
 
 def supported_pairs(lam, p):
@@ -841,21 +882,6 @@ def supported_pairs(lam, p):
         for q, r in combinations(range(1, lam.n + 1), 2)
         if any(pascal_binom(parts[q - 1] + j, j) % p for j in range(1, parts[r - 1] + 1))
     ]
-
-
-def reachable(edges, start, goal):
-    """Whether ``goal`` is reached from ``start`` over the undirected ``edges``."""
-    neighbours = {}
-    for q, r, s, t in edges:
-        neighbours.setdefault((q, r), []).append((s, t))
-        neighbours.setdefault((s, t), []).append((q, r))
-    seen, frontier = {start}, [start]
-    while frontier:
-        for node in neighbours.get(frontier.pop(), ()):
-            if node not in seen:
-                seen.add(node)
-                frontier.append(node)
-    return goal in seen
 
 
 def built_outputs(shapes, p):
@@ -1011,7 +1037,7 @@ def dense_is_coherent(ms, lam, p):
     """The full check: every row of the relation system against the values.
 
     The rows span the same space as every relation, so this is the check
-    against every relation.  They are reduced from the (C) spanning rows
+    against every relation.  They are reduced from the (C) relations
     that ``is_coherent`` reads too; ``transcribed_is_coherent`` checks (C)
     independently."""
     rows = dense_rows(build_relation_system(lam, p))
@@ -1148,9 +1174,10 @@ def test_is_coherent_matches_dense_check_with_a_deep_top_part(top, lower, p, dat
 
 def test_is_coherent_matches_the_transcribed_commuting_rows():
     """``is_coherent`` against the transcription, per (C) row kind, on the
-    nullspace of the stream the build feeds (``stream_system``) without
-    the rows of that kind, for every partition with at least 4 rows and
-    d <= 10 at p in {2, 3, 5}.
+    nullspace of the relations the build settles (``stream_system``: the
+    rows of ``commuting_rows`` and the triple blocks) without the rows of
+    that kind, for every partition with at least 4 rows and d <= 10 at p
+    in {2, 3, 5}.
 
     The vectors that break a (C) relation here all break a link row: for
     every partition with d <= 13 at p in {2, 3, 5, 7}, the zero and ratio
@@ -1185,8 +1212,8 @@ def test_is_coherent_matches_the_transcribed_commuting_rows():
     [((5, 1, 1), 5, 9), ((5, 2, 1, 1), 9, 15), ((5, 2, 2, 1, 1), 15, 23)],
 )
 def test_zero_commuting_rows_carry_rank(top, lower, zero_rows, rank):
-    """Without its (C) zero rows, the stream the build of a split partition
-    feeds its gain graph loses one rank at p = 3: its nullspace gains a
+    """Without its (C) zero rows, the relations the build of a split
+    partition settles (``stream_system``) lose one rank at p = 3: their nullspace gains a
     vector that breaks a (C) relation, and the oracle would read ext1 = 1
     where the classifier reads 0.  The built system, reduced from the
     whole stream, holds one row per rank."""
@@ -1215,8 +1242,8 @@ def test_zero_commuting_rows_carry_rank(top, lower, zero_rows, rank):
     ],
 )
 def test_ratio_commuting_rows_carry_rank(parts, p, ratio_tag, rank):
-    """Without one (C) ratio row, the streams these split partitions feed
-    the gain graph lose one rank: the nullspace gains a dimension, and the
+    """Without one (C) ratio row, the relations the builds of these split
+    partitions settle (``stream_system``) lose one rank: the nullspace gains a dimension, and the
     oracle would read ext1 = 1 where the classifier reads 0.  Neither basis
     vector of the smaller system is coherent, and the built system holds
     one row per rank.  No shape with d <= 18 and at most 8 parts was found to need
@@ -1237,3 +1264,45 @@ def test_ratio_commuting_rows_carry_rank(parts, p, ratio_tag, rank):
         assert not transcribed_is_coherent(ms, literal)
     assert ext1_dim(lam, p).case_tag == "split"
     assert ext1_dim(lam, p).ext1_dim == ext1_dim_oracle(lam, p) == 0
+
+
+def test_is_coherent_refuses_a_broken_class_or_a_set_zero_slot():
+    """From each basis vector of the built system, setting one zero slot
+    to 1, or adding 1 to the first slot of one class, breaks exactly that
+    (C) relation, and both ``is_coherent`` and ``transcribed_is_coherent``
+    refuse the vector: for every partition with at least 4 rows and d <= 9
+    at p in {2, 3, 5}, and the split shapes whose (C) zero or ratio rows
+    carry rank.  On those shapes some of the vectors satisfy every (E)
+    and (T) row, so only the (C) check can refuse them."""
+    cases = [
+        (lam, p) for p in (2, 3, 5) for d in range(4, 10) for lam in enumerate_partitions(d, d)
+        if lam.n >= 4
+    ]
+    cases += [
+        (Partition(parts), p)
+        for parts, p in [
+            ((3**12 - 1, 5, 1, 1), 3),
+            ((10**30 + 7, 5, 2, 2, 1, 1), 3),
+            ((67, 11, 2, 1), 2),
+            ((32, 11, 2, 1, 1), 3),
+        ]
+    ]
+    refused, only_commuting = Counter(), Counter()
+    for lam, p in cases:
+        literal = transcribed_rows_mod_p(lam.parts, p)
+        others = {tag: row for tag, row in literal.items() if tag[0] != "C"}
+        slots = canonical_slot_order(lam)
+        zeros, classes = _commuting_classes(lam, p)
+        for ms in nullspace(build_relation_system(lam, p)):
+            values = dict(ms.entries)
+            broken = [("zero", slots[v], 1) for v in zeros]
+            for (first, _std), *_rest in classes:
+                broken.append(("class", slots[first], values.get(slots[first], 0) + 1))
+            for kind, slot, value in broken:
+                vector = multisequence_from_slots(lam, p, {**values, slot: value})
+                assert not is_coherent(vector, lam, p), (p, lam.parts, kind, slot)
+                assert not transcribed_is_coherent(vector, literal), (p, lam.parts, kind, slot)
+                refused[kind] += 1
+                only_commuting[kind] += transcribed_is_coherent(vector, others)
+    assert refused == Counter({"zero": 482, "class": 174})
+    assert only_commuting == Counter({"zero": 2, "class": 3})

@@ -177,7 +177,8 @@ class RelationSystem:
     There may be no long rows once the build reaches ``_rank_ceiling``.
     Which link and long rows are kept follows the order the gain graph is
     fed in, not the order of ``_relation_tags``; their span does not.  Why
-    the rows span the paper's rows is in ``_gain_graph_rows``.
+    the rows span the paper's rows is in ``_gain_graph_rows``, and how
+    ``_echelon`` reads their RREF off this form is in ``_echelon``.
     """
 
     lam: Partition
@@ -197,9 +198,9 @@ def _rank_ceiling(lam: Partition, p: int) -> int:
     nonzero solution leaves the rows rank at most V - 1.  So a set of
     rows that lies in the span of the relation rows and reaches this rank
     spans all of them, and the rows not yet read add nothing.  The same
-    solution is the one ``ext1_dim_oracle`` takes out of dim_E.  Kept
-    for the last few (lam, p), so a build and the reduction of its system
-    compute it once.
+    solution is the one ``ext1_dim_oracle`` takes out of dim_E.  The
+    build and ``ext1_dim_oracle`` read it, not the reduction; it is kept
+    for the last few (lam, p), so they compute it once.
     """
     return slot_count(lam) - (0 if is_james_partition(lam, p) else 1)
 
@@ -835,10 +836,11 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       live root of a non-James ``lam`` a nonzero sum would raise the
       rank past the ceiling.
 
-    So the unique RREF, and with it ``nullspace`` and ``dim_E``, are those
-    of the paper's rows.  No step reads the order in which the rows are
-    fed, so any order gives this RREF; only the link rows and which long
-    rows are kept can change with it:
+    So the unique RREF, which ``_echelon`` reads off these rows, and with
+    it ``nullspace`` and ``dim_E``, are those of the paper's rows.  No
+    step reads the order in which the rows are fed, so any order gives
+    this RREF; only the link rows and which long rows are kept can change
+    with it:
 
     * below the ceiling every live row is fed, in whatever order, and
       once the ceiling is reached the rows not fed add nothing
@@ -1002,7 +1004,8 @@ def _triple_block(a: int, b: int, c: int, p: int) -> tuple[tuple[tuple[int, int]
     ``_echelon(build_relation_system(Partition((a, b, c)), p))`` as rows
     of (column, coefficient) pairs in ascending pivot order, each row
     listing its pivot first with coefficient 1, then its free columns in
-    ascending order.  Columns are the three-row system's slot
+    ascending order; ``_echelon`` reduces the long rows alone and reads
+    the zero and link rows off.  Columns are the three-row system's slot
     positions: pair (1, 2) at 0..b-1, (1, 3) at b..b+c-1 and (2, 3) at
     b+c..b+2c-1.  Memoised per process, at most 1024 blocks; a block has
     at most b + 2c rows, and a row's entries other than its pivot lie on
@@ -1015,40 +1018,69 @@ def _triple_block(a: int, b: int, c: int, p: int) -> tuple[tuple[tuple[int, int]
 def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     """The RREF of the system's rows as {pivot column: {free column: coef}}.
 
-    ``_reduce`` of all of them, stopped at ``_rank_ceiling``.  Precondition:
-    the system's rows lie in the span of the relation rows of
-    ``system.lam``.  Every ``build_relation_system`` result satisfies it,
-    and so does any subset of its rows.  Their rank is then at most the
-    ceiling, so the unique RREF, ``nullspace``, ``dim_E`` and every basis
-    are those of all the rows.
+    A ``build_relation_system`` result is nearly one (``_gain_graph_rows``):
+    a few long rows, then one zero or link row per slot v that is not a
+    live root (the root of a tree not marked zero).  Only the long rows,
+    those before the first "zero" or "link" tag, are reduced, to R
+    (``_reduce``).  Each other row is then its own pivot row: y_v = 0
+    gives {}, and y_v + c * y_root gives {root: c}, or, when the root is a
+    pivot of R, {f: -c * R[root][f]} over R's row of the root.  This is
+    the unique RREF of all the rows:
+
+    * Each zero or link row has a term on its own slot v, which is not a
+      live root: it lies in a zero tree, or it is not a root.
+    * No other row has a term on v.  Each slot has at most one zero or
+      link row; a link row's other term is on a live root; and the long
+      rows, moved onto the final roots with their terms on zero trees
+      dropped, lie on live roots only, and so do the rows of R.
+    * So in a combination of the rows that sums to 0, the coefficient of
+      v's row is the entry of the sum on v, which is 0, and what is left
+      combines the long rows alone.  Hence the rank is the number of zero
+      and link rows plus the rank of the long rows (``_rank``).
+    * Each row above has 1 on its pivot and 0 on every other pivot.  A
+      short row's pivot v is its smallest column, as a root is the largest
+      slot of its tree and R's rows lie after their pivots; its other
+      entries are on live roots that are not pivots of R; and R's rows lie
+      on live roots, so on no short pivot.  The rows span the system's
+      rows, and a row space has one RREF.
+
+    Precondition: a ``build_relation_system`` result, or a system with no
+    zero or link row, like the paper's rows, which is reduced whole.
     """
-    return _reduce(system.rows, system.p, _rank_ceiling(system.lam, system.p))
+    p, rows = system.p, system.rows
+    long = _long_row_count(system)
+    rref = _reduce(rows[:long], p)
+    for row in rows[long:]:
+        v, root = min(row), max(row)
+        if root == v:
+            rref[v] = {}
+        elif root in rref:
+            c = row[root]
+            rref[v] = {f: -c * coef % p for f, coef in rref[root].items()}
+        else:
+            rref[v] = {root: row[root]}
+    return rref
 
 
-def _reduce(rows: tuple[dict[int, int], ...], p: int, full: int) -> dict[int, dict[int, int]]:
+def _long_row_count(system: RelationSystem) -> int:
+    """The number of rows before the first zero or link row of the system."""
+    tags = system.row_tags
+    return next((k for k, tag in enumerate(tags) if tag[0] in ("zero", "link")), len(tags))
+
+
+def _reduce(rows: tuple[dict[int, int], ...], p: int) -> dict[int, dict[int, int]]:
     """The RREF of ``rows`` over F_p as {pivot column: {free column: coef}}.
 
     Exact sparse Gauss-Jordan over F_p.  Each row in turn has the running
     RREF substituted for its pivot columns; a surviving row becomes the
     pivot row of its smallest column, scaled so that column holds 1 (kept
-    implicit), and that column is cleared from the earlier pivot rows.  A
-    pivot row thus never has an entry on another pivot column, and the
-    result is the unique RREF of the row space.  Keys are in the order the
-    pivots were found.
-
-    An index maps each column to the pivots whose rows hold it, so a new
-    pivot is cleared from exactly those rows and the others are not read.
-    It is kept exact: an entry a clear creates is added, one it cancels is
-    removed.  So the index holds one entry per nonzero entry of the
-    running RREF, and memory is at most one sparse row per slot, and as
-    much again for the index.
-
-    Precondition: the rows have rank at most ``full``.  The elimination
-    stops once the pivot rows reach it: the rows not yet read then add
-    nothing, so the result is the RREF of all the rows.
+    implicit), and that column is cleared from the earlier pivot rows that
+    hold it.  A pivot row thus never has an entry on another pivot column,
+    and the result is the unique RREF of the row space.  Keys are in the
+    order the pivots were found.  Memory is at most one sparse row per
+    column.
     """
     rref: dict[int, dict[int, int]] = {}
-    holders: dict[int, set[int]] = {}  # column -> pivots whose rows hold it
     for sparse in rows:
         row = sparse.copy()
         for col in [col for col in sparse if col in rref]:
@@ -1057,30 +1089,13 @@ def _reduce(rows: tuple[dict[int, int], ...], p: int, full: int) -> dict[int, di
             continue
         lead = min(row)
         scale = row.pop(lead)
-        if scale == 1:
-            pivot_row = row
-        else:
+        if scale != 1:
             inv = pow(scale, p - 2, p)
-            pivot_row = {col: coef * inv % p for col, coef in row.items()}
-        for col in pivot_row:
-            if col in holders:
-                holders[col].add(lead)
-            else:
-                holders[col] = {lead}
-        for pivot in holders.pop(lead, ()):
-            earlier = rref[pivot]
-            factor = earlier.pop(lead)
-            for col, coef in pivot_row.items():
-                value = (earlier.get(col, 0) - factor * coef) % p
-                if value:
-                    earlier[col] = value
-                    holders[col].add(pivot)
-                else:
-                    del earlier[col]
-                    holders[col].discard(pivot)
-        rref[lead] = pivot_row
-        if len(rref) == full:
-            break
+            row = {col: coef * inv % p for col, coef in row.items()}
+        for earlier in rref.values():
+            if lead in earlier:
+                _subtract(earlier, earlier.pop(lead), row, p)
+        rref[lead] = row
     return rref
 
 
@@ -1117,33 +1132,12 @@ def nullspace(system: RelationSystem) -> list[MultiSequence]:
 def _rank(system: RelationSystem) -> int:
     """The rank of a ``build_relation_system`` result.
 
-    It is the number of zero and link rows, plus the rank of the long rows
-    before them, which ``_reduce`` finds from those rows alone.  The proof
-    reads the form of the system (``_gain_graph_rows``).  Call a slot a
-    live root when it is the root of a tree not marked zero.
-
-    * Each zero row y_v = 0 and each link row y_v - g * y_root has a term
-      on its own slot v, and v is not a live root: it lies in a zero tree,
-      or it is not a root.
-    * No other row has a term on v.  Each slot has at most one zero or
-      link row.  A link row's other term is on the root of a tree not
-      marked zero, so on a live root.  A long row is moved onto the final
-      roots with its terms on zero trees dropped, so it lies on live roots
-      only.
-    * So in a combination of the rows that sums to 0, the entry of the sum
-      on v is the coefficient of v's row, which is therefore 0.  What is
-      left is a combination of the long rows that sums to 0.
-
-    Hence the zero and link rows are independent, and independent of the
-    long rows, and the rank is their number plus the rank of the long
-    rows.  That total is at most ``_rank_ceiling``, so the long rows have
-    rank at most the ceiling less that number, where ``_reduce`` stops.
+    The number of zero and link rows plus the rank of the long rows before
+    them, which ``_reduce`` finds from those rows alone (``_echelon``
+    proves it).
     """
-    tags = system.row_tags
-    long = next((k for k, tag in enumerate(tags) if tag[0] in ("zero", "link")), len(tags))
-    short = len(tags) - long
-    ceiling = _rank_ceiling(system.lam, system.p)
-    return short + len(_reduce(system.rows[:long], system.p, ceiling - short))
+    long = _long_row_count(system)
+    return len(system.rows) - long + len(_reduce(system.rows[:long], system.p))
 
 
 def dim_E(lam: Partition, p: int) -> int:
@@ -1162,7 +1156,7 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
     dim_E is V less the rank, and ``_rank_ceiling`` is V less one exactly
     when ``lam`` is not James, so this is ``_rank_ceiling`` less the rank.
     The rank is the number of zero and link rows of the built system plus
-    the rank of its long rows alone (``_rank`` proves it).
+    the rank of its long rows alone (``_rank``; ``_echelon`` proves it).
     """
     system = build_relation_system(lam, p)
     return _rank_ceiling(lam, p) - _rank(system)
@@ -1198,9 +1192,9 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
         )
     offsets = _pair_offsets(lam)
     support = {offsets[r][s] + i - 1: value for (r, s, i), value in ms.entries}
-    for slot, _value in ms.entries:
-        here = offsets[slot.r][slot.s] + slot.i - 1
-        for tag in _tags_touching(lam, slot, p):
+    for (x, y, m), _value in ms.entries:
+        here = offsets[x][y] + m - 1
+        for tag in _tags_touching(lam, (x, y, m), p):
             total = 0
             for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
                 pos = offsets[r][s] + i - 1

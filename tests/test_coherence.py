@@ -35,6 +35,7 @@ from spechtex.coherence import (
     _iter_relation_rows,
     _live_pair_rows,
     _rank,
+    _reduce,
     _relation_tags,
     _row_terms,
     _spanning_rows,
@@ -569,8 +570,9 @@ def test_commuting_rows_span_the_transcription(parts):
 
 
 def test_echelon_rank_matches_the_dense_rank_at_the_ceiling():
-    # `_echelon` stops at V - 1 pivots for a non-James shape with at least
-    # two rows; its rank must still be that of every row of the system.
+    # A non-James shape with at least two rows has rank V - 1 at most, and
+    # the gain graph stops feeding rows there; `_echelon`'s rank of the
+    # built system and of the paper's rows must be that of every row.
     seen = set()
     for p in (2, 3, 5, 7):
         for parts in SPANNING_SHAPES:
@@ -583,8 +585,12 @@ def test_echelon_rank_matches_the_dense_rank_at_the_ceiling():
 
 
 def test_rank_from_the_slot_rows_matches_the_echelon():
-    # `_rank` counts the zero and link rows and reduces only the long rows
-    # before them; it must give the rank of every row of the system.
+    # `_echelon` reduces only the long rows and reads every zero or link
+    # row off as its own pivot row; `_rank` counts the zero and link rows
+    # and the pivots of the long rows.  Both must agree with a plain
+    # reduction of every row of the system.  A link row whose root is a
+    # pivot of the long rows takes that pivot's row in, which 16 of the 63
+    # systems with long rows need.
     cases = [
         (lam, p)
         for p in (2, 3, 5, 7)
@@ -593,12 +599,23 @@ def test_rank_from_the_slot_rows_matches_the_echelon():
     ]
     cases += [(Partition((1,) * 14), 3), (Partition((999999, 35, 30, 20)), 7)]
     long_rows = {}
+    substituted = set()
     for lam, p in cases:
         system = build_relation_system(lam, p)
-        assert _rank(system) == len(_echelon(system)), (p, lam.parts)
-        long_rows[lam.parts, p] = sum(tag[0] not in ("zero", "link") for tag in system.row_tags)
+        rref = _reduce(system.rows, p)
+        assert _echelon(system) == rref, (p, lam.parts)
+        assert _rank(system) == len(rref), (p, lam.parts)
+        tagged = list(zip(system.row_tags, system.rows))
+        long = [row for tag, row in tagged if tag[0] not in ("zero", "link")]
+        long_rows[lam.parts, p] = len(long)
+        pivots = _reduce(long, p)
+        if any(tag[0] == "link" and max(row) in pivots for tag, row in tagged):
+            substituted.add((lam.parts, p))
     assert long_rows[(1, 1, 1, 1), 3] == long_rows[(4, 1, 1, 1), 3] == 4
     assert long_rows[(3, 3, 1, 1), 5] == 4
+    assert sum(count > 0 for count in long_rows.values()) == 63
+    assert len(substituted) == 16
+    assert {((4, 2, 2), 2), ((1, 1, 1, 1), 3)} <= substituted
 
 
 @settings(max_examples=40, deadline=None)
@@ -610,8 +627,8 @@ def test_rank_from_the_slot_rows_matches_the_echelon():
 def test_echelon_matches_the_dense_rref_in_any_row_order(parts, p, seed):
     # Shuffled, the paper's rows find their pivots in many orders, so a new
     # pivot column is cleared from earlier pivot rows that gained or lost
-    # entries in different orders; a stale or missing entry of the column
-    # index would leave a pivot column uncleared in some row.
+    # entries in different orders; a pivot column left uncleared in some
+    # row would show against the dense RREF.
     lam = Partition(tuple(sorted(parts, reverse=True)))
     system = paper_system(lam, p)
     order = list(range(len(system.rows)))
@@ -955,6 +972,12 @@ def test_is_coherent_examples():
     assert is_coherent(standard_multisequence(lam, 3), lam, 3)
     unit = multisequence_from_slots(lam, 3, {(1, 2, 1): 1})
     assert not is_coherent(unit, lam, 3)
+    # Slots given as plain (r, s, i) tuples: the vectors equal their
+    # SlotIndex forms, and the check gives the same verdicts.
+    plain = MultiSequence(lam, 3, (((1, 2, 1), 1),))
+    assert plain == unit and not is_coherent(plain, lam, 3)
+    standard = MultiSequence(lam, 3, (((1, 2, 1), 2), ((1, 3, 1), 2), ((2, 3, 1), 2)))
+    assert standard == standard_multisequence(lam, 3) and is_coherent(standard, lam, 3)
 
 
 def test_is_coherent_memory_does_not_grow_with_the_rows_it_reads():

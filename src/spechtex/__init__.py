@@ -8,6 +8,7 @@ harness that cross-checks them exhaustively.
 
 from .classifier import (
     Classification,
+    canonical_multisequence,
     ext1_dim,
     gl2_ext_dim,
     h0_dim,
@@ -21,7 +22,6 @@ from .coherence import (
     SlotIndex,
     SystemTooLargeError,
     build_relation_system,
-    canonical_multisequence,
     canonical_slot_order,
     dim_E,
     ext1_dim_oracle,

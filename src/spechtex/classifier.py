@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coherence import (
-    MultiSequence,
-    canonical_multisequence,
-    is_coherent,
-    multisequence_from_slots,
-)
+from .coherence import MultiSequence, SlotIndex, is_coherent, multisequence_from_slots
 from .padic import digit_p, len_p, val_p, validate_prime
 from .partitions import (
     JAMES,
@@ -35,6 +30,7 @@ from .partitions import (
     classify_two_part,
     is_james_pair,
     is_james_partition,
+    james_index,
     non_james_pairs,
     p_segments,
     row_len,
@@ -80,6 +76,30 @@ def james_ext_dim(lam: Partition, p: int) -> int:
     if row_len(lam, 1, p) > row_len(lam, 2, p):
         return count - 1
     return count
+
+
+def canonical_multisequence(lam: Partition, p: int) -> MultiSequence:
+    """The nonzero coherent multi-sequence carried by every James partition.
+
+    Obtained from the integer standard multi-sequence by dividing out the
+    James index power p**JI before reducing mod p.  In closed form the
+    slot (r, s, i) is ((part_r)_{v_r} + 1) / t when v_r - l_s equals the
+    James index and i = t * p**l_s, and 0 otherwise; t <= part_s // p**l_s
+    < p, so every such slot is nonzero.
+    """
+    ji = james_index(lam, p)  # validates p, rejects short or non-James input
+    entries = []
+    for r in range(1, lam.n):
+        vr = row_val(lam, r, p)
+        num = digit_p(lam.part(r), vr, p) + 1
+        for s in range(r + 1, lam.n + 1):
+            ls = row_len(lam, s, p)
+            if vr - ls != ji:
+                continue
+            step = p**ls
+            for t in range(1, lam.part(s) // step + 1):
+                entries.append((SlotIndex(r, s, t * step), num * pow(t, p - 2, p) % p))
+    return MultiSequence(lam, p, tuple(entries))
 
 
 def _verified(witness: MultiSequence, lam: Partition, p: int) -> MultiSequence:

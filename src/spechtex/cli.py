@@ -2,7 +2,7 @@
 
 Machine-readable JSON goes to stdout; human-readable progress goes to
 stderr.  Exit codes: 0 success/agreement, 1 mismatch found, 2 usage
-error.
+error, 141 (128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -236,10 +236,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         validate_prime(args.p)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
     except (InvalidModulusError, InvalidPartitionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # What is left in the buffer goes nowhere, so exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

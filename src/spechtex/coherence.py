@@ -11,9 +11,9 @@ here, whose row families are:
 * (C)    commuting relations between disjoint row-pairs.
 
 The standard multi-sequence y(r,s)_i = C(part_r + i, i) always lies in
-the nullspace; it is zero exactly for James partitions.  The dimension
-of the first extension group is the nullspace dimension, minus one when
-the standard multi-sequence is nonzero.
+the nullspace; ``_h0`` reads from base-p carries whether it is zero.
+The dimension of the first extension group is the nullspace dimension,
+minus one when the standard multi-sequence is nonzero.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
-from .padic import _binom_mod_p, _lucas_range, digit_p, validate_prime
-from .partitions import Partition, is_james_partition, james_index, row_len, row_val
+from .padic import _binom_mod_p, _lucas_range, validate_prime
+from .partitions import Partition
 
 
 class SlotIndex(NamedTuple):
@@ -121,31 +121,15 @@ def standard_multisequence(lam: Partition, p: int) -> MultiSequence:
     return MultiSequence(lam, p, tuple(entries))
 
 
-def canonical_multisequence(lam: Partition, p: int) -> MultiSequence:
-    """The nonzero coherent multi-sequence carried by every James partition.
+def _h0(lam: Partition, p: int) -> int:
+    """dim H^0: 1 if the standard multi-sequence is zero mod p, else 0.
 
-    Obtained from the integer standard multi-sequence by dividing out the
-    James index power p**JI before reducing mod p.  In closed form the
-    slot (r, s, i) is ((part_r)_{v_r} + 1) / t when v_r - l_s equals the
-    James index and i = t * p**l_s, and 0 otherwise; t <= part_s // p**l_s
-    < p, so every such slot is nonzero.
+    Its slot (r, s, i) is C(part_r + i, i), i <= part_s <= part_{r+1},
+    nonzero mod p iff i adds to part_r without a base-p carry (Kummer);
+    ``_lucas_range`` lists those i pair by pair, with no binomial.
     """
-    validate_prime(p)
-    if lam.n < 2:
-        raise ValueError("canonical_multisequence requires at least two rows")
-    ji = james_index(lam, p)  # also rejects non-James input
-    entries = []
-    for r in range(1, lam.n):
-        vr = row_val(lam, r, p)
-        num = digit_p(lam.part(r), vr, p) + 1
-        for s in range(r + 1, lam.n + 1):
-            ls = row_len(lam, s, p)
-            if vr - ls != ji:
-                continue
-            step = p**ls
-            for t in range(1, lam.part(s) // step + 1):
-                entries.append((SlotIndex(r, s, t * step), num * pow(t, p - 2, p) % p))
-    return MultiSequence(lam, p, tuple(entries))
+    parts = lam.parts
+    return int(not any(_lucas_range(a, 1, b, p, carry_free=True) for a, b in zip(parts, parts[1:])))
 
 
 RowTag = tuple
@@ -174,7 +158,7 @@ class RelationSystem:
     the trees before any row is fed, so no long row comes from it).
     Then, slot by slot, ("zero", r, s, i) for y(r,s)_i = 0 and ("link",
     r, s, i) for y(r,s)_i = g * y_root.
-    There may be no long rows once the build reaches ``_rank_ceiling``.
+    There may be no long rows once the build reaches rank V - 1.
     Which link and long rows are kept follows the order the gain graph is
     fed in, not the order of ``_relation_tags``; their span does not.  Why
     the rows span the paper's rows is in ``_gain_graph_rows``, and how
@@ -186,23 +170,6 @@ class RelationSystem:
     num_slots: int
     rows: tuple[dict[int, int], ...]
     row_tags: tuple[RowTag, ...]
-
-
-@lru_cache(maxsize=8)
-def _rank_ceiling(lam: Partition, p: int) -> int:
-    """The largest rank the relation rows of ``lam`` at ``p`` can have.
-
-    ``slot_count(lam)``, less one when ``lam`` is not James.  The standard
-    multi-sequence y(r,s)_i = C(part_r + i, i) solves every relation row
-    of the paper, and it is nonzero exactly when ``lam`` is not James; a
-    nonzero solution leaves the rows rank at most V - 1.  So a set of
-    rows that lies in the span of the relation rows and reaches this rank
-    spans all of them, and the rows not yet read add nothing.  The same
-    solution is the one ``ext1_dim_oracle`` takes out of dim_E.  The
-    build and ``ext1_dim_oracle`` read it, not the reduction; it is kept
-    for the last few (lam, p), so they compute it once.
-    """
-    return slot_count(lam) - (0 if is_james_partition(lam, p) else 1)
 
 
 def _relation_tags(lam: Partition) -> Iterator[RowTag]:
@@ -791,10 +758,18 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       ``_spanning_rows`` are fed as they are generated.  A block row is
       defined only mod p, with no integer row behind it for the skip's
       argument, so its sum on the tree is always computed.
-    * ``_rank_ceiling`` ends the feed: the live roots, those not marked
-      zero, start at one per slot, and each join, zero mark or (C)
+    * The rank ceiling V - 1 ends the feed: the live roots, those not
+      marked zero, start at one per slot, and each join, zero mark or (C)
       relation removes one, so the relations the forest holds have rank
-      V - live.  No row is fed once that rank reaches the ceiling.
+      V - live.  No row is fed once one live root is left.  The paper's
+      rows have rank at most V - 1 for every ``lam``: with m the least
+      p-adic valuation of C(part_r + i, i) over the slots, std / p**m is
+      an integer vector, nonzero mod p, that satisfies the integer (E)
+      and (T) rows as std does over Z; if m > 0 every (C) coefficient
+      std_P(j) is 0 mod p, so the (C) rows are zero, and if m = 0 the
+      vector is std, which solves (C).  So rows in the span of the
+      paper's rows that reach rank V - 1 span them all, and the rows not
+      yet fed add nothing.
 
     The rows returned, in this order, are: each long row moved onto the
     final roots, with its terms on zero trees dropped and those on one
@@ -829,12 +804,10 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       visited, so every slot was visited, each term of that row was on a
       slot of a zero tree, and the row lies in W.
     * If the ceiling ended the build, the zero and link rows alone, one
-      pivot per slot that is not a live root, reach ``_rank_ceiling``
-      inside the span of the paper's rows, so they span it (the proof is
-      there).  So every long row moved onto the final roots is left
-      empty: with no live root all its terms are dropped, and on the one
-      live root of a non-James ``lam`` a nonzero sum would raise the
-      rank past the ceiling.
+      pivot per slot that is not the live root, reach rank V - 1 inside
+      the span of the paper's rows, so they span it (the proof is above).
+      So every long row moved onto the final roots is left empty: on the
+      one live root a nonzero sum would raise the rank past V - 1.
 
     So the unique RREF, which ``_echelon`` reads off these rows, and with
     it ``nullspace`` and ``dim_E``, are those of the paper's rows.  No
@@ -843,9 +816,9 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     with it:
 
     * below the ceiling every live row is fed, in whatever order, and
-      once the ceiling is reached the rows not fed add nothing
-      (``_rank_ceiling``); a row with both coefficients 0 mod p is the
-      zero row, so leaving it out changes nothing;
+      once the ceiling is reached the rows not fed add nothing (the proof
+      is above); a row with both coefficients 0 mod p is the zero row, so
+      leaving it out changes nothing;
     * the skip of a row whose slots share a root holds in any order, as
       every join of the two-term loop has two unit coefficients.
     """
@@ -859,10 +832,9 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     forest = _GainForest(len(slots), p)
     find, parent, gain, zero = forest.find, forest.parent, forest.gain, forest.zero
     # ``live`` counts the roots not marked zero, and each join or zero mark
-    # lowers it by one.  The rows stop once it reaches ``floor``, where the
-    # zero and link rows reach the rank ceiling.
+    # lowers it by one.  The rows stop once it reaches 1, where the zero
+    # and link rows reach the rank ceiling V - 1.
     live = len(slots)
-    floor = live - _rank_ceiling(lam, p)
 
     if lam.n >= 4:
         zeros, classes = _commuting_classes(lam, p)
@@ -876,7 +848,7 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
                 parent[v] = root
                 gain[v] = value * inv % p
             live -= len(cls)
-        stream = _spanning_rows(lam, p) if live > floor else ()
+        stream = _spanning_rows(lam, p) if live > 1 else ()
     else:
         binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
         cached = binom.get
@@ -916,10 +888,10 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
             else:
                 continue
             live -= 1
-            if live <= floor:
+            if live <= 1:
                 break
         # Below three rows there are no (T3) rows.
-        stream = _t3_rows(lam, p, forest, slots) if lam.n == 3 and live > floor else ()
+        stream = _t3_rows(lam, p, forest, slots) if lam.n == 3 and live > 1 else ()
 
     long_rows: list[tuple[RowTag, dict[int, int]]] = []
     for tag, row in stream:
@@ -935,7 +907,7 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
         else:
             continue
         live -= 1
-        if live <= floor:
+        if live <= 1:
             break
 
     rows: list[dict[int, int]] = []
@@ -965,9 +937,9 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
 
     It holds ``_gain_graph_rows``, for every shape: the relations are fed
     to a weighted union-find over the slots as they are generated, until
-    the rows reach ``_rank_ceiling``, and what is left is a few long rows
-    on the roots of its trees and one zero or link row per slot that is
-    not a root (the proof that these span the paper's rows is there).
+    the rows reach rank V - 1, the most with V >= 1 slots, and what is
+    left is a few long rows on the roots of its trees and one zero or link
+    row per slot that is not a root (the proof of both is there).
     With at most three rows the relations fed are the paper's: the (E),
     (T1) and (T2) rows, those with two coefficients nonzero mod p first,
     then the (T3a) and (T3b) rows from the slots not forced to 0.  With
@@ -1151,15 +1123,16 @@ def dim_E(lam: Partition, p: int) -> int:
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:
-    """dim of the first extension group: dim_E, minus 1 when non-James.
+    """dim of the first extension group: dim_E, less one unless H^0 is 1.
 
-    dim_E is V less the rank, and ``_rank_ceiling`` is V less one exactly
-    when ``lam`` is not James, so this is ``_rank_ceiling`` less the rank.
-    The rank is the number of zero and link rows of the built system plus
-    the rank of its long rows alone (``_rank``; ``_echelon`` proves it).
+    The standard multi-sequence solves every relation; when it is nonzero
+    (``_h0`` is 0) it spans the part of E that is not an extension, so
+    this is V less the rank less 1 - ``_h0``.  The rank is the number of
+    zero and link rows of the built system plus the rank of its long rows
+    alone (``_rank``; ``_echelon`` proves it).
     """
     system = build_relation_system(lam, p)
-    return _rank_ceiling(lam, p) - _rank(system)
+    return system.num_slots - _rank(system) - 1 + _h0(lam, p)
 
 
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:

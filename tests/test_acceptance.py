@@ -8,9 +8,14 @@ equality — no numerical tolerances are involved.
 import time
 
 from oracles import int_val, pascal_binom
-from spechtex.classifier import ext1_dim, gl2_ext_dim, h0_dim, james_ext_dim
-from spechtex.coherence import (
+from spechtex.classifier import (
     canonical_multisequence,
+    ext1_dim,
+    gl2_ext_dim,
+    h0_dim,
+    james_ext_dim,
+)
+from spechtex.coherence import (
     dim_E,
     ext1_dim_oracle,
     is_coherent,

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +287,31 @@ def test_sl2_json(capsys):
     payload = json.loads(out)
     assert payload["dim"] == 1 and payload["reason"] == "pointed-window"
     assert json.dumps(payload) == out.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--p", "2", "--d-max", "12"],
+        ["basis", "--lambda", "40,40,40", "--p", "2"],
+        ["classify", "--lambda", "1,1,1,1", "--p", "3", "--json"],
+        ["sl2", "--p", "2", "--r", "4", "--s", "0"],
+    ],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # The read end is closed before the child writes, so its first write
+    # to stdout fails, as when `| head` has already exited.
+    src = str(Path(spechtex.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "spechtex.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 141, err
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

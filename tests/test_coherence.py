@@ -22,7 +22,7 @@ from oracles import (
     transcribed_relations,
     transcribed_slots,
 )
-from spechtex.classifier import ext1_dim
+from spechtex.classifier import canonical_multisequence, ext1_dim
 from spechtex.coherence import (
     MAX_CELLS,
     MultiSequence,
@@ -32,6 +32,7 @@ from spechtex.coherence import (
     _candidate_row_count,
     _commuting_classes,
     _echelon,
+    _h0,
     _iter_relation_rows,
     _live_pair_rows,
     _rank,
@@ -43,7 +44,6 @@ from spechtex.coherence import (
     _tags_touching,
     _triple_block,
     build_relation_system,
-    canonical_multisequence,
     canonical_slot_order,
     dim_E,
     ext1_dim_oracle,
@@ -105,12 +105,18 @@ def test_standard_multisequence_examples():
 
 
 def test_standard_zero_iff_james():
-    for p in (2, 3, 5):
+    # The oracle's H^0 reads carries, not the James test, and says the same.
+    for p in (2, 3, 5, 7, 11):
         for d in range(0, 15):
             for lam in enumerate_partitions(d, max(d, 1)):
-                assert standard_multisequence(lam, p).is_zero() == is_james_partition(
-                    lam, p
-                )
+                james = is_james_partition(lam, p)
+                assert standard_multisequence(lam, p).is_zero() == james
+                assert _h0(lam, p) == int(james), (lam.parts, p)
+
+
+def test_oracle_reads_none_of_the_classifiers_digit_formulas():
+    names = ("is_james_partition", "james_index", "row_val", "row_len", "digit_p")
+    assert not [name for name in names if hasattr(spechtex.coherence, name)]
 
 
 def test_canonical_multisequence_examples():
@@ -570,8 +576,8 @@ def test_commuting_rows_span_the_transcription(parts):
 
 
 def test_echelon_rank_matches_the_dense_rank_at_the_ceiling():
-    # A non-James shape with at least two rows has rank V - 1 at most, and
-    # the gain graph stops feeding rows there; `_echelon`'s rank of the
+    # A shape with a slot has rank V - 1 at most, James or not, and the
+    # gain graph stops feeding rows there; `_echelon`'s rank of the
     # built system and of the paper's rows must be that of every row.
     seen = set()
     for p in (2, 3, 5, 7):
@@ -728,16 +734,18 @@ def test_gain_graph_expands_few_of_the_t3_rows_on_wide_shapes(parts, p, monkeypa
     "parts, p, james, dim",
     [
         ((80999, 26, 26), 3, True, 1),
+        ((528200, 26, 7), 3, True, 2),
         ((603683, 39, 9), 3, False, 2),
     ],
 )
 def test_gain_graph_system_has_the_rref_of_the_paper_rows_below_the_ceiling(
     parts, p, james, dim
 ):
-    # The rank ceiling never fires on these: a James shape (floor 0, and
-    # its canonical multi-sequence keeps a root live) and a non-James one
-    # with two live roots left, which keeps a (T3a) long row.  Every row
-    # is fed, and the system still has the paper's RREF.
+    # The first is James with dim_E = 1, so its build stops at rank V - 1
+    # before every (T3) row is fed.  The rank ceiling never fires on the
+    # other two, each with two live roots left: a James shape, and a
+    # non-James one which keeps a (T3a) long row.  There every row is fed.
+    # Either way the system has the paper's RREF.
     lam = Partition(parts)
     built = build_relation_system(lam, p)
     assert is_james_partition(lam, p) == james
@@ -807,10 +815,33 @@ def test_gain_graph_feeds_fewer_than_half_of_the_two_term_rows_on_wide_shapes(
     assert 0 < fed < two_term / 2, (fed, two_term)
 
 
+def test_james_build_stops_once_one_live_root_is_left(monkeypatch):
+    # (1^12) at p = 2 is James with dim_E = 1: its rows reach rank V - 1,
+    # the ceiling of every shape, part way through the triple blocks, and
+    # the blocks after that are never built.  Each row is pulled from
+    # ``_spanning_rows`` as it is generated.
+    pulled = 0
+
+    def counted(lam, p):
+        nonlocal pulled
+        for row in _spanning_rows(lam, p):
+            pulled += 1
+            yield row
+
+    monkeypatch.setattr("spechtex.coherence._spanning_rows", counted)
+    lam = Partition((1,) * 12)
+    built = build_relation_system(lam, 2)
+    assert is_james_partition(lam, 2)
+    assert built.num_slots - _rank(built) == 1
+    total = sum(1 for _ in _spanning_rows(lam, 2))
+    assert 0 < pulled < total / 2, (pulled, total)
+
+
 def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_random_wide_shapes():
-    # The two shapes below the ceiling feed every live row, then (T3) rows.
+    # The first shape reaches the ceiling; the other two stay below it and
+    # feed every live row, then (T3) rows.
     rng = random.Random(16)
-    cases = [((80999, 26, 26), 3), ((603683, 39, 9), 3)]
+    cases = [((80999, 26, 26), 3), ((528200, 26, 7), 3), ((603683, 39, 9), 3)]
     for p in (2, 3, 5, 7) * 8:
         b = rng.randint(20, 60)
         c = rng.randint(20, b)

@@ -21,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coherence import MultiSequence, SlotIndex, is_coherent, multisequence_from_slots
-from .padic import digit_p, len_p, val_p, validate_prime
+from .padic import _len_p, _val_p, digit_p, validate_prime
 from .partitions import (
     JAMES,
     POINTED,
     SPLIT,
     Partition,
+    _is_james_pair,
     classify_two_part,
-    is_james_pair,
     is_james_partition,
     james_index,
     non_james_pairs,
@@ -121,14 +121,14 @@ def _rule_3(a: int, b: int, c: int, p: int):
     rule: for b = b_hat + p**beta either side forces b_hat = p**v - 1 and
     gamma = beta, and digit_beta(b) = 1.
     """
-    v = val_p(a + 1, p)
-    gamma = len_p(c, p)
+    v = _val_p(a + 1, p)
+    gamma = _len_p(c, p)
     pv, pg = p**v, p**gamma
     if (
         gamma > v
-        and val_p(b + 1 - pv, p) == gamma
+        and _val_p(b + 1 - pv, p) == gamma
         and c - pg < pv
-        and len_p(b + pg, p) < val_p(a + pv + 1, p)
+        and _len_p(b + pg, p) < _val_p(a + pv + 1, p)
     ):
         return {(1, 2, pv): 1, (2, 3, pg): -digit_p(b, gamma, p)}
     return None
@@ -149,12 +149,12 @@ def _rule_5(a: int, b: int, c: int, p: int):
       its val_p(a+p**v+1) > beta is the length test, as
       len_p(b + p**v) = beta when b_hat + p**v < p**beta.
     """
-    v = val_p(a + 1, p)
+    v = _val_p(a + 1, p)
     pv = p**v
     if (
-        len_p(c, p) == v
-        and c - pv < p ** min(v, val_p(b + 1, p))
-        and len_p(b + pv, p) < val_p(a + pv + 1, p)
+        _len_p(c, p) == v
+        and c - pv < p ** min(v, _val_p(b + 1, p))
+        and _len_p(b + pv, p) < _val_p(a + pv + 1, p)
     ):
         return {(2, 3, pv): 1, (1, 3, pv): -1}
     return None
@@ -174,14 +174,14 @@ def _split_head_case(a: int, b: int, c: int, p: int):
       val_p(b+1-p**v) > v = gamma, so case 1 already fired.  At p = 2,
       v = w forces digit_v(b) = 0, so case 2 never fires there.
     """
-    v = val_p(a + 1, p)
+    v = _val_p(a + 1, p)
     pv = p**v
-    if not is_james_pair(a + pv, b, p):
+    if not _is_james_pair(a + pv, b, p):
         return None
-    gamma = len_p(c, p)
-    if val_p(b - pv + 1, p) > gamma:
+    gamma = _len_p(c, p)
+    if _val_p(b - pv + 1, p) > gamma:
         return 1, {(1, 2, pv): 1}
-    if gamma == v == val_p(b + 1, p) and digit_p(c, v, p) == 1:
+    if gamma == v == _val_p(b + 1, p) and digit_p(c, v, p) == 1:
         return 2, {(1, 2, pv): 1, (1, 3, pv): -digit_p(b, v, p)}
     if (slots := _rule_3(a, b, c, p)) is not None:
         return 3, slots
@@ -205,14 +205,14 @@ def _pointed_head_case(a: int, b: int, c: int, p: int, beta: int):
       with v = w means case 1 failed, so
       val_p(a+p**v+p**beta+1) < beta <= len_p(b + p**beta).
     """
-    v = val_p(a + 1, p)
-    v_is_w = v == val_p(b + 1, p)
+    v = _val_p(a + 1, p)
+    v_is_w = v == _val_p(b + 1, p)
     pv, pb = p**v, p**beta
-    if v_is_w and beta > len_p(c, p) and val_p(a + pv + 1, p) >= beta:
+    if v_is_w and beta > _len_p(c, p) and _val_p(a + pv + 1, p) >= beta:
         return 1, {(1, 2, pv): 1}
     if (slots := _rule_3(a, b, c, p)) is not None:
         return 2, slots
-    if v_is_w and len_p(b + pb, p) < val_p(a + pv + pb + 1, p):
+    if v_is_w and _len_p(b + pb, p) < _val_p(a + pv + pb + 1, p):
         return 3, {(1, 2, pv): 1, (2, 3, pb): -1, (1, 3, pb): 1}
     if (slots := _rule_5(a, b, c, p)) is not None:
         return 5, slots
@@ -300,7 +300,7 @@ def ext1_dim(lam: Partition, p: int) -> Classification:
             if r < n - 2 and row_len(lam, r + 3, p) >= row_len(lam, r + 2, p):
                 slots = None
         elif head.kind == POINTED and (
-            r == 1 or row_val(lam, r - 1, p) > len_p(lam.part(r) + p**head.beta, p)
+            r == 1 or row_val(lam, r - 1, p) > _len_p(lam.part(r) + p**head.beta, p)
         ):
             case_tag, slots = "pointed-pair", {(1, 2, p**head.beta): 1}
     elif njp[-1] <= r + 2 and _quadruple_conditions(lam, p, r):

@@ -14,8 +14,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .classifier import Classification, ext1_dim, h0_dim, sl2_verdict
+from .classifier import Classification, ext1_dim, sl2_verdict
 from .coherence import (
+    _h0,
     build_relation_system,
     check_budget,
     ext1_dim_oracle,
@@ -70,15 +71,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     lam = _parse_partition(args.lam)
     p = args.p
     method = args.method
-    closed = oracle_dim = None
+    closed = oracle_dim = oracle_h0 = None
     if method in ("closed", "both"):
         closed = ext1_dim(lam, p)
     if method in ("oracle", "both"):
-        oracle_dim = ext1_dim_oracle(lam, p)
+        oracle_dim, oracle_h0 = ext1_dim_oracle(lam, p), _h0(lam, p)
 
     report = closed
     if method == "oracle":
-        report = Classification(p, lam, h0_dim(lam, p), oracle_dim, p != 2, "oracle", None)
+        report = Classification(p, lam, oracle_h0, oracle_dim, p != 2, "oracle", None)
     payload = _classification_json(report)
 
     if args.json:
@@ -96,13 +97,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
             for entry in payload["witness"]:
                 print(f"witness: y({entry['r']},{entry['s']})_{entry['i']} = {entry['v']}")
 
+    mismatches = []
+    if method == "both" and closed.h0 != oracle_h0:
+        mismatches.append(f"classifier h0={closed.h0} oracle h0={oracle_h0}")
     if method == "both" and closed.ext1_dim != oracle_dim:
-        print(
-            f"MISMATCH: classifier={closed.ext1_dim} oracle={oracle_dim} for {lam} at p={p}",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH
-    return EXIT_OK
+        mismatches.append(f"classifier={closed.ext1_dim} oracle={oracle_dim}")
+    for mismatch in mismatches:
+        print(f"MISMATCH: {mismatch} for {lam} at p={p}", file=sys.stderr)
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def _sweep_instance(task: tuple[int, tuple[int, ...]]) -> dict:

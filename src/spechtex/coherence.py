@@ -150,19 +150,21 @@ class RelationSystem:
     ``rows`` holds each row as {slot position: coefficient}, coefficients
     in [1, p), in a dict of its own, and ``row_tags`` its tag.  The rows
     span the same space as the paper's relations but are not all of them:
-    they are what the gain graph of ``_gain_graph_rows`` leaves of the
-    relations fed to it.  First come the long rows, on the roots of its
-    trees, each tagged by the row it came from: a (T3a) or (T3b) relation
-    with at most three rows, a triple block row ("B", r, s, t, local
-    pivot) of ``_spanning_rows`` with four or more ((C) is written into
-    the trees before any row is fed, so no long row comes from it).
-    Then, slot by slot, ("zero", r, s, i) for y(r,s)_i = 0 and ("link",
-    r, s, i) for y(r,s)_i = g * y_root.
+    they are what ``_slot_rows`` writes of the gain graph that ``_settle``
+    leaves of the relations fed to it.  First come the long rows, on the
+    roots of its trees, each tagged by the row it came from: a (T3a) or
+    (T3b) relation with at most three rows, a triple block row ("B", r,
+    s, t, local pivot) of ``_spanning_rows`` with four or more ((C) is
+    written into the trees before any row is fed, so no long row comes
+    from it).  Then, slot by slot, ("zero", r, s, i) for y(r,s)_i = 0 and
+    ("link", r, s, i) for y(r,s)_i = g * y_root.
     There may be no long rows once the build reaches rank V - 1.
-    Which link and long rows are kept follows the order the gain graph is
-    fed in, not the order of ``_relation_tags``; their span does not.  Why
-    the rows span the paper's rows is in ``_gain_graph_rows``, and how
+    Which zero, link and long rows are kept follows the order the gain
+    graph is fed in, not the order of ``_relation_tags``; their span does
+    not.  Why the rows span the paper's rows is in ``_settle``, and how
     ``_echelon`` reads their RREF off this form is in ``_echelon``.
+    ``dim_E`` and ``ext1_dim_oracle`` build none: they count the rank on
+    the settled forest.
     """
 
     lam: Partition
@@ -265,7 +267,7 @@ class _GainForest:
     ``parent[v]`` and ``gain[v]`` say y_v = gain[v] * y_parent[v]; a root
     is its own parent, with gain 1.  ``zero[root]`` marks a tree whose
     nodes are all forced to 0.  A root is always the largest node of its
-    tree.  The nodes are the slot positions of ``_gain_graph_rows``.
+    tree.  The nodes are the slot positions of ``_settle``.
     """
 
     __slots__ = ("p", "parent", "gain", "zero")
@@ -579,91 +581,125 @@ def _digit_max(n: int, h: int, p: int) -> int:
 
 
 def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """The (E), (T1) and (T2) rows with a coefficient nonzero mod p, for at most three rows.
+    """The (E), (T1) and (T2) rows with both coefficients nonzero mod p, for at most three rows.
 
-    Each row C(a1, b1) y_u - C(a2, b2) y_v = 0 comes as (u, v, a1, b1, a2,
-    b2), u and v slot positions, its terms in ``_row_terms`` order; the
-    caller computes the binomials.  First come the rows whose two
-    coefficients are both nonzero mod p, family by family, then those with
-    exactly one; each such row comes once.  A row with both coefficients
-    0 mod p is never visited: by Kummer's theorem C(m + h, h) is nonzero
-    mod p exactly when h adds to m without a base-p carry, so
-    ``_lucas_range(m, ..., carry_free=True)`` lists the live indices of
-    each family, as below.  What is held at a time is at most as long as
-    a row of ``lam``.
+    Each row C(a1, b1) y_u - C(a2, b2) y_v = 0 comes once, as (u, v, a1,
+    b1, a2, b2), u and v slot positions, its terms in ``_row_terms``
+    order; the caller computes the binomials.  No other row is visited:
+    by Kummer's theorem C(m + h, h) is nonzero mod p exactly when h adds
+    to m without a base-p carry, so ``_lucas_range(m, ...,
+    carry_free=True)`` lists the live indices of each family, as below.
+    ``_lone_slots`` lists the rows with one nonzero coefficient, slot by
+    slot.  What is held at a time is at most as long as a row of ``lam``.
     """
     parts, n = lam.parts, lam.n
-    if n == 3:
-        a, b, c = parts
-        x0, z0, y0 = -1, b - 1, b + c - 1  # slot (1, 2, i) is at x0 + i
-        # Whether a + i adds to k <= c <= b without a carry reads only the
-        # digits of a + i below ``span``, a power of p above b.
-        span = p
-        while span <= b:
-            span *= p
-        low_a = a % span
-        # (T2): C(a+k, k) y_j - C(b+j, j) z_k for j + k <= c; the first is
-        # nonzero iff k adds to a without a carry, the second iff j adds
-        # to b.
-        ks = _lucas_range(a, 1, c - 1, p, carry_free=True)
-        js = _lucas_range(b, 1, c - 1, p, carry_free=True)
-    for both in (True, False):
-        # (E) on pair (r, s), A = part_r: C(A+i+j, j) y_i - C(i+j, i) y_{i+j}.
-        # The first is nonzero iff j adds to A + i without a carry, the
-        # second iff j adds to i without one; both are iff j adds to their
-        # digit-wise maximum without one.
-        base = -1  # slot (r, s, i) is at base + i
-        for r in range(1, n + 1):
-            top = parts[r - 1]
-            for width in parts[r:]:
-                for i in range(1, width):
-                    ai, hi = top + i, width - i
-                    if both:
-                        live = _lucas_range(_digit_max(ai, i, p), 1, hi, p, carry_free=True)
-                    else:
-                        live = set(_lucas_range(ai, 1, hi, p, carry_free=True))
-                        live.symmetric_difference_update(_lucas_range(i, 1, hi, p, carry_free=True))
-                    for j in live:
-                        yield base + i, base + i + j, ai + j, j, i + j, i
-                base += width
-        if n < 3:
-            continue
-        # (T1): C(a+i+k, k) x_i - C(a+i+k, i) z_k, k by k; write m = a + k.
-        # The second is nonzero iff i adds to m without a carry.  Then each
-        # digit of m + i is the sum of those of m and i, and the first is
-        # nonzero iff each digit of k is at most that sum (Lucas): both are
-        # iff each digit of i lies between those of M - m and p - 1 - m, M
-        # the digit-wise maximum of m and k, i.e. i = (M - m) + h with h
-        # adding to M without a carry.  In general the first is nonzero iff
-        # a + i adds to k without a carry (Kummer, as m + i - k = a + i).
-        for k in range(1, c + 1):
-            m = a + k
-            if both:
-                most = _digit_max(m, k, p)
-                shift = most - m
-                live = _lucas_range(most, 0 if shift else 1, b - shift, p, carry_free=True)
-                live = map(shift.__add__, live)
-            else:
-                live = set(_lucas_range(m, 1, b, p, carry_free=True))
-                tops = _lucas_range(k, low_a + 1, low_a + b, p, carry_free=True)
-                live.symmetric_difference_update(map((-low_a).__add__, tops))
-            for i in live:
-                yield x0 + i, z0 + k, m + i, k, m + i, i
-        # (T2): both nonzero, then j live and k not, then k live and j not.
-        if not both:
-            live_k, live_j = set(ks), set(js)
-            dead_k = [k for k in range(1, c) if k not in live_k]
-            dead_j = [j for j in range(1, c) if j not in live_j]
-        for j_list, k_list in ((js, ks),) if both else ((js, dead_k), (dead_j, ks)):
-            for j in j_list:
-                for k in k_list:
-                    if j + k > c:
-                        break
-                    yield y0 + j, z0 + k, a + k, k, b + j, j
+    # (E) on pair (r, s), A = part_r: C(A+i+j, j) y_i - C(i+j, i) y_{i+j}.
+    # The first is nonzero iff j adds to A + i without a carry, the second
+    # iff j adds to i without one; both are iff j adds to their digit-wise
+    # maximum without one.
+    base = -1  # slot (r, s, i) is at base + i
+    for r in range(1, n + 1):
+        top = parts[r - 1]
+        for width in parts[r:]:
+            for i in range(1, width):
+                ai = top + i
+                for j in _lucas_range(_digit_max(ai, i, p), 1, width - i, p, carry_free=True):
+                    yield base + i, base + i + j, ai + j, j, i + j, i
+            base += width
+    if n < 3:
+        return
+    a, b, c = parts
+    x0, z0, y0 = -1, b - 1, b + c - 1  # slot (1, 2, i) is at x0 + i
+    # (T1): C(a+i+k, k) x_i - C(a+i+k, i) z_k, k by k; write m = a + k.
+    # The second is nonzero iff i adds to m without a carry.  Then each
+    # digit of m + i is the sum of those of m and i, and the first is
+    # nonzero iff each digit of k is at most that sum (Lucas): both are
+    # iff each digit of i lies between those of M - m and p - 1 - m, M the
+    # digit-wise maximum of m and k, i.e. i = (M - m) + h with h adding to
+    # M without a carry.
+    for k in range(1, c + 1):
+        m = a + k
+        most = _digit_max(m, k, p)
+        shift = most - m
+        for h in _lucas_range(most, 0 if shift else 1, b - shift, p, carry_free=True):
+            i = shift + h
+            yield x0 + i, z0 + k, m + i, k, m + i, i
+    # (T2): C(a+k, k) y_j - C(b+j, j) z_k for j + k <= c; the first is
+    # nonzero iff k adds to a without a carry, the second iff j adds to b.
+    ks = _lucas_range(a, 1, c - 1, p, carry_free=True)
+    for j in _lucas_range(b, 1, c - 1, p, carry_free=True):
+        for k in ks:
+            if j + k > c:
+                break
+            yield y0 + j, z0 + k, a + k, k, b + j, j
+
+
+def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
+    """The slots that carry the nonzero coefficient of an (E), (T1) or (T2) row with one.
+
+    For at most three rows.  Such a row, c y_u = 0 with c nonzero mod p,
+    says only y_u = 0, so these rows span exactly the unit vectors of the
+    slots listed.  Each family lists a slot once, when some row of it has
+    its one nonzero coefficient there: for each slot the indices of the
+    rows with a nonzero coefficient on it, and those with one on the other
+    slot, are each one ``_lucas_range``, as in ``_live_pair_rows``, and no
+    binomial is computed.  C(n, h) is nonzero mod p iff each base-p digit
+    of h is at most that of n (Lucas), and C(n + h, h) iff h adds to n
+    without a carry (Kummer).
+    """
+    parts, n = lam.parts, lam.n
+    base = -1  # slot (r, s, i) is at base + i
+    for r in range(1, n + 1):
+        top = parts[r - 1]
+        for width in parts[r:]:
+            for m in range(1, width + 1):
+                # (E) C(A+i+j, j) y_i - C(i+j, i) y_{i+j}, A = part_r.  Where
+                # y_m is y_i, its coefficient is nonzero iff j adds to A + m,
+                # the other iff j adds to m; where it is y_{i+j}, j = m - i,
+                # its C(m, j) iff j fits under m, the other iff under A + m.
+                hi, am = width - m, top + m
+                own = _lucas_range(am, 1, hi, p, carry_free=True)
+                if own and not set(_lucas_range(m, 1, hi, p, carry_free=True)).issuperset(own):
+                    yield base + m
+                    continue
+                own = _lucas_range(m, 1, m - 1, p)
+                if own and not set(_lucas_range(am, 1, m - 1, p)).issuperset(own):
+                    yield base + m
+            base += width
+    if n < 3:
+        return
+    a, b, c = parts
+    x0, z0, y0 = -1, b - 1, b + c - 1
+    # Whether a + h adds to a number below ``span``, a power of p above b,
+    # without a carry reads only the digits of a + h below ``span``.
+    span = p
+    while span <= b:
+        span *= p
+    low_a = a % span
+    # (T1) C(a+i+k, k) x_i - C(a+i+k, i) z_k, i <= b and k <= c.  x_i's
+    # coefficient is nonzero iff k adds to a + i, the other iff a + k adds
+    # to i; z_k's iff i adds to a + k, the other iff a + i adds to k.
+    for first, count, limit in ((x0, b, c), (z0, c, b)):
+        for h in range(1, count + 1):
+            own = _lucas_range(a + h, 1, limit, p, carry_free=True)
+            other = _lucas_range(h, low_a + 1, low_a + limit, p, carry_free=True)
+            if not {t - low_a for t in other}.issuperset(own):
+                yield first + h
+    # (T2) C(a+k, k) y_j - C(b+j, j) z_k, j + k <= c: its one nonzero
+    # coefficient is on y_j iff k adds to a and j not to b, and on z_k iff
+    # j adds to b and k not to a.
+    ks = _lucas_range(a, 1, c - 1, p, carry_free=True)
+    js = _lucas_range(b, 1, c - 1, p, carry_free=True)
+    if ks:
+        live_j = set(js)
+        yield from (y0 + j for j in range(1, c - ks[0] + 1) if j not in live_j)
+    if js:
+        live_k = set(ks)
+        yield from (z0 + k for k in range(1, c - js[0] + 1) if k not in live_k)
 
 
 def _t3_rows(
-    lam: Partition, p: int, forest: _GainForest, slots: list[tuple[int, int, int]]
+    lam: Partition, p: int, forest: _GainForest
 ) -> Iterator[tuple[RowTag, dict[int, int]]]:
     """The (T3a) and (T3b) rows of a three-row ``lam``, read from the live slots.
 
@@ -680,21 +716,23 @@ def _t3_rows(
     parent, zero = forest.parent, forest.zero
     binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
     fed: set[RowTag] = set()
-    stop = offsets[2][3]
-    for pos in reversed(range(len(slots))):
-        if pos < stop:
-            break
-        root = parent[pos]
-        if parent[root] != root:
-            root = forest.find(pos)[0]
-        if zero[root]:
-            stop = 0
-            continue
-        for tag in _tags_touching(lam, slots[pos], p):
-            if tag[0] not in ("T3a", "T3b") or tag in fed:
+    skipped = False  # some y(2,3)_j was in a zero tree when visited
+    for r, s in ((2, 3), (1, 3), (1, 2)):
+        for i in reversed(range(1, lam.parts[s - 1] + 1)):
+            pos = offsets[r][s] + i - 1
+            root = parent[pos]
+            if parent[root] != root:
+                root = forest.find(pos)[0]
+            if zero[root]:
+                skipped = True
                 continue
-            fed.add(tag)
-            yield tag, _sparse_row(lam, tag, p, offsets, binom)
+            for tag in _tags_touching(lam, (r, s, i), p):
+                if tag[0] not in ("T3a", "T3b") or tag in fed:
+                    continue
+                fed.add(tag)
+                yield tag, _sparse_row(lam, tag, p, offsets, binom)
+        if not skipped:
+            break
 
 
 def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
@@ -729,28 +767,34 @@ def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, i
                     yield ("B", r, s, t, row[0][0]), {where[col]: coef for col, coef in row}
 
 
-def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list[RowTag]]:
-    """Rows spanning the paper's relations of ``lam``, and their tags.
+def _settle(
+    lam: Partition, p: int, size: int
+) -> tuple[_GainForest, list[tuple[RowTag, dict[int, int]]], int]:
+    """The gain graph of the paper's relations of ``lam``: (forest, long rows, live).
 
-    Relations are fed in turn to a ``_GainForest`` over the slot
-    positions, which moves each onto the roots of its slots (y_v = g *
-    y_root; ``_GainForest.move``): terms on slots of zero trees are
-    dropped, the others summed per root.  Of what is left, nothing means
-    the relation already holds; one term marks its tree zero; two join
-    the trees; three or more are kept as a long row on the roots.  What
-    is fed depends on the shape:
+    ``size`` is V, the slot count.  Relations are fed in turn to a
+    ``_GainForest`` over the slot positions, which moves each onto the
+    roots of its slots (y_v = g * y_root; ``_GainForest.move``): terms on
+    slots of zero trees are dropped, the others summed per root.  Of what
+    is left, nothing means the relation already holds; one term marks its
+    tree zero; two join the trees; three or more are kept as a long row,
+    (tag, row) with the row as fed.  ``live`` counts the roots not marked
+    zero: it starts at V, and each join, zero mark or (C) relation lowers
+    it by one.  What is fed depends on the shape:
 
-    * With at most three rows, first the (E), (T1) and (T2) rows, which
-      have at most two terms, as ``_live_pair_rows`` lists them: those
-      with both coefficients nonzero mod p, which can join two trees,
-      then those with one, which can only mark a tree zero.  They are
-      settled without a row dict (most rows are of this kind, and small
-      systems pay for every dict): a row whose two slots already share a
-      root is skipped before any binomial is computed, as it holds on
-      that tree (the reason is at the skip), and a binomial is computed
-      only for a slot outside a zero tree, through a memo kept for the
-      one call.  Then the (T3a) and (T3b) rows of ``_t3_rows``, read from
-      the slots outside zero trees.
+    * With at most three rows, first the (E), (T1) and (T2) rows with
+      both coefficients nonzero mod p, as ``_live_pair_rows`` lists them.
+      No tree is zero yet, so each joins two trees, unless its slots
+      already share a root, when it is skipped before any binomial is
+      computed, as it holds on that tree (the reason is at the skip).
+      They are settled without a row dict: most rows are of this kind,
+      and small systems pay for every dict.  Then the rows with exactly
+      one, c y_u = 0, which say only y_u = 0: ``_lone_slots`` lists the
+      slots u that carry such a coefficient, and u's tree is marked zero
+      unless it already is.  These rows span exactly the unit vectors of
+      the slots listed, and each mark adds one of them, so feeding the
+      marks is feeding the rows.  Then the (T3a) and (T3b) rows of
+      ``_t3_rows``, read from the slots outside zero trees.
     * With four rows or more, the forest starts from the independent
       (C) relations of ``_commuting_classes``: each zero slot marked zero,
       and each class one tree on its largest slot, with gain std_v /
@@ -758,62 +802,54 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
       ``_spanning_rows`` are fed as they are generated.  A block row is
       defined only mod p, with no integer row behind it for the skip's
       argument, so its sum on the tree is always computed.
-    * The rank ceiling V - 1 ends the feed: the live roots, those not
-      marked zero, start at one per slot, and each join, zero mark or (C)
-      relation removes one, so the relations the forest holds have rank
-      V - live.  No row is fed once one live root is left.  The paper's
-      rows have rank at most V - 1 for every ``lam``: with m the least
-      p-adic valuation of C(part_r + i, i) over the slots, std / p**m is
-      an integer vector, nonzero mod p, that satisfies the integer (E)
-      and (T) rows as std does over Z; if m > 0 every (C) coefficient
-      std_P(j) is 0 mod p, so the (C) rows are zero, and if m = 0 the
-      vector is std, which solves (C).  So rows in the span of the
-      paper's rows that reach rank V - 1 span them all, and the rows not
-      yet fed add nothing.
+    * The rank ceiling V - 1 ends the feed: no row is fed once one live
+      root is left.  The paper's rows have rank at most V - 1 for every
+      ``lam``: with m the least p-adic valuation of C(part_r + i, i) over
+      the slots, std / p**m is an integer vector, nonzero mod p, that
+      satisfies the integer (E) and (T) rows as std does over Z; if m > 0
+      every (C) coefficient std_P(j) is 0 mod p, so the (C) rows are
+      zero, and if m = 0 the vector is std, which solves (C).  So rows in
+      the span of the paper's rows that reach rank V - 1 span them all,
+      and the rows not yet fed add nothing.
 
-    The rows returned, in this order, are: each long row moved onto the
-    final roots, with its terms on zero trees dropped and those on one
-    root summed (a row left empty is dropped), tagged as its relation;
-    then, slot by slot, ("zero", r, s, i): y_v = 0 for every slot v of a
-    zero tree, and ("link", r, s, i): y_v - g_v * y_root for every other
-    slot v that is not a root.  A root is the largest slot of its tree,
-    so a link row's pivot is its own slot.  There may be no long rows:
-    when the ceiling ends the build, every long row moved onto the final
-    roots is left empty (the proof below), and only zero and link rows
-    are left.  Write W for the span of the zero and link rows.  The rows
-    span exactly the paper's rows:
+    ``_slot_rows`` writes the settled forest out as rows: each long row
+    moved onto the final roots, then y_v = 0 for every slot v of a zero
+    tree and y_v - g_v * y_root for every other slot that is not a root.
+    Write W for the span of those zero and link rows.  They span exactly
+    the paper's rows:
 
-    * Every row returned is a combination of the paper's rows.  Every row
+    * Every row written is a combination of the paper's rows.  Every row
       fed is one: a paper row, or a row of ``_spanning_rows``, which span
       the paper's (E) and (T) rows (the proof is there), and so are the
-      (C) relations the forest starts with.  A join, a zero mark or a long
-      row is its relation minus multiples of the zero and link relations
-      the forest held before it, so by induction every zero and link
-      relation the forest ever holds, and every long row, lies in the
-      span of the (C) relations and the relations fed so far.
-    * If the ceiling did not end the build, every paper row lies in W
-      plus the span of the long rows.  The forest only gains joins and
-      zero marks, so what it held at any time lies in W.  A relation fed
-      to it is therefore in W, or, for a long row, the final long row plus
-      an element of W.  With four rows or more the forest started with
+      (C) relations the forest starts with and the zero marks.  A join, a
+      zero mark or a long row is its relation minus multiples of the zero
+      and link relations the forest held before it, so by induction every
+      zero and link relation the forest ever holds, and every long row,
+      lies in the span of the (C) relations and the relations fed so far.
+    * If the ceiling did not end the feed, every paper row lies in W plus
+      the span of the long rows.  The forest only gains joins and zero
+      marks, so what it held at any time lies in W.  A relation fed to it
+      is therefore in W, or, for a long row, the final long row plus an
+      element of W.  With four rows or more the forest started with
       relations spanning the (C) rows, and every row of
-      ``_spanning_rows``, spanning the others, was fed.  With
-      at most three, every (E), (T1) and (T2) row with a coefficient
-      nonzero mod p was fed; the others are zero rows.  If some (T3a) or
-      (T3b) row is never fed, some y(2,3)_j was in a zero tree when
-      visited, so every slot was visited, each term of that row was on a
-      slot of a zero tree, and the row lies in W.
-    * If the ceiling ended the build, the zero and link rows alone, one
+      ``_spanning_rows``, spanning the others, was fed.  With at most
+      three, every (E), (T1) and (T2) row with two coefficients nonzero
+      mod p was fed, every one with one lies in the span of the marks,
+      and the others are zero rows.  If some (T3a) or (T3b) row is never
+      fed, some y(2,3)_j was in a zero tree when visited, so every slot
+      was visited, each term of that row was on a slot of a zero tree,
+      and the row lies in W.
+    * If the ceiling ended the feed, the zero and link rows alone, one
       pivot per slot that is not the live root, reach rank V - 1 inside
       the span of the paper's rows, so they span it (the proof is above).
       So every long row moved onto the final roots is left empty: on the
       one live root a nonzero sum would raise the rank past V - 1.
 
-    So the unique RREF, which ``_echelon`` reads off these rows, and with
-    it ``nullspace`` and ``dim_E``, are those of the paper's rows.  No
-    step reads the order in which the rows are fed, so any order gives
-    this RREF; only the link rows and which long rows are kept can change
-    with it:
+    So the unique RREF, which ``_echelon`` reads off the written rows,
+    and with it ``nullspace`` and ``dim_E``, are those of the paper's
+    rows.  No step reads the order in which the rows are fed, so any
+    order gives this RREF; only which zero, link and long rows are kept
+    can change with it:
 
     * below the ceiling every live row is fed, in whatever order, and
       once the ceiling is reached the rows not fed add nothing (the proof
@@ -822,19 +858,9 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
     * the skip of a row whose slots share a root holds in any order, as
       every join of the two-term loop has two unit coefficients.
     """
-    parts = lam.parts
-    slots = [
-        (r, s, i)
-        for r in range(1, lam.n + 1)
-        for s in range(r + 1, lam.n + 1)
-        for i in range(1, parts[s - 1] + 1)
-    ]
-    forest = _GainForest(len(slots), p)
+    forest = _GainForest(size, p)
     find, parent, gain, zero = forest.find, forest.parent, forest.gain, forest.zero
-    # ``live`` counts the roots not marked zero, and each join or zero mark
-    # lowers it by one.  The rows stop once it reaches 1, where the zero
-    # and link rows reach the rank ceiling V - 1.
-    live = len(slots)
+    live = size
 
     if lam.n >= 4:
         zeros, classes = _commuting_classes(lam, p)
@@ -850,8 +876,6 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
             live -= len(cls)
         stream = _spanning_rows(lam, p) if live > 1 else ()
     else:
-        binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
-        cached = binom.get
         for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p):
             x, y, gx, gy = parent[u], parent[v], gain[u], gain[v]
             if parent[x] != x:
@@ -870,28 +894,22 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
                 # its joins, so it agrees with the tree's gains and sums to
                 # 0 on the root.
                 continue
-            cx = cy = 0
-            if not zero[x]:
-                cx = cached((a1, b1))
-                if cx is None:
-                    cx = binom[a1, b1] = _binom_mod_p(a1, b1, p)
-                cx = cx * gx % p
-            if not zero[y]:
-                cy = cached((a2, b2))
-                if cy is None:
-                    cy = binom[a2, b2] = _binom_mod_p(a2, b2, p)
-                cy = -cy * gy % p
-            if cx and cy:
-                forest.join(x, cx, y, cy)
-            elif cx or cy:
-                zero[x if cx else y] = True
-            else:
-                continue
+            cx = _binom_mod_p(a1, b1, p) * gx % p
+            forest.join(x, cx, y, -_binom_mod_p(a2, b2, p) * gy % p)
             live -= 1
             if live <= 1:
                 break
+        for u in _lone_slots(lam, p) if live > 1 else ():
+            x = parent[u]
+            if parent[x] != x:
+                x = find(u)[0]
+            if not zero[x]:
+                zero[x] = True
+                live -= 1
+                if live <= 1:
+                    break
         # Below three rows there are no (T3) rows.
-        stream = _t3_rows(lam, p, forest, slots) if lam.n == 3 and live > 1 else ()
+        stream = _t3_rows(lam, p, forest) if lam.n == 3 and live > 1 else ()
 
     long_rows: list[tuple[RowTag, dict[int, int]]] = []
     for tag, row in stream:
@@ -909,7 +927,25 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
         live -= 1
         if live <= 1:
             break
+    return forest, long_rows, live
 
+
+def _slot_rows(
+    lam: Partition, forest: _GainForest, long_rows: list[tuple[RowTag, dict[int, int]]]
+) -> tuple[list[dict[int, int]], list[RowTag]]:
+    """The rows of a ``_settle``d forest and their tags, in this order.
+
+    Each long row moved onto the final roots, with its terms on zero trees
+    dropped and those on one root summed (a row left empty is dropped),
+    tagged as its relation; then, slot by slot, ("zero", r, s, i): y_v = 0
+    for every slot v of a zero tree, and ("link", r, s, i): y_v - g_v *
+    y_root for every other slot v that is not a root.  A root is the
+    largest slot of its tree, so a link row's pivot is its own slot.
+    There may be no long rows: once the ceiling ends the feed, every long
+    row moved onto the final roots is left empty.  Why these rows span the
+    paper's rows is in ``_settle``.
+    """
+    p, parent, gain, zero = forest.p, forest.parent, forest.gain, forest.zero
     rows: list[dict[int, int]] = []
     tags: list[RowTag] = []
     for tag, row in long_rows:
@@ -917,33 +953,37 @@ def _gain_graph_rows(lam: Partition, p: int) -> tuple[list[dict[int, int]], list
         if row:
             rows.append(row)
             tags.append(tag)
-    for pos, slot in enumerate(slots):
-        root = parent[pos]
-        if parent[root] == root:
-            g = gain[pos]
-        else:
-            root, g = find(pos)
-        if zero[root]:
-            rows.append({pos: 1})
-            tags.append(("zero", *slot))
-        elif root != pos:
-            rows.append({pos: 1, root: -g % p})
-            tags.append(("link", *slot))
+    offsets, parts = _pair_offsets(lam), lam.parts
+    for r in range(1, lam.n + 1):
+        for s in range(r + 1, lam.n + 1):
+            for i in range(1, parts[s - 1] + 1):
+                pos = offsets[r][s] + i - 1
+                root = parent[pos]
+                if parent[root] == root:
+                    g = gain[pos]
+                else:
+                    root, g = forest.find(pos)
+                if zero[root]:
+                    rows.append({pos: 1})
+                    tags.append(("zero", r, s, i))
+                elif root != pos:
+                    rows.append({pos: 1, root: -g % p})
+                    tags.append(("link", r, s, i))
     return rows, tags
 
 
 def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """A system of rows spanning every relation row of ``lam`` at ``p``.
 
-    It holds ``_gain_graph_rows``, for every shape: the relations are fed
-    to a weighted union-find over the slots as they are generated, until
-    the rows reach rank V - 1, the most with V >= 1 slots, and what is
-    left is a few long rows on the roots of its trees and one zero or link
-    row per slot that is not a root (the proof of both is there).
-    With at most three rows the relations fed are the paper's: the (E),
-    (T1) and (T2) rows, those with two coefficients nonzero mod p first,
-    then the (T3a) and (T3b) rows from the slots not forced to 0.  With
-    four or more the forest starts with the (C) relations of
+    The relations are fed to a weighted union-find over the slots as they
+    are generated (``_settle``), until the rows reach rank V - 1, the most
+    with V >= 1 slots, and ``_slot_rows`` writes what is left: a few long
+    rows on the roots of its trees and one zero or link row per slot that
+    is not a root (the proof of both is in ``_settle``).  With at most
+    three rows the relations fed are the paper's: the (E), (T1) and (T2)
+    rows with two coefficients nonzero mod p, then the slots of those with
+    one, then the (T3a) and (T3b) rows from the slots not forced to 0.
+    With four or more the forest starts with the (C) relations of
     ``_commuting_classes``, and then, triple by triple, the rows of each
     triple's three-row RREF (``_triple_block``) moved onto its pairs
     (``_spanning_rows``) are fed, so the unique RREF, ``nullspace``,
@@ -954,19 +994,22 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     rows and slots than ``lam``'s, so no block is ever refused.
     """
     validate_prime(p)
-    check_budget(lam)
-    rows, tags = _gain_graph_rows(lam, p)
-    return RelationSystem(lam, p, slot_count(lam), tuple(rows), tuple(tags))
+    size = check_budget(lam)
+    forest, long_rows, _live = _settle(lam, p, size)
+    rows, tags = _slot_rows(lam, forest, long_rows)
+    return RelationSystem(lam, p, size, tuple(rows), tuple(tags))
 
 
-def check_budget(lam: Partition) -> None:
-    """Raise ``SystemTooLargeError`` if ``lam`` has over ``MAX_CELLS`` candidate rows x slots."""
-    cells = _candidate_row_count(lam) * slot_count(lam)
+def check_budget(lam: Partition) -> int:
+    """The slot count V of ``lam``; ``SystemTooLargeError`` past ``MAX_CELLS`` rows x slots."""
+    size = slot_count(lam)
+    cells = _candidate_row_count(lam) * size
     if cells > MAX_CELLS:
         raise SystemTooLargeError(
             f"relation system for {lam} has {cells} candidate cells "
             f"(rows x slots), above the budget of {MAX_CELLS}"
         )
+    return size
 
 
 @lru_cache(maxsize=1024)
@@ -990,8 +1033,8 @@ def _triple_block(a: int, b: int, c: int, p: int) -> tuple[tuple[tuple[int, int]
 def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     """The RREF of the system's rows as {pivot column: {free column: coef}}.
 
-    A ``build_relation_system`` result is nearly one (``_gain_graph_rows``):
-    a few long rows, then one zero or link row per slot v that is not a
+    A ``build_relation_system`` result is nearly one (``_slot_rows``): a
+    few long rows, then one zero or link row per slot v that is not a
     live root (the root of a tree not marked zero).  Only the long rows,
     those before the first "zero" or "link" tag, are reduced, to R
     (``_reduce``).  Each other row is then its own pivot row: y_v = 0
@@ -1008,7 +1051,8 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     * So in a combination of the rows that sums to 0, the coefficient of
       v's row is the entry of the sum on v, which is 0, and what is left
       combines the long rows alone.  Hence the rank is the number of zero
-      and link rows plus the rank of the long rows (``_rank``).
+      and link rows plus the rank of the long rows, which ``dim_E``
+      counts on the settled forest without writing a row.
     * Each row above has 1 on its pivot and 0 on every other pivot.  A
       short row's pivot v is its smallest column, as a root is the largest
       slot of its tree and R's rows lie after their pivots; its other
@@ -1019,8 +1063,8 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
     Precondition: a ``build_relation_system`` result, or a system with no
     zero or link row, like the paper's rows, which is reduced whole.
     """
-    p, rows = system.p, system.rows
-    long = _long_row_count(system)
+    p, rows, tags = system.p, system.rows, system.row_tags
+    long = next((k for k, tag in enumerate(tags) if tag[0] in ("zero", "link")), len(tags))
     rref = _reduce(rows[:long], p)
     for row in rows[long:]:
         v, root = min(row), max(row)
@@ -1032,12 +1076,6 @@ def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
         else:
             rref[v] = {root: row[root]}
     return rref
-
-
-def _long_row_count(system: RelationSystem) -> int:
-    """The number of rows before the first zero or link row of the system."""
-    tags = system.row_tags
-    return next((k for k, tag in enumerate(tags) if tag[0] in ("zero", "link")), len(tags))
 
 
 def _reduce(rows: tuple[dict[int, int], ...], p: int) -> dict[int, dict[int, int]]:
@@ -1101,25 +1139,21 @@ def nullspace(system: RelationSystem) -> list[MultiSequence]:
     ]
 
 
-def _rank(system: RelationSystem) -> int:
-    """The rank of a ``build_relation_system`` result.
-
-    The number of zero and link rows plus the rank of the long rows before
-    them, which ``_reduce`` finds from those rows alone (``_echelon``
-    proves it).
-    """
-    long = _long_row_count(system)
-    return len(system.rows) - long + len(_reduce(system.rows[:long], system.p))
-
-
 def dim_E(lam: Partition, p: int) -> int:
-    """Dimension of the space of coherent multi-sequences.
+    """Dimension of the space of coherent multi-sequences, counted on the gain graph.
 
-    V less the rank of the built system, which ``_rank`` reads from the
-    count of its zero and link rows and the rank of its long rows alone.
+    V less the rank of the rows ``build_relation_system`` would write,
+    read off the ``_settle``d forest before any row is written.  That
+    rank is the number of zero and link rows plus the rank of the long
+    rows (``_echelon`` proves it).  Every slot that is not a live root
+    gets exactly one zero or link row, so there are V - live of them,
+    and the long rows are reduced as ``_slot_rows`` would write them,
+    moved onto the final roots.  So this is live less the rank of those
+    rows.
     """
-    system = build_relation_system(lam, p)
-    return system.num_slots - _rank(system)
+    validate_prime(p)
+    forest, long_rows, live = _settle(lam, p, check_budget(lam))
+    return live - len(_reduce([forest.move(row) for _tag, row in long_rows], p))
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:
@@ -1127,12 +1161,9 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
 
     The standard multi-sequence solves every relation; when it is nonzero
     (``_h0`` is 0) it spans the part of E that is not an extension, so
-    this is V less the rank less 1 - ``_h0``.  The rank is the number of
-    zero and link rows of the built system plus the rank of its long rows
-    alone (``_rank``; ``_echelon`` proves it).
+    this is ``dim_E`` less 1 - ``_h0``.  No ``RelationSystem`` is built.
     """
-    system = build_relation_system(lam, p)
-    return system.num_slots - _rank(system) - 1 + _h0(lam, p)
+    return dim_E(lam, p) - 1 + _h0(lam, p)
 
 
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:

@@ -58,6 +58,11 @@ def len_p(a: int, p: int) -> int:
     validate_prime(p)
     if a < 1:
         raise ValueError(f"len_p undefined for {a}; argument must be positive")
+    return _len_p(a, p)
+
+
+def _len_p(a: int, p: int) -> int:
+    """``len_p`` without argument checks: p prime and a >= 1, as ``_binom_mod_p``."""
     l = 0
     while a >= p:
         a //= p
@@ -70,6 +75,11 @@ def val_p(a: int, p: int) -> int:
     validate_prime(p)
     if a < 1:
         raise ValueError(f"val_p undefined for {a}; argument must be positive")
+    return _val_p(a, p)
+
+
+def _val_p(a: int, p: int) -> int:
+    """``val_p`` without argument checks: p prime and a >= 1 (a = 0 never returns)."""
     v = 0
     while a % p == 0:
         a //= p

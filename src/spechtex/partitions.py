@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .padic import len_p, val_p, validate_prime
+from .padic import _len_p, _val_p, len_p, val_p, validate_prime
 
 JAMES = "james"
 POINTED = "pointed"
@@ -88,25 +88,26 @@ def is_james_pair(a: int, b: int, p: int) -> bool:
         raise ValueError("is_james_pair requires b >= 1")
     if a < b:
         raise ValueError("is_james_pair requires a >= b")
-    return b < p ** val_p(a + 1, p)
+    return _is_james_pair(a, b, p)
+
+
+def _is_james_pair(a: int, b: int, p: int) -> bool:
+    """``is_james_pair`` without argument checks: p prime, a >= b >= 1."""
+    return b < p ** _val_p(a + 1, p)
 
 
 def is_james_partition(lam: Partition, p: int) -> bool:
     """True iff every consecutive pair of rows is James (length <= 1: True)."""
     validate_prime(p)
-    return all(
-        is_james_pair(lam.part(r), lam.part(r + 1), p) for r in range(1, lam.n)
-    )
+    parts = lam.parts
+    return all(_is_james_pair(a, b, p) for a, b in zip(parts, parts[1:]))
 
 
 def non_james_pairs(lam: Partition, p: int) -> list[int]:
     """Sorted indices r with (part_r, part_{r+1}) not a James pair."""
     validate_prime(p)
-    return [
-        r
-        for r in range(1, lam.n)
-        if not is_james_pair(lam.part(r), lam.part(r + 1), p)
-    ]
+    parts = lam.parts
+    return [r for r, (a, b) in enumerate(zip(parts, parts[1:]), 1) if not _is_james_pair(a, b, p)]
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,10 @@ def classify_two_part(a: int, b: int, p: int) -> TwoPartClass:
     validate_prime(p)
     if not a >= b >= 1:
         raise ValueError(f"classify_two_part requires a >= b >= 1, got ({a}, {b})")
-    v = val_p(a + 1, p)
+    v = _val_p(a + 1, p)
     if b < p**v:
         return TwoPartClass(JAMES)
-    beta = len_p(b, p)
+    beta = _len_p(b, p)
     b_hat = b - p**beta
     if b_hat < p**v and beta > v:
         return TwoPartClass(POINTED, beta=beta, b_hat=b_hat)

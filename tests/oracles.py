@@ -19,6 +19,9 @@ TRIANGLE_ROWS = 1000
 
 _deep_rows: dict[int, list[int]] = {}
 
+#: The least width of a deep row built by ``pascal_row``.
+DEEP_WIDTH = 64
+
 
 def pascal_row(a: int, width: int) -> list[int]:
     """The first ``width`` entries C(a, 0), ..., C(a, width - 1), exact.
@@ -39,16 +42,23 @@ def pascal_row(a: int, width: int) -> list[int]:
 def pascal_binom(a: int, b: int) -> int:
     """Exact C(a, b) from the Pascal triangle recurrence (big integers).
 
-    Rows up to ``TRIANGLE_ROWS`` come from the stored triangle, deeper ones
-    from ``pascal_row``; either way the value is checked against
-    ``math.comb``.
+    Rows up to ``TRIANGLE_ROWS`` come from the stored triangle.  A deeper
+    row comes from the one above it by Pascal's rule when that is stored
+    wide enough, else from ``pascal_row``, at least ``DEEP_WIDTH`` wide;
+    so the rows a, a + 1, ... of a deep top part cost one ``pascal_row``.
+    Either way the value is checked against ``math.comb``.
     """
     if b < 0 or b > a:
         return 0
     if a >= TRIANGLE_ROWS:
         row = _deep_rows.get(a, [])
         if len(row) <= b:
-            row = _deep_rows[a] = pascal_row(a, max(b + 1, 2 * len(row)))
+            above = _deep_rows.get(a - 1, [])
+            if len(above) > b:
+                row = [1] + [above[n] + above[n - 1] for n in range(1, len(above))]
+            else:
+                row = pascal_row(a, max(b + 1, 2 * len(row), DEEP_WIDTH))
+            _deep_rows[a] = row
         value = row[b]
         assert value == math.comb(a, b)
         return value

@@ -83,6 +83,38 @@ def test_classify_oracle_method(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "lam, p, method, expected",
+    [
+        # (3, 3) is James at p = 2, so h0 = 1; (2, 1, 1, 1) is not.
+        ("3,3", "2", "oracle", '{"p": 2, "lambda": [3, 3], "h0": 1, "ext1_B": 1, '
+         '"h1": {"value": 1, "exact": false}, "case": "oracle", "witness": null}'),
+        ("3,3", "2", "both", '{"p": 2, "lambda": [3, 3], "h0": 1, "ext1_B": 1, '
+         '"h1": {"value": 1, "exact": false}, "case": "james", '
+         '"witness": [{"r": 1, "s": 2, "i": 2, "v": 1}]}'),
+        ("2,1,1,1", "2", "both", '{"p": 2, "lambda": [2, 1, 1, 1], "h0": 0, "ext1_B": 0, '
+         '"h1": {"value": 0, "exact": false}, "case": "split", "witness": null}'),
+    ],
+)
+def test_classify_reads_the_oracles_own_h0_with_the_output_unchanged(
+    capsys, lam, p, method, expected
+):
+    # `--method oracle` reports the oracle's H^0 (coherence._h0), and
+    # `--method both` compares it with the classifier's; where the two
+    # agree, the JSON is the one the classifier's H^0 alone gave.
+    argv = ("classify", "--p", p, "--lambda", lam, "--method", method, "--json")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_classify_both_exits_1_when_the_oracles_h0_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(spechtex.cli, "_h0", lambda lam, p: 0)
+    code, out, err = run_cli(capsys, "classify", "--p", "2", "--lambda", "3,3", "--method", "both")
+    assert code == 1
+    assert "h0 = 1" in out and "oracle ext1_B = 1" in out
+    assert err == "MISMATCH: classifier h0=1 oracle h0=0 for (3,3) at p=2\n"
+
+
 def test_usage_error_bad_partition(capsys):
     code, _, err = run_cli(capsys, "classify", "--p", "3", "--lambda", "1,2")
     assert code == 2

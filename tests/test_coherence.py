@@ -35,7 +35,7 @@ from spechtex.coherence import (
     _h0,
     _iter_relation_rows,
     _live_pair_rows,
-    _rank,
+    _lone_slots,
     _reduce,
     _relation_tags,
     _row_terms,
@@ -592,9 +592,10 @@ def test_echelon_rank_matches_the_dense_rank_at_the_ceiling():
 
 def test_rank_from_the_slot_rows_matches_the_echelon():
     # `_echelon` reduces only the long rows and reads every zero or link
-    # row off as its own pivot row; `_rank` counts the zero and link rows
-    # and the pivots of the long rows.  Both must agree with a plain
-    # reduction of every row of the system.  A link row whose root is a
+    # row off as its own pivot row; `dim_E` counts the zero and link rows
+    # and the pivots of the long rows on the settled forest, before any
+    # row is written.  Both must agree with a plain reduction of every row
+    # of the system.  A link row whose root is a
     # pivot of the long rows takes that pivot's row in, which 16 of the 63
     # systems with long rows need.
     cases = [
@@ -610,7 +611,7 @@ def test_rank_from_the_slot_rows_matches_the_echelon():
         system = build_relation_system(lam, p)
         rref = _reduce(system.rows, p)
         assert _echelon(system) == rref, (p, lam.parts)
-        assert _rank(system) == len(rref), (p, lam.parts)
+        assert dim_E(lam, p) == system.num_slots - len(rref), (p, lam.parts)
         tagged = list(zip(system.row_tags, system.rows))
         long = [row for tag, row in tagged if tag[0] not in ("zero", "link")]
         long_rows[lam.parts, p] = len(long)
@@ -755,32 +756,56 @@ def test_gain_graph_system_has_the_rref_of_the_paper_rows_below_the_ceiling(
         assert any(tag[0] == "T3a" for tag in built.row_tags)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+#: Shapes of at most three rows for the two-term feed: 131 and 32749 are
+#: above the digit table of ``_lucas_range``; at p = 7, lower rows above 49
+#: reach its chunk path.
+two_term_shapes = given(
     top=st.one_of(st.integers(1, 90), st.sampled_from((10**6, 10**30 + 7))),
     lower=st.lists(st.integers(1, 60), max_size=2),
     p=st.sampled_from((2, 3, 5, 7, 11, 131, 32749)),
 )
-def test_live_pair_rows_are_the_live_two_term_rows(top, lower, p):
-    # 131 and 32749 are above the digit table of ``_lucas_range``; at
-    # p = 7, lower rows above 49 reach its chunk path.
-    lower = sorted(lower, reverse=True)
-    lam = Partition((max([top, *lower]), *lower))
-    listed = []
-    for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p):
-        row = {u: binom_mod_p(a1, b1, p), v: -binom_mod_p(a2, b2, p) % p}
-        listed.append({pos: coef for pos, coef in row.items() if coef})
-    assert all(listed), (lam.parts, p)  # no row with both coefficients 0
-    sizes = [len(row) for row in listed]
-    assert sizes == sorted(sizes, reverse=True), (lam.parts, p)  # both nonzero first
-    expected = []
-    for tag, sparse in _tagged_rows(lam, p):
+
+
+def transcribed_two_term_rows(lam, p):
+    """The transcribed (E), (T1) and (T2) rows of ``lam``, at most three
+    rows, mod p, as {slot position: coefficient} with zeros dropped."""
+    index = {slot: pos for pos, slot in enumerate(transcribed_slots(lam.parts))}
+    rows = []
+    for tag, row in transcribed_relations(lam.parts):
         if tag[0] == "T3a":
             break  # with at most three rows, the two-term rows come first
-        if sparse:
-            expected.append(sparse)
-    got = sorted(sorted(row.items()) for row in listed)
-    assert got == sorted(sorted(row.items()) for row in expected), (lam.parts, p)
+        rows.append({index[slot]: coef % p for slot, coef in row.items() if coef % p})
+    return rows
+
+
+def two_term_shape(top, lower):
+    lower = sorted(lower, reverse=True)
+    return Partition((max([top, *lower]), *lower))
+
+
+@settings(max_examples=60, deadline=None)
+@two_term_shapes
+def test_live_pair_rows_are_the_transcribed_two_coefficient_rows(top, lower, p):
+    lam = two_term_shape(top, lower)
+    listed = [
+        sorted({u: binom_mod_p(a1, b1, p), v: -binom_mod_p(a2, b2, p) % p}.items())
+        for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p)
+    ]
+    expected = [sorted(row.items()) for row in transcribed_two_term_rows(lam, p) if len(row) == 2]
+    assert sorted(listed) == sorted(expected), (lam.parts, p)
+
+
+@settings(max_examples=60, deadline=None)
+@two_term_shapes
+def test_lone_slots_are_the_slots_of_the_transcribed_one_coefficient_rows(top, lower, p):
+    # A row with one coefficient nonzero mod p says only that its slot is
+    # 0, so the feed marks the slot instead; each of (E), (T1) and (T2)
+    # lists a slot at most once.
+    lam = two_term_shape(top, lower)
+    listed = list(_lone_slots(lam, p))
+    expected = {pos for row in transcribed_two_term_rows(lam, p) if len(row) == 1 for pos in row}
+    assert set(listed) == expected, (lam.parts, p)
+    assert len(listed) <= 3 * slot_count(lam), (lam.parts, p)
 
 
 @pytest.mark.parametrize(
@@ -796,23 +821,30 @@ def test_live_pair_rows_are_the_live_two_term_rows(top, lower, p):
 def test_gain_graph_feeds_fewer_than_half_of_the_two_term_rows_on_wide_shapes(
     parts, p, monkeypatch
 ):
-    # The rows with both coefficients 0 mod p are never listed, and those
-    # with two nonzero ones come first, so the rank ceiling is reached
-    # after 31-47% of the (E), (T1) and (T2) rows on the three-row shapes
-    # and 1.6% on (406, 406).
-    fed = 0
+    # The rows with both coefficients 0 mod p are never listed, those with
+    # two nonzero ones come first, and those with one are listed slot by
+    # slot, each slot at most once per family.  So the rank ceiling is
+    # reached after 8-47% as many joins and marks as there are (E), (T1)
+    # and (T2) rows on the three-row shapes, and 1.8% on (406, 406).  Fed
+    # row by row, the one-coefficient rows alone on the first two shapes
+    # were 449 and 2,024, above three per slot.
+    fed = {"joins": 0, "marks": 0}
 
-    def counted(lam, p):
-        nonlocal fed
-        for row in _live_pair_rows(lam, p):
-            fed += 1
-            yield row
+    def counted(listing, key):
+        def listed(lam, p):
+            for item in listing(lam, p):
+                fed[key] += 1
+                yield item
 
-    monkeypatch.setattr("spechtex.coherence._live_pair_rows", counted)
+        return listed
+
+    monkeypatch.setattr("spechtex.coherence._live_pair_rows", counted(_live_pair_rows, "joins"))
+    monkeypatch.setattr("spechtex.coherence._lone_slots", counted(_lone_slots, "marks"))
     lam = Partition(parts)
     build_relation_system(lam, p)
     two_term = sum(tag[0] in ("E", "T1", "T2") for tag in _relation_tags(lam))
-    assert 0 < fed < two_term / 2, (fed, two_term)
+    assert 0 < fed["joins"] + fed["marks"] < two_term / 2, (fed, two_term)
+    assert fed["marks"] <= 3 * slot_count(lam), fed
 
 
 def test_james_build_stops_once_one_live_root_is_left(monkeypatch):
@@ -830,11 +862,27 @@ def test_james_build_stops_once_one_live_root_is_left(monkeypatch):
 
     monkeypatch.setattr("spechtex.coherence._spanning_rows", counted)
     lam = Partition((1,) * 12)
-    built = build_relation_system(lam, 2)
+    assert dim_E(lam, 2) == 1
     assert is_james_partition(lam, 2)
-    assert built.num_slots - _rank(built) == 1
     total = sum(1 for _ in _spanning_rows(lam, 2))
     assert 0 < pulled < total / 2, (pulled, total)
+
+
+@pytest.mark.parametrize("parts, p", [((4, 4, 4, 4), 7), ((974026, 46, 31), 3)])
+def test_oracle_counts_the_rank_on_the_forest_without_building_a_system(parts, p, monkeypatch):
+    # `dim_E` and `ext1_dim_oracle` read the rank off the settled gain
+    # graph, before any row is written.  (4,4,4,4) at p = 7 has (C) zero
+    # slots and classes and is fed the block of (4,4,4), which the build
+    # below caches, so no three-row system is built for it either.
+    lam = Partition(parts)
+    rank = len(_echelon(build_relation_system(lam, p)))
+
+    def refuse(*args):
+        raise AssertionError(f"a RelationSystem was built for {args[0]}")
+
+    monkeypatch.setattr("spechtex.coherence.RelationSystem", refuse)
+    assert dim_E(lam, p) == slot_count(lam) - rank
+    assert ext1_dim_oracle(lam, p) == slot_count(lam) - rank - 1 + _h0(lam, p)
 
 
 def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_random_wide_shapes():

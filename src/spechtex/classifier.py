@@ -88,12 +88,13 @@ def canonical_multisequence(lam: Partition, p: int) -> MultiSequence:
     < p, so every such slot is nonzero.
     """
     ji = james_index(lam, p)  # validates p, rejects short or non-James input
+    lens = [row_len(lam, s, p) for s in range(1, lam.n + 1)]
     entries = []
     for r in range(1, lam.n):
         vr = row_val(lam, r, p)
-        num = digit_p(lam.part(r), vr, p) + 1
+        num = lam.part(r) // p**vr % p + 1  # digit v_r of part_r, plus one
         for s in range(r + 1, lam.n + 1):
-            ls = row_len(lam, s, p)
+            ls = lens[s - 1]
             if vr - ls != ji:
                 continue
             step = p**ls

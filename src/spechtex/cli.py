@@ -111,12 +111,13 @@ def _sweep_instance(task: tuple[int, tuple[int, ...]]) -> dict:
     p, parts = task
     lam = Partition(parts)
     classification = ext1_dim(lam, p)
-    oracle_dim = ext1_dim_oracle(lam, p)
     return {
         "lambda": list(parts),
         "classifier_dim": classification.ext1_dim,
-        "oracle_dim": oracle_dim,
+        "oracle_dim": ext1_dim_oracle(lam, p),
         "case_tag": classification.case_tag,
+        "classifier_h0": classification.h0,
+        "oracle_h0": _h0(lam, p),
     }
 
 
@@ -149,7 +150,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         results = [_sweep_instance(task) for task in tasks]
 
-    mismatches = [r for r in results if r["classifier_dim"] != r["oracle_dim"]]
+    mismatches = [
+        r
+        for r in results
+        if (r["classifier_dim"], r["classifier_h0"]) != (r["oracle_dim"], r["oracle_h0"])
+    ]
     for entry in mismatches:
         print(json.dumps(entry))
     report = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .padic import _binom_mod_p, _lucas_range, validate_prime
 from .partitions import Partition
@@ -179,11 +179,9 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
 
     (E) for every pair, then (T1), (T2), (T3a), (T3b) for every triple,
     with pairs, triples and row indices in ascending lexicographic order,
-    so the row order is deterministic.  Only ``_tagged_rows`` reads them:
-    the build lists its two-term rows with ``_live_pair_rows`` and its
-    (T3a) and (T3b) rows with ``_tags_touching``, and the library reads
-    the (C) relations from ``_commuting_classes``; ``_iter_relation_rows``
-    lists both orders of the (C) rows.
+    so the row order is deterministic.  Only ``_iter_relation_rows``
+    reads them: the build lists its two-term rows with ``_live_pair_rows``
+    and its (T3a) and (T3b) rows with ``_tags_touching``.
     """
     n = lam.n
     part = (0,) + lam.parts  # part[r] = part_r
@@ -391,51 +389,29 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterat
             yield ("T3b", r, x, y, m, i)
 
 
-def _sparse_row(
-    lam: Partition, tag: RowTag, p: int, offsets: list[list[int]], binom: dict[tuple[int, int], int]
-) -> dict[int, int]:
-    """One row of ``_row_terms`` as {slot position: coefficient}, zeros omitted.
-
-    ``binom`` memoises C(a, b) mod p over the calls of one caller.
-    """
-    cached = binom.get
+def _sparse_row(lam: Partition, tag: RowTag, p: int, offsets: list[list[int]]) -> dict[int, int]:
+    """One row of ``_row_terms`` as {slot position: coefficient}, zeros omitted."""
     row = {}
     for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
-        coef = cached((a1, b1))
-        if coef is None:
-            coef = binom[a1, b1] = _binom_mod_p(a1, b1, p)
-        if not coef:
-            continue
-        if b2:
-            coef2 = cached((a2, b2))
-            if coef2 is None:
-                coef2 = binom[a2, b2] = _binom_mod_p(a2, b2, p)
-            if not coef2:
-                continue
-            coef *= coef2
-        row[offsets[r][s] + i - 1] = sign * coef % p
+        coef = _coefficient(p, sign, a1, b1, a2, b2)
+        if coef:
+            row[offsets[r][s] + i - 1] = coef
     return row
-
-
-def _tagged_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
-    """Rows of ``_relation_tags`` as (tag, {slot position: coefficient}), zeros omitted."""
-    offsets = _pair_offsets(lam)
-    binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
-    for tag in _relation_tags(lam):
-        yield tag, _sparse_row(lam, tag, p, offsets, binom)
 
 
 def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
     """Every candidate row of the paper: the rows ``_candidate_row_count`` counts.
 
-    ``_tagged_rows``, then both orders ("C", q, r, s, t, i, j) of every (C)
+    Each row of ``_relation_tags`` as (tag, {slot position: coefficient}),
+    zeros omitted, then both orders ("C", q, r, s, t, i, j) of every (C)
     row std_Q(i) y(P)_j - std_P(j) y(Q)_i, P = (q, r) and Q = (s, t)
     disjoint.  The library reads (C) from ``_commuting_classes``, which
     says what these rows say; the stream is for callers that count rows
     per family.
     """
-    yield from _tagged_rows(lam, p)
     offsets, std, n = _pair_offsets(lam), _commuting_std(lam, p), lam.n
+    for tag in _relation_tags(lam):
+        yield tag, _sparse_row(lam, tag, p, offsets)
     pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
     for q, r in pairs:
         for s, t in pairs:
@@ -580,6 +556,23 @@ def _digit_max(n: int, h: int, p: int) -> int:
     return out
 
 
+def _t1_joins(a: int, k: int, limit: int, p: int) -> tuple[int, Sequence[int]]:
+    """The i in [1, limit] with C(a+i+k, k) and C(a+i+k, i) both nonzero mod p.
+
+    Returned as (shift, hs), the i being shift + h for h in hs, ascending.
+    Write m = a + k.  C(m+i, i) is nonzero iff i adds to m without a
+    carry.  Then each digit of m + i is the sum of those of m and i, and
+    C(m+i, k) is nonzero iff each digit of k is at most that sum (Lucas):
+    both are iff each digit of i lies between those of M - m and p - 1 -
+    m, M the digit-wise maximum of m and k, i.e. i = (M - m) + h with h
+    adding to M without a carry.  The condition is symmetric in i and k.
+    """
+    m = a + k
+    most = _digit_max(m, k, p)
+    shift = most - m
+    return shift, _lucas_range(most, 0 if shift else 1, limit - shift, p, carry_free=True)
+
+
 def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int, int, int]]:
     """The (E), (T1) and (T2) rows with both coefficients nonzero mod p, for at most three rows.
 
@@ -610,18 +603,11 @@ def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int
         return
     a, b, c = parts
     x0, z0, y0 = -1, b - 1, b + c - 1  # slot (1, 2, i) is at x0 + i
-    # (T1): C(a+i+k, k) x_i - C(a+i+k, i) z_k, k by k; write m = a + k.
-    # The second is nonzero iff i adds to m without a carry.  Then each
-    # digit of m + i is the sum of those of m and i, and the first is
-    # nonzero iff each digit of k is at most that sum (Lucas): both are
-    # iff each digit of i lies between those of M - m and p - 1 - m, M the
-    # digit-wise maximum of m and k, i.e. i = (M - m) + h with h adding to
-    # M without a carry.
+    # (T1): C(a+i+k, k) x_i - C(a+i+k, i) z_k, k by k.
     for k in range(1, c + 1):
         m = a + k
-        most = _digit_max(m, k, p)
-        shift = most - m
-        for h in _lucas_range(most, 0 if shift else 1, b - shift, p, carry_free=True):
+        shift, hs = _t1_joins(a, k, b, p)
+        for h in hs:
             i = shift + h
             yield x0 + i, z0 + k, m + i, k, m + i, i
     # (T2): C(a+k, k) y_j - C(b+j, j) z_k for j + k <= c; the first is
@@ -640,12 +626,13 @@ def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
     For at most three rows.  Such a row, c y_u = 0 with c nonzero mod p,
     says only y_u = 0, so these rows span exactly the unit vectors of the
     slots listed.  Each family lists a slot once, when some row of it has
-    its one nonzero coefficient there: for each slot the indices of the
-    rows with a nonzero coefficient on it, and those with one on the other
-    slot, are each one ``_lucas_range``, as in ``_live_pair_rows``, and no
-    binomial is computed.  C(n, h) is nonzero mod p iff each base-p digit
-    of h is at most that of n (Lucas), and C(n + h, h) iff h adds to n
-    without a carry (Kummer).
+    its one nonzero coefficient there.  No row has two terms on one slot,
+    so that is when the family's rows with a nonzero coefficient on the
+    slot outnumber its rows with both nonzero through it, the joins that
+    ``_live_pair_rows`` lists; each count is the length of one
+    ``_lucas_range``, and no binomial is computed.  C(n, h) is nonzero mod
+    p iff each base-p digit of h is at most that of n (Lucas), and C(n +
+    h, h) iff h adds to n without a carry (Kummer).
     """
     parts, n = lam.parts, lam.n
     base = -1  # slot (r, s, i) is at base + i
@@ -655,13 +642,16 @@ def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
             for m in range(1, width + 1):
                 # (E) C(A+i+j, j) y_i - C(i+j, i) y_{i+j}, A = part_r.  Where
                 # y_m is y_i, its coefficient is nonzero iff j adds to A + m,
-                # the other iff j adds to m; where it is y_{i+j}, j = m - i,
-                # its C(m, j) iff j fits under m, the other iff under A + m.
+                # and the joins are the j that add to A + m and to m; where
+                # it is y_{i+j}, j = m - i, its C(m, j) iff j fits under m,
+                # the other iff under A + m.
                 hi, am = width - m, top + m
                 own = _lucas_range(am, 1, hi, p, carry_free=True)
-                if own and not set(_lucas_range(m, 1, hi, p, carry_free=True)).issuperset(own):
-                    yield base + m
-                    continue
+                if own:
+                    joins = _lucas_range(_digit_max(am, m, p), 1, hi, p, carry_free=True)
+                    if len(own) > len(joins):
+                        yield base + m
+                        continue
                 own = _lucas_range(m, 1, m - 1, p)
                 if own and not set(_lucas_range(am, 1, m - 1, p)).issuperset(own):
                     yield base + m
@@ -670,20 +660,14 @@ def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
         return
     a, b, c = parts
     x0, z0, y0 = -1, b - 1, b + c - 1
-    # Whether a + h adds to a number below ``span``, a power of p above b,
-    # without a carry reads only the digits of a + h below ``span``.
-    span = p
-    while span <= b:
-        span *= p
-    low_a = a % span
-    # (T1) C(a+i+k, k) x_i - C(a+i+k, i) z_k, i <= b and k <= c.  x_i's
-    # coefficient is nonzero iff k adds to a + i, the other iff a + k adds
-    # to i; z_k's iff i adds to a + k, the other iff a + i adds to k.
+    # (T1) C(a+i+k, k) x_i - C(a+i+k, i) z_k, i <= b and k <= c.  x_h's
+    # coefficient is nonzero iff k adds to a + h, z_h's iff i adds to a +
+    # h, and as the row is symmetric under i <-> k, x <-> z, the joins
+    # through either are ``_t1_joins(a, h, limit, p)``.
     for first, count, limit in ((x0, b, c), (z0, c, b)):
         for h in range(1, count + 1):
             own = _lucas_range(a + h, 1, limit, p, carry_free=True)
-            other = _lucas_range(h, low_a + 1, low_a + limit, p, carry_free=True)
-            if not {t - low_a for t in other}.issuperset(own):
+            if own and len(own) > len(_t1_joins(a, h, limit, p)[1]):
                 yield first + h
     # (T2) C(a+k, k) y_j - C(b+j, j) z_k, j + k <= c: its one nonzero
     # coefficient is on y_j iff k adds to a and j not to b, and on z_k iff
@@ -714,7 +698,6 @@ def _t3_rows(
     """
     offsets = _pair_offsets(lam)
     parent, zero = forest.parent, forest.zero
-    binom: dict[tuple[int, int], int] = {}  # (a, b) -> C(a, b) mod p
     fed: set[RowTag] = set()
     skipped = False  # some y(2,3)_j was in a zero tree when visited
     for r, s in ((2, 3), (1, 3), (1, 2)):
@@ -730,7 +713,7 @@ def _t3_rows(
                 if tag[0] not in ("T3a", "T3b") or tag in fed:
                     continue
                 fed.add(tag)
-                yield tag, _sparse_row(lam, tag, p, offsets, binom)
+                yield tag, _sparse_row(lam, tag, p, offsets)
         if not skipped:
             break
 

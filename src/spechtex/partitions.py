@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .padic import _len_p, _val_p, len_p, val_p, validate_prime
+from .padic import _len_p, _val_p, validate_prime
 
 JAMES = "james"
 POINTED = "pointed"
@@ -68,13 +68,13 @@ def new_partition(parts: list[int] | tuple[int, ...]) -> Partition:
 
 
 def row_val(lam: Partition, r: int, p: int) -> int:
-    """v_r = val_p(part_r + 1)."""
-    return val_p(lam.part(r) + 1, p)
+    """v_r = val_p(part_r + 1), for a prime p its caller has checked."""
+    return _val_p(lam.part(r) + 1, p)
 
 
 def row_len(lam: Partition, r: int, p: int) -> int:
-    """l_r = len_p(part_r)."""
-    return len_p(lam.part(r), p)
+    """l_r = len_p(part_r), for a prime p its caller has checked."""
+    return _len_p(lam.part(r), p)
 
 
 def is_james_pair(a: int, b: int, p: int) -> bool:

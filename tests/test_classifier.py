@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import spechtex.padic
 from oracles import rref_mod_p
 from spechtex.classifier import (
     ext1_dim,
@@ -33,6 +34,20 @@ from spechtex.partitions import (
     is_james_partition,
     non_james_pairs,
 )
+
+
+def test_james_chains_check_the_prime_a_fixed_number_of_times(monkeypatch):
+    # p is checked at the entry points; the per-row helpers below them
+    # (row_val, row_len and canonical_multisequence's loops) do not check
+    # it again, so a chain twice as long makes no more checks.
+    check = spechtex.padic._check_prime
+    counts = []
+    for n in (12, 24):
+        calls = []
+        monkeypatch.setattr(spechtex.padic, "_check_prime", lambda p: calls.append(p) or check(p))
+        assert ext1_dim(Partition((1,) * n), 2).case_tag == "james"
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_h0_examples():

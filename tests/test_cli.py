@@ -189,6 +189,26 @@ def test_sweep_check_clean(capsys):
     assert json.dumps(report) == lines[-1]
 
 
+def test_sweep_check_counts_a_differing_h0_as_a_mismatch(capsys, monkeypatch):
+    # With the oracle's H^0 forced to 0, the five λ with d <= 3 that are
+    # James at p = 3 mismatch on H^0 alone; each line keeps the four keys
+    # of a dimension mismatch, in order, and then gives both H^0.
+    monkeypatch.setattr(spechtex.cli, "_h0", lambda lam, p: 0)
+    code, out, err = run_cli(capsys, "sweep", "--p", "3", "--d-max", "3", "--check")
+    assert code == 1
+    *lines, report = out.splitlines()
+    tail = '"classifier_h0": 1, "oracle_h0": 0}'
+    assert lines == [
+        '{"lambda": [], "classifier_dim": 0, "oracle_dim": 0, "case_tag": "trivial", ' + tail,
+        '{"lambda": [1], "classifier_dim": 0, "oracle_dim": 0, "case_tag": "trivial", ' + tail,
+        '{"lambda": [2], "classifier_dim": 0, "oracle_dim": 0, "case_tag": "trivial", ' + tail,
+        '{"lambda": [3], "classifier_dim": 0, "oracle_dim": 0, "case_tag": "trivial", ' + tail,
+        '{"lambda": [2, 1], "classifier_dim": 1, "oracle_dim": 1, "case_tag": "james", ' + tail,
+    ]
+    assert json.loads(report)["mismatches"] == 5
+    assert "7 instances, 5 mismatches" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_sweep_refuses_fewer_than_one_job(capsys, jobs):
     code, out, err = run_cli(capsys, "sweep", "--p", "3", "--d-max", "4", "--jobs", jobs)

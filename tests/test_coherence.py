@@ -40,7 +40,6 @@ from spechtex.coherence import (
     _relation_tags,
     _row_terms,
     _spanning_rows,
-    _tagged_rows,
     _tags_touching,
     _triple_block,
     build_relation_system,
@@ -285,12 +284,18 @@ def commuting_rows(lam, p):
     return rows
 
 
+def paper_rows(lam, p):
+    """The (E), (T1), (T2), (T3a) and (T3b) rows of `_iter_relation_rows`,
+    as (tag, {slot position: coefficient}), zeros omitted."""
+    return [(tag, sparse) for tag, sparse in _iter_relation_rows(lam, p) if tag[0] != "C"]
+
+
 def paper_system(lam, p):
     """A `RelationSystem` of the (C) rows of `commuting_rows` and then the
     paper's nonzero (E), (T1), (T2), (T3a) and (T3b) rows, with no triple
     blocks."""
     rows = commuting_rows(lam, p)
-    rows += [(tag, sparse) for tag, sparse in _tagged_rows(lam, p) if sparse]
+    rows += [(tag, sparse) for tag, sparse in paper_rows(lam, p) if sparse]
     return system_of(lam, p, rows)
 
 
@@ -492,8 +497,8 @@ def assert_rows_match_transcription(parts):
     """At every prime of ``TRANSCRIPTION_PRIMES``: the nonzero rows of
     ``_iter_relation_rows``, tag by tag and in order, are the transcribed
     rows that do not vanish mod p, (C) rows of both orders included; so
-    are the nonzero rows of ``_tagged_rows`` for the (E), (T1), (T2),
-    (T3a) and (T3b) families; the RREF of the built system is that of
+    are its nonzero rows of the (E), (T1), (T2), (T3a) and (T3b)
+    families (``paper_rows``); the RREF of the built system is that of
     every transcribed row; the system holds the gain-graph rows of
     ``assert_gain_graph_rows``; and from four rows on the stream it is
     reduced from holds the transcribed triple blocks after its (C) rows."""
@@ -509,7 +514,7 @@ def assert_rows_match_transcription(parts):
         assert list(candidates.items()) == list(literal.items()), (p, parts)
         system, streamed = assert_rref_matches_transcription(parts, p, literal)
         expected = {tag: row for tag, row in literal.items() if tag[0] != "C"}
-        tagged = [(tag, sparse) for tag, sparse in _tagged_rows(lam, p) if sparse]
+        tagged = [(tag, sparse) for tag, sparse in paper_rows(lam, p) if sparse]
         assert [tag for tag, _sparse in tagged] == list(expected), (p, parts)
         for tag, sparse in tagged:
             got = {slots[pos]: coef for pos, coef in sparse.items()}
@@ -1190,7 +1195,7 @@ def test_tags_touching_cover_every_kept_row_on_a_slot():
     for p in (2, 3, 5, 7):
         for group in groups:
             for lam in group:
-                rows = list(_tagged_rows(lam, p))
+                rows = paper_rows(lam, p)
                 zero = (0,) * slot_count(lam)
                 kept = {
                     tag: tuple(row.get(pos, 0) for pos in range(len(zero)))

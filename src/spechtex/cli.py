@@ -135,6 +135,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--d-max must be non-negative, got {args.d_max}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.parts_max is not None and args.parts_max < 1:
+        raise ValueError(f"--parts-max must be at least 1, got {args.parts_max}")
     started = time.monotonic()
     tasks = []
     for d in range(args.d_max + 1):

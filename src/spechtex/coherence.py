@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 from .padic import _binom_mod_p, _lucas_range, validate_prime
 from .partitions import Partition
@@ -556,68 +556,151 @@ def _digit_max(n: int, h: int, p: int) -> int:
     return out
 
 
-def _t1_joins(a: int, k: int, limit: int, p: int) -> tuple[int, Sequence[int]]:
-    """The i in [1, limit] with C(a+i+k, k) and C(a+i+k, i) both nonzero mod p.
+def _unit_steps(n: int, limit: int, p: int) -> list[int]:
+    """The powers p**d <= limit that add to n without a base-p carry.
 
-    Returned as (shift, hs), the i being shift + h for h in hs, ascending.
-    Write m = a + k.  C(m+i, i) is nonzero iff i adds to m without a
-    carry.  Then each digit of m + i is the sum of those of m and i, and
-    C(m+i, k) is nonzero iff each digit of k is at most that sum (Lucas):
-    both are iff each digit of i lies between those of M - m and p - 1 -
-    m, M the digit-wise maximum of m and k, i.e. i = (M - m) + h with h
-    adding to M without a carry.  The condition is symmetric in i and k.
+    p**d does exactly when digit d of n is below p - 1.
     """
-    m = a + k
-    most = _digit_max(m, k, p)
-    shift = most - m
-    return shift, _lucas_range(most, 0 if shift else 1, limit - shift, p, carry_free=True)
+    steps, scale = [], 1
+    while scale <= limit:
+        if n % p < p - 1:
+            steps.append(scale)
+        n //= p
+        scale *= p
+    return steps
+
+
+def _t1_lone(n: int, h: int, limit: int, p: int) -> bool:
+    """Whether some k in [1, limit] adds to n without a base-p carry while C(n + k, h) is 0 mod p.
+
+    For the (T1) row C(a+i+k, k) x_i - C(a+i+k, i) z_k with i = h and n =
+    a + h: the first coefficient is nonzero iff k adds to n without a
+    carry (Kummer), and then n + k has digits n_d + k_d, so by Lucas the
+    second is 0 iff some digit has h_d > n_d + k_d.  For one digit d with
+    h_d > n_d the k that do both are a box, k_d <= h_d - n_d - 1 and k_e
+    <= p - 1 - n_e at every other digit, whose least element other than 0
+    is p**e, e the lowest digit with a bound of 1 or more.  The least over
+    every such d is p**e for the lowest e at which some d allows 1 or
+    more: p - 1 - n_e, unless e is the only such d, when it is h_e - n_e -
+    1.  By symmetry this reads z_h too, with i in place of k.
+    """
+    excess = []  # digits d with h_d > n_d; two are as good as more
+    x, y, d = h, n, 0
+    while x and len(excess) < 2:
+        if x % p > y % p:
+            excess.append(d)
+        x, y, d = x // p, y // p, d + 1
+    if not excess:
+        return False
+    alone = excess[0] if len(excess) == 1 else -1
+    x, y, e, scale = h, n, 0, 1
+    while scale <= limit:
+        if (x % p if e == alone else p) - y % p > 1:
+            return True
+        x, y, e, scale = x // p, y // p, e + 1, scale * p
+    return False
 
 
 def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """The (E), (T1) and (T2) rows with both coefficients nonzero mod p, for at most three rows.
+    """A spanning set of the (E), (T1) and (T2) joins, for at most three rows.
 
-    Each row C(a1, b1) y_u - C(a2, b2) y_v = 0 comes once, as (u, v, a1,
-    b1, a2, b2), u and v slot positions, its terms in ``_row_terms``
-    order; the caller computes the binomials.  No other row is visited:
-    by Kummer's theorem C(m + h, h) is nonzero mod p exactly when h adds
-    to m without a base-p carry, so ``_lucas_range(m, ...,
-    carry_free=True)`` lists the live indices of each family, as below.
+    A join is a row C(a1, b1) y_u - C(a2, b2) y_v = 0 of these families
+    with both coefficients nonzero mod p.  Each join listed comes as (u,
+    v, a1, b1, a2, b2), u and v slot positions, its terms in ``_row_terms``
+    order; the caller computes the binomials.  Not every join is listed,
+    but the listed ones connect the same slots: two slots are linked by a
+    path of listed joins whenever they are by a path of joins, which is
+    all ``_settle`` reads of them (why is there).  By Kummer's theorem
+    C(m + h, h) is nonzero mod p exactly when h adds to m without a
+    base-p carry, and then each digit of m + h is m_d + h_d; by Lucas's
+    C(n, h) is exactly when every digit h_d <= n_d.  Per family:
+
+    * (E) on pair (r, s), A = part_r, w = part_s: C(A+i+j, j) y_i -
+      C(i+j, i) y_{i+j}, 1 <= i < i + j <= w, a join iff j adds without a
+      carry to A + i and to i, i.e. to their digit-wise maximum M_i.
+      Listed: the unit steps j = p**d with (M_i)_d < p - 1 and i + p**d
+      <= w (``_unit_steps``).  A join (i, i+j) is a path of them: add the
+      digits of j one unit at a time.  Each partial sum u = i + j', j'_d
+      <= j_d throughout, has u_d = i_d + j'_d and (A+u)_d = (A+i)_d +
+      j'_d, as j' adds to both without a carry.  At a digit d where j'_d <
+      j_d both are at most (M_i)_d + j_d - 1 <= p - 2, and u + p**d <= i +
+      j <= w, so the next step (u, u + p**d) is listed.
+    * (T1) C(a+i+k, k) x_i - C(a+i+k, i) z_k, i <= b, k <= c, x = y(1,2)
+      and z = y(1,3): with m = a + k, the second coefficient is nonzero
+      iff i adds to m without a carry, and then the first iff k_d <= m_d +
+      i_d throughout.  So the i joined to k are those in [1, b] whose
+      every digit lies in [max(0, k_d - m_d), p - 1 - m_d], a box whose
+      least element is lo_k = M - m, M the digit-wise maximum of m and k;
+      lo_k + p**d is in it iff M_d < p - 1.  The row is symmetric under i
+      <-> k, x <-> z, b <-> c.  Listed: for each k, lo_k and each lo_k +
+      p**d in the box and in [1, b]; for each i, the same with k.  A join
+      (i, k) listed from neither side has i - lo_k and k - lo_i of digit
+      sum 2 or more.  Take a digit d of i - lo_k and a digit e of k - lo_i,
+      and by symmetry d <= e.  Then i' = i - p**d and k' = k - p**e are at
+      least 1, (i', k) and (i, k') are joins, one digit lowered in a box,
+      and so is (i', k'): i is in the box of k', and i' differs from i only
+      at digit d, where it needs i_d - 1 >= k'_d - m'_d, m' = a + k'.
+      There i_d - 1 >= (lo_k)_d >= k_d - m_d, and k'_d - m'_d <= k_d - m_d:
+      if d < e, k' and m' agree with k and m below digit e; if d = e, k'_d
+      = k_d - 1 and m'_d >= m_d - 1 (p - 1 after a borrow).  So x_i, z_k',
+      x_i' and z_k are linked by joins of smaller i + k, and by induction
+      on i + k every join is a path of listed ones.
+    * (T2) C(a+k, k) y_j - C(b+j, j) z_k, j + k <= c: a join iff j is in
+      J, the j < c that add to b without a carry, and k in K, the k < c
+      that add to a without one.  With j0 and k0 the least of J and K, a
+      join (j, k) has (j, k0), (j0, k0) and (j0, k) joins too, as j + k0
+      and j0 + k are at most j + k <= c.  Listed: (j, k0) for each j and
+      (j0, k) for each other k.
+
+    Each slot lists a few joins per base-p digit of its row's length, and
     ``_lone_slots`` lists the rows with one nonzero coefficient, slot by
     slot.  What is held at a time is at most as long as a row of ``lam``.
     """
     parts, n = lam.parts, lam.n
-    # (E) on pair (r, s), A = part_r: C(A+i+j, j) y_i - C(i+j, i) y_{i+j}.
-    # The first is nonzero iff j adds to A + i without a carry, the second
-    # iff j adds to i without one; both are iff j adds to their digit-wise
-    # maximum without one.
     base = -1  # slot (r, s, i) is at base + i
     for r in range(1, n + 1):
         top = parts[r - 1]
         for width in parts[r:]:
             for i in range(1, width):
                 ai = top + i
-                for j in _lucas_range(_digit_max(ai, i, p), 1, width - i, p, carry_free=True):
+                for j in _unit_steps(_digit_max(ai, i, p), width - i, p):
                     yield base + i, base + i + j, ai + j, j, i + j, i
             base += width
     if n < 3:
         return
     a, b, c = parts
     x0, z0, y0 = -1, b - 1, b + c - 1  # slot (1, 2, i) is at x0 + i
-    # (T1): C(a+i+k, k) x_i - C(a+i+k, i) z_k, k by k.
     for k in range(1, c + 1):
         m = a + k
-        shift, hs = _t1_joins(a, k, b, p)
-        for h in hs:
-            i = shift + h
+        most = _digit_max(m, k, p)
+        low = most - m
+        if 0 < low <= b:
+            yield x0 + low, z0 + k, m + low, k, m + low, low
+        for step in _unit_steps(most, b - low, p):
+            i = low + step
             yield x0 + i, z0 + k, m + i, k, m + i, i
-    # (T2): C(a+k, k) y_j - C(b+j, j) z_k for j + k <= c; the first is
-    # nonzero iff k adds to a without a carry, the second iff j adds to b.
+    for i in range(1, b + 1):
+        m = a + i
+        most = _digit_max(m, i, p)
+        low = most - m
+        if 0 < low <= c:
+            yield x0 + i, z0 + low, m + low, low, m + low, i
+        for step in _unit_steps(most, c - low, p):
+            k = low + step
+            yield x0 + i, z0 + k, m + k, k, m + k, i
     ks = _lucas_range(a, 1, c - 1, p, carry_free=True)
-    for j in _lucas_range(b, 1, c - 1, p, carry_free=True):
-        for k in ks:
-            if j + k > c:
-                break
-            yield y0 + j, z0 + k, a + k, k, b + j, j
+    js = _lucas_range(b, 1, c - 1, p, carry_free=True)
+    if not (ks and js):
+        return
+    j0, k0 = js[0], ks[0]
+    for j in js:
+        if j + k0 > c:
+            break
+        yield y0 + j, z0 + k0, a + k0, k0, b + j, j
+    for k in ks[1:]:
+        if j0 + k > c:
+            break
+        yield y0 + j0, z0 + k, a + k, k, b + j0, j0
 
 
 def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
@@ -626,13 +709,10 @@ def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
     For at most three rows.  Such a row, c y_u = 0 with c nonzero mod p,
     says only y_u = 0, so these rows span exactly the unit vectors of the
     slots listed.  Each family lists a slot once, when some row of it has
-    its one nonzero coefficient there.  No row has two terms on one slot,
-    so that is when the family's rows with a nonzero coefficient on the
-    slot outnumber its rows with both nonzero through it, the joins that
-    ``_live_pair_rows`` lists; each count is the length of one
-    ``_lucas_range``, and no binomial is computed.  C(n, h) is nonzero mod
-    p iff each base-p digit of h is at most that of n (Lucas), and C(n +
-    h, h) iff h adds to n without a carry (Kummer).
+    its one nonzero coefficient there.  (E) and (T1) find that by a scan
+    of a few base-p digits, with no listing; no binomial is computed.
+    C(n + h, h) is nonzero mod p iff h adds to n without a carry
+    (Kummer), and C(n, h) iff each digit h_d <= n_d (Lucas).
     """
     parts, n = lam.parts, lam.n
     base = -1  # slot (r, s, i) is at base + i
@@ -640,34 +720,35 @@ def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
         top = parts[r - 1]
         for width in parts[r:]:
             for m in range(1, width + 1):
-                # (E) C(A+i+j, j) y_i - C(i+j, i) y_{i+j}, A = part_r.  Where
-                # y_m is y_i, its coefficient is nonzero iff j adds to A + m,
-                # and the joins are the j that add to A + m and to m; where
-                # it is y_{i+j}, j = m - i, its C(m, j) iff j fits under m,
-                # the other iff under A + m.
-                hi, am = width - m, top + m
-                own = _lucas_range(am, 1, hi, p, carry_free=True)
-                if own:
-                    joins = _lucas_range(_digit_max(am, m, p), 1, hi, p, carry_free=True)
-                    if len(own) > len(joins):
-                        yield base + m
-                        continue
-                own = _lucas_range(m, 1, m - 1, p)
-                if own and not set(_lucas_range(am, 1, m - 1, p)).issuperset(own):
-                    yield base + m
+                # (E) C(A+i+j, j) y_i - C(i+j, i) y_{i+j}, A = part_r, on
+                # y_m; write n = A + m.  As y_i, y_m's coefficient is
+                # nonzero iff j adds to n, and the other is 0 iff j then
+                # has a carry with m: the least such j is (p - m_d) p**d at
+                # a digit with m_d > n_d.  As y_{i+j}, j = m - i, y_m's
+                # C(m, j) is nonzero iff j_d <= m_d throughout, and C(n, j)
+                # is 0 iff some j_d > n_d: the least such j is (n_d + 1)
+                # p**d at a digit with m_d > n_d.  A term at digit d is
+                # below p**(d+1), so the lowest such digit gives both least
+                # j; the rows need j <= w - m and j <= m - 1.
+                x, y, scale = m, top + m, 1
+                while x:
+                    dm, dn = x % p, y % p
+                    if dm > dn:
+                        if (p - dm) * scale <= width - m or (dn + 1) * scale < m:
+                            yield base + m
+                        break
+                    x, y, scale = x // p, y // p, scale * p
             base += width
     if n < 3:
         return
     a, b, c = parts
     x0, z0, y0 = -1, b - 1, b + c - 1
-    # (T1) C(a+i+k, k) x_i - C(a+i+k, i) z_k, i <= b and k <= c.  x_h's
-    # coefficient is nonzero iff k adds to a + h, z_h's iff i adds to a +
-    # h, and as the row is symmetric under i <-> k, x <-> z, the joins
-    # through either are ``_t1_joins(a, h, limit, p)``.
+    # (T1) C(a+i+k, k) x_i - C(a+i+k, i) z_k, i <= b and k <= c, is
+    # symmetric under i <-> k, x <-> z: x_h is read with k <= c and z_h
+    # with i <= b.
     for first, count, limit in ((x0, b, c), (z0, c, b)):
         for h in range(1, count + 1):
-            own = _lucas_range(a + h, 1, limit, p, carry_free=True)
-            if own and len(own) > len(_t1_joins(a, h, limit, p)[1]):
+            if _t1_lone(a + h, h, limit, p):
                 yield first + h
     # (T2) C(a+k, k) y_j - C(b+j, j) z_k, j + k <= c: its one nonzero
     # coefficient is on y_j iff k adds to a and j not to b, and on z_k iff
@@ -765,13 +846,19 @@ def _settle(
     zero: it starts at V, and each join, zero mark or (C) relation lowers
     it by one.  What is fed depends on the shape:
 
-    * With at most three rows, first the (E), (T1) and (T2) rows with
-      both coefficients nonzero mod p, as ``_live_pair_rows`` lists them.
-      No tree is zero yet, so each joins two trees, unless its slots
-      already share a root, when it is skipped before any binomial is
-      computed, as it holds on that tree (the reason is at the skip).
-      They are settled without a row dict: most rows are of this kind,
-      and small systems pay for every dict.  Then the rows with exactly
+    * With at most three rows, first the joins, the (E), (T1) and (T2)
+      rows with both coefficients nonzero mod p: ``_live_pair_rows``
+      lists a set of them that links the same slots as all of them.  No
+      tree is zero yet, so each joins two trees, unless its slots already
+      share a root, when it is skipped before any binomial is computed, as
+      it holds on that tree (the reason is at the skip).  They are
+      settled without a row dict: most rows are of this kind, and small
+      systems pay for every dict.  The forest they leave is that of every
+      join, fed in any order: its trees are the components of the joins,
+      each rooted at its largest slot, with live their count, and the
+      gains of a tree are fixed by std / p**v, as at the skip.  A join
+      left out would have been skipped, as its slots share a tree once
+      the listed ones are fed.  Then the rows with exactly
       one, c y_u = 0, which say only y_u = 0: ``_lone_slots`` lists the
       slots u that carry such a coefficient, and u's tree is marked zero
       unless it already is.  These rows span exactly the unit vectors of
@@ -817,11 +904,12 @@ def _settle(
       relations spanning the (C) rows, and every row of
       ``_spanning_rows``, spanning the others, was fed.  With at most
       three, every (E), (T1) and (T2) row with two coefficients nonzero
-      mod p was fed, every one with one lies in the span of the marks,
-      and the others are zero rows.  If some (T3a) or (T3b) row is never
-      fed, some y(2,3)_j was in a zero tree when visited, so every slot
-      was visited, each term of that row was on a slot of a zero tree,
-      and the row lies in W.
+      mod p was fed or, left out of the listing, has both slots on one
+      tree, where it holds, so lies in W; every one with one lies in the
+      span of the marks, and the others are zero rows.  If some (T3a) or
+      (T3b) row is never fed, some y(2,3)_j was in a zero tree when
+      visited, so every slot was visited, each term of that row was on a
+      slot of a zero tree, and the row lies in W.
     * If the ceiling ended the feed, the zero and link rows alone, one
       pivot per slot that is not the live root, reach rank V - 1 inside
       the span of the paper's rows, so they span it (the proof is above).
@@ -840,6 +928,12 @@ def _settle(
       leaving it out changes nothing;
     * the skip of a row whose slots share a root holds in any order, as
       every join of the two-term loop has two unit coefficients.
+
+    Up to the (T3) rows, nothing kept depends on the order or on which
+    spanning set of the joins is listed: the forest after the joins is
+    fixed by their components (above), and ``_lone_slots`` marks the same
+    trees in its own order.  So the system built is the one that feeding
+    every join would build, bit for bit.
     """
     forest = _GainForest(size, p)
     find, parent, gain, zero = forest.find, forest.parent, forest.gain, forest.zero
@@ -963,9 +1057,11 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     with V >= 1 slots, and ``_slot_rows`` writes what is left: a few long
     rows on the roots of its trees and one zero or link row per slot that
     is not a root (the proof of both is in ``_settle``).  With at most
-    three rows the relations fed are the paper's: the (E), (T1) and (T2)
-    rows with two coefficients nonzero mod p, then the slots of those with
-    one, then the (T3a) and (T3b) rows from the slots not forced to 0.
+    three rows the relations fed are the paper's: a set of the (E), (T1)
+    and (T2) rows with two coefficients nonzero mod p that links the same
+    slots as all of them (``_live_pair_rows``), which leaves the same
+    forest, then the slots of the rows with one, then the (T3a) and (T3b)
+    rows from the slots not forced to 0.
     With four or more the forest starts with the (C) relations of
     ``_commuting_classes``, and then, triple by triple, the rows of each
     triple's three-row RREF (``_triple_block``) moved onto its pairs

@@ -216,6 +216,14 @@ def test_sweep_refuses_fewer_than_one_job(capsys, jobs):
     assert out == "" and "--jobs" in err
 
 
+@pytest.mark.parametrize("parts_max", ["0", "-3"])
+def test_sweep_refuses_fewer_than_one_part(capsys, parts_max):
+    code, out, err = run_cli(capsys, "sweep", "--p", "3", "--d-max", "4", "--parts-max", parts_max)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --parts-max must be at least 1, got {parts_max}\n"
+
+
 def test_sweep_refuses_negative_degree(capsys):
     code, out, err = run_cli(capsys, "sweep", "--p", "3", "--d-max", "-1")
     assert code == 2

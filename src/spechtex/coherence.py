@@ -18,9 +18,10 @@ minus one when the standard multi-sequence is nonzero.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .padic import _binom_mod_p, _lucas_range, validate_prime
 from .partitions import Partition
@@ -405,11 +406,14 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
     Each row of ``_relation_tags`` as (tag, {slot position: coefficient}),
     zeros omitted, then both orders ("C", q, r, s, t, i, j) of every (C)
     row std_Q(i) y(P)_j - std_P(j) y(Q)_i, P = (q, r) and Q = (s, t)
-    disjoint.  The library reads (C) from ``_commuting_classes``, which
+    disjoint, with std_P(j) = C(part_q + j, j) mod p.  The library
+    reads (C) from the per-pair plan of ``_commuting_classes``, which
     says what these rows say; the stream is for callers that count rows
     per family.
     """
-    offsets, std, n = _pair_offsets(lam), _commuting_std(lam, p), lam.n
+    offsets, parts, n = _pair_offsets(lam), lam.parts, lam.n
+    # std[q - 1][j - 1] = std_P(j) for j <= part_{q+1}.
+    std = [[_binom_mod_p(a + j, j, p) for j in range(1, b + 1)] for a, b in zip(parts, parts[1:])]
     for tag in _relation_tags(lam):
         yield tag, _sparse_row(lam, tag, p, offsets)
     pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
@@ -417,8 +421,8 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
         for s, t in pairs:
             if s in (q, r) or t in (q, r):
                 continue
-            for i in range(1, lam.parts[t - 1] + 1):
-                for j in range(1, lam.parts[r - 1] + 1):
+            for i in range(1, parts[t - 1] + 1):
+                for j in range(1, parts[r - 1] + 1):
                     row = {offsets[q][r] + j - 1: std[s - 1][i - 1]}
                     row[offsets[s][t] + i - 1] = -std[q - 1][j - 1] % p
                     yield ("C", q, r, s, t, i, j), {pos: c for pos, c in row.items() if c}
@@ -444,33 +448,29 @@ def _candidate_row_count(lam: Partition) -> int:
     return total
 
 
-def _commuting_std(lam: Partition, p: int) -> list[list[int]]:
-    """std[q - 1][j - 1] = std_P(j) = C(part_q + j, j) mod p, P = (q, r), j <= part_{q+1}."""
-    parts = lam.parts
-    return [
-        [_binom_mod_p(parts[q] + j, j, p) for j in range(1, parts[q + 1] + 1)]
-        for q in range(lam.n - 1)
-    ]
+#: What ``_commuting_classes`` returns: (rank, listings, zero pairs, classes).
+_CommutingPlan = tuple[
+    int, list[Sequence[int]], list[tuple[int, int, int]], list[list[tuple[int, int, int, int]]]
+]
 
 
-def _commuting_classes(lam: Partition, p: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """The (C) relations of ``lam`` at ``p``, as zero slots and classes of slots.
+def _commuting_classes(lam: Partition, p: int) -> _CommutingPlan:
+    """The (C) relations of ``lam`` at ``p``, as a plan per pair of rows.
 
     For a pair P = (q, r) let std_P(j) = C(part_q + j, j) mod p for
-    1 <= j <= part_r (``_commuting_std``), S_P the j with std_P(j)
-    nonzero, and call P a head when S_P is nonempty.  The (C) row (P, Q,
-    i, j) for disjoint pairs P and Q = (s, t) is std_Q(i) y(P)_j -
-    std_P(j) y(Q)_i, and the row (Q, P, j, i) is its negative.  In the
-    block (P, Q), a row with i in S_Q and j not in S_P is a nonzero
-    multiple of y(P)_j (and symmetrically), and one with i not in S_Q and
-    j not in S_P is zero.  With f_v = y_v / std_P(j) on the slot v =
-    (P, j), a row with i in S_Q and j in S_P is std_Q(i) std_P(j)
-    (f_{P,j} - f_{Q,i}): an edge vector of the complete bipartite graph
-    on the slots of S_P and S_Q.  Over all blocks these edges connect the
-    slots of S_P over the heads P of each component of two heads or more
-    of the disjointness graph on the heads, and the edge vectors of a
-    connected graph span the differences of its nodes.  So the (C) rows
-    say exactly:
+    1 <= j <= part_r, S_P the j with std_P(j) nonzero, and call P a head
+    when S_P is nonempty.  The (C) row (P, Q, i, j) for disjoint pairs P
+    and Q = (s, t) is std_Q(i) y(P)_j - std_P(j) y(Q)_i, and the row (Q,
+    P, j, i) is its negative.  In the block (P, Q), a row with i in S_Q
+    and j not in S_P is a nonzero multiple of y(P)_j (and symmetrically),
+    and one with i not in S_Q and j not in S_P is zero.  With f_v = y_v /
+    std_P(j) on the slot v = (P, j), a row with i in S_Q and j in S_P is
+    std_Q(i) std_P(j) (f_{P,j} - f_{Q,i}): an edge vector of the complete
+    bipartite graph on the slots of S_P and S_Q.  Over all blocks these
+    edges connect the slots of S_P over the heads P of each component of
+    two heads or more of the disjointness graph on the heads, and the
+    edge vectors of a connected graph span the differences of its nodes.
+    So the (C) rows say exactly:
 
     * y_v = 0 on each zero slot: (P, j), j not in S_P, for every pair P
       disjoint from some head;
@@ -485,34 +485,60 @@ def _commuting_classes(lam: Partition, p: int) -> tuple[list[int], list[list[tup
     root has no relation of its own.  So they are #zeros + sum(|K| - 1)
     independent relations in the span of the paper's rows.
 
-    P has a disjoint head exactly when fewer heads than all meet it:
-    degree[q] + degree[r], with degree[x] the heads that hold row x, less
-    one when P is a head.  A breadth-first search over the heads finds the
-    components.  Returns the zero slots, ascending, and the classes in the
-    order of their first head, each as (slot position, std_P(j)) pairs in
-    ascending position.
+    All of it is read per pair from one Kummer listing per row: S_P is
+    the prefix up to part_r of L_q, the j <= part_{q+1} with std_P(j)
+    nonzero (a carry-free ``_lucas_range``), as part_r <= part_{q+1} and
+    std_P(j) depends on q alone.  So P is a head iff L_q[0] <= part_r,
+    and as parts never increase, the heads of row q are the pairs (q, r)
+    for r up to some bound.  P has a disjoint head
+    exactly when fewer heads than all meet it: degree[q] + degree[r],
+    with degree[x] the heads that hold row x, less one when P is a head.
+    A head with a disjoint head lies in a component of two heads or more,
+    and every head of such a component has one, so each pair with a
+    disjoint head is either a zero pair, all of whose part_r slots are
+    zero slots, or a head of a class, whose |S_P| live j are class slots
+    and whose other part_r - |S_P| are zero slots.  So the rank is the
+    number of slots on pairs with a disjoint head, less one per class.
+
+    Returns (rank, listings, zero pairs, classes): ``listings[q - 1]`` is
+    L_q; the zero pairs are (q, r, position of slot (q, r, 1)),
+    ascending; the classes, in the order of their first head, each list
+    their heads as (q, r, position of slot (q, r, 1), |S_P|), ascending.
+    A breadth-first search over the heads finds the components.
     """
     n = lam.n
     if n < 4:
-        return [], []  # no two disjoint pairs
+        return 0, [], [], []  # no two disjoint pairs
     parts = lam.parts
-    offsets = _pair_offsets(lam)
-    std = _commuting_std(lam, p)
-    pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
-    heads = [(q, r) for q, r in pairs if any(std[q - 1][: parts[r - 1]])]
-    is_head = set(heads)
+    listings = [_lucas_range(a, 1, b, p, carry_free=True) for a, b in zip(parts, parts[1:])]
+    heads = []
+    reach = list(range(n + 1))  # reach[q]: the last r with (q, r) a head, else q
     degree = [0] * (n + 1)  # row x -> heads that hold it
-    for q, r in heads:
-        degree[q] += 1
-        degree[r] += 1
+    for q, listing in enumerate(listings, start=1):
+        if listing:
+            least, r = listing[0], q + 1
+            while r <= n and parts[r - 1] >= least:
+                heads.append((q, r))
+                degree[q] += 1
+                degree[r] += 1
+                r += 1
+            reach[q] = r - 1
 
     size = len(heads)
-    zeros = []
-    for q, r in pairs:
-        if degree[q] + degree[r] - ((q, r) in is_head) < size:
-            base = offsets[q][r]
-            values = std[q - 1]
-            zeros += [base + j for j in range(parts[r - 1]) if not values[j]]
+    zero_pairs = []
+    start = {}  # head with a disjoint head -> position of its slot 1
+    pos = rank = 0
+    for q in range(1, n + 1):
+        for r in range(q + 1, n + 1):
+            width = parts[r - 1]
+            head = r <= reach[q]
+            if degree[q] + degree[r] - head < size:
+                if head:
+                    start[q, r] = pos
+                else:
+                    zero_pairs.append((q, r, pos))
+                rank += width
+            pos += width
 
     classes = []
     unreached = heads  # lexicographic order
@@ -529,12 +555,10 @@ def _commuting_classes(lam: Partition, p: int) -> tuple[list[int], list[list[tup
         if len(component) > 1:
             component.sort()
             classes.append([
-                (offsets[q][r] + j, value)
+                (q, r, start[q, r], bisect_right(listings[q - 1], parts[r - 1]))
                 for q, r in component
-                for j, value in enumerate(std[q - 1][: parts[r - 1]])
-                if value
             ])
-    return zeros, classes
+    return rank - len(classes), listings, zero_pairs, classes
 
 
 def _digit_max(n: int, h: int, p: int) -> int:
@@ -832,16 +856,17 @@ def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, i
 
 
 def _settle(
-    lam: Partition, p: int, size: int
+    lam: Partition, p: int, size: int, plan: _CommutingPlan
 ) -> tuple[_GainForest, list[tuple[RowTag, dict[int, int]]], int]:
     """The gain graph of the paper's relations of ``lam``: (forest, long rows, live).
 
-    ``size`` is V, the slot count.  Relations are fed in turn to a
-    ``_GainForest`` over the slot positions, which moves each onto the
-    roots of its slots (y_v = g * y_root; ``_GainForest.move``): terms on
-    slots of zero trees are dropped, the others summed per root.  Of what
-    is left, nothing means the relation already holds; one term marks its
-    tree zero; two join the trees; three or more are kept as a long row,
+    ``size`` is V, the slot count, and ``plan`` is ``_commuting_classes``
+    of ``lam`` and p.  Relations are fed in turn to a ``_GainForest``
+    over the slot positions, which moves each onto the roots of its slots
+    (y_v = g * y_root; ``_GainForest.move``): terms on slots of zero
+    trees are dropped, the others summed per root.  Of what is left,
+    nothing means the relation already holds; one term marks its tree
+    zero; two join the trees; three or more are kept as a long row,
     (tag, row) with the row as fed.  ``live`` counts the roots not marked
     zero: it starts at V, and each join, zero mark or (C) relation lowers
     it by one.  What is fed depends on the shape:
@@ -866,12 +891,14 @@ def _settle(
       marks is feeding the rows.  Then the (T3a) and (T3b) rows of
       ``_t3_rows``, read from the slots outside zero trees.
     * With four rows or more, the forest starts from the independent
-      (C) relations of ``_commuting_classes``: each zero slot marked zero,
-      and each class one tree on its largest slot, with gain std_v /
-      std_root on its other slots.  Then the triple blocks of
-      ``_spanning_rows`` are fed as they are generated.  A block row is
-      defined only mod p, with no integer row behind it for the skip's
-      argument, so its sum on the tree is always computed.
+      (C) relations of ``plan``, expanded pair by pair: every slot of a
+      zero pair and every dead j of a class's head marked zero, and each
+      class one tree on its largest slot, with gain std_v / std_root on
+      its other slots; binomials are computed on class slots only.  The
+      plan's rank is the number of these relations.  Then the triple
+      blocks of ``_spanning_rows`` are fed as they are generated.  A
+      block row is defined only mod p, with no integer row behind it for
+      the skip's argument, so its sum on the tree is always computed.
     * The rank ceiling V - 1 ends the feed: no row is fed once one live
       root is left.  The paper's rows have rank at most V - 1 for every
       ``lam``: with m the least p-adic valuation of C(part_r + i, i) over
@@ -940,17 +967,24 @@ def _settle(
     live = size
 
     if lam.n >= 4:
-        zeros, classes = _commuting_classes(lam, p)
-        for v in zeros:
-            zero[v] = True
-        live -= len(zeros)
+        rank, listings, zero_pairs, classes = plan
+        parts = lam.parts
+        for _q, r, start in zero_pairs:
+            zero[start : start + parts[r - 1]] = [True] * parts[r - 1]
         for cls in classes:
-            root, top = cls.pop()
-            inv = pow(top, p - 2, p)
-            for v, value in cls:
-                parent[v] = root
-                gain[v] = value * inv % p
-            live -= len(cls)
+            q, _r, start, count = cls[-1]
+            top = listings[q - 1][count - 1]
+            root = start + top - 1
+            inv = pow(_binom_mod_p(parts[q - 1] + top, top, p), p - 2, p)
+            for q, r, start, count in cls:
+                a, width = parts[q - 1], parts[r - 1]
+                zero[start : start + width] = [True] * width
+                for j in listings[q - 1][:count]:
+                    v = start + j - 1
+                    zero[v] = False
+                    parent[v] = root
+                    gain[v] = _binom_mod_p(a + j, j, p) * inv % p
+        live -= rank
         stream = _spanning_rows(lam, p) if live > 1 else ()
     else:
         for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p):
@@ -1062,11 +1096,12 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     slots as all of them (``_live_pair_rows``), which leaves the same
     forest, then the slots of the rows with one, then the (T3a) and (T3b)
     rows from the slots not forced to 0.
-    With four or more the forest starts with the (C) relations of
-    ``_commuting_classes``, and then, triple by triple, the rows of each
-    triple's three-row RREF (``_triple_block``) moved onto its pairs
-    (``_spanning_rows``) are fed, so the unique RREF, ``nullspace``,
-    ``dim_E`` and every basis are those of the paper's rows.
+    With four or more the forest starts with the (C) relations of the
+    per-pair plan of ``_commuting_classes``, and then, triple by triple,
+    the rows of each triple's three-row RREF (``_triple_block``) moved
+    onto its pairs (``_spanning_rows``) are fed, so the unique RREF,
+    ``nullspace``, ``dim_E`` and every basis are those of the paper's
+    rows.
 
     Raises ``SystemTooLargeError`` before generating any row or block
     (``check_budget``).  A triple's three-row system has no more candidate
@@ -1074,7 +1109,7 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """
     validate_prime(p)
     size = check_budget(lam)
-    forest, long_rows, _live = _settle(lam, p, size)
+    forest, long_rows, _live = _settle(lam, p, size, _commuting_classes(lam, p))
     rows, tags = _slot_rows(lam, forest, long_rows)
     return RelationSystem(lam, p, size, tuple(rows), tuple(tags))
 
@@ -1228,10 +1263,17 @@ def dim_E(lam: Partition, p: int) -> int:
     gets exactly one zero or link row, so there are V - live of them,
     and the long rows are reduced as ``_slot_rows`` would write them,
     moved onto the final roots.  So this is live less the rank of those
-    rows.
+    rows.  When the (C) relations alone leave one live root, V less the
+    plan's rank, ``_settle`` would feed no row, so that 1 is returned
+    before any forest is built.
     """
     validate_prime(p)
-    forest, long_rows, live = _settle(lam, p, check_budget(lam))
+    size = check_budget(lam)
+    plan = _commuting_classes(lam, p)
+    live = size - plan[0]
+    if live <= 1:
+        return live
+    forest, long_rows, live = _settle(lam, p, size, plan)
     return live - len(_reduce([forest.move(row) for _tag, row in long_rows], p))
 
 
@@ -1261,10 +1303,12 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     the row was read there, and it is skipped without a record of the rows
     read.  This walk costs in proportion to the rows touching the nonzero
     slots and their terms, not to the whole system, and its memory does
-    not grow with them.  (C) is then checked as ``_commuting_classes``
-    states it: no zero slot in the support, and y_v std_w = y_w std_v on
-    each class, w its first slot, so a class is in the support wholly or
-    not at all, with one value of y / std; at most one read per slot.
+    not grow with them.  (C) is then checked on the support alone, as the
+    per-pair plan of ``_commuting_classes`` states it: no slot of the
+    support may lie on a zero pair, or on a class's head where std is 0;
+    and the support's slots on a class must share one value of y / std
+    and number |K|, the sum of its heads' live counts, or none.  That is
+    one binomial per slot of the support on a class.
     Raises ``ValueError`` unless ``ms`` is a multi-sequence of ``lam`` at
     ``p``.
     """
@@ -1288,12 +1332,25 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
             else:
                 if total % p:
                     return False
-    zeros, classes = _commuting_classes(lam, p)
-    if any(pos in support for pos in zeros):
-        return False
-    for (first, std_first), *rest in classes:
-        y_first = support.get(first, 0)
-        for pos, std in rest:
-            if (support.get(pos, 0) * std_first - y_first * std) % p:
-                return False
-    return True
+    _rank, _listings, zero_pairs, classes = _commuting_classes(lam, p)
+    of_pair = {(q, r): -1 for q, r, _start in zero_pairs}  # pair -> its class, -1 if none
+    for k, cls in enumerate(classes):
+        of_pair.update(((q, r), k) for q, r, _start, _count in cls)
+    held: dict[int, list[int]] = {}  # class -> [its slots in the support, y and std at the first]
+    parts = lam.parts
+    for (q, r, j), value in ms.entries:
+        k = of_pair.get((q, r))
+        if k is None:
+            continue
+        std = _binom_mod_p(parts[q - 1] + j, j, p) if k >= 0 else 0
+        if not std:
+            return False  # a zero slot
+        if k not in held:
+            held[k] = [1, value, std]
+        elif (value * held[k][2] - held[k][1] * std) % p:
+            return False
+        else:
+            held[k][0] += 1
+    return all(
+        seen == sum(count for *_head, count in classes[k]) for k, (seen, _y, _std) in held.items()
+    )

@@ -255,8 +255,28 @@ def system_of(lam, p, rows):
     )
 
 
+def commuting_slots(lam, p):
+    """The per-pair plan of ``_commuting_classes`` expanded slot by slot:
+    the zero slots, ascending, and the classes in the order of their first
+    head, each as (slot position, std_P(j)) pairs in ascending position.
+    A zero pair gives all its slots; a class's head (q, r) gives its first
+    ``count`` listed j to the class and its other slots to the zeros."""
+    _rank, listings, zero_pairs, plan_classes = _commuting_classes(lam, p)
+    parts = lam.parts
+    zeros = [start + j for _q, r, start in zero_pairs for j in range(parts[r - 1])]
+    classes = []
+    for cls in plan_classes:
+        members = []
+        for q, r, start, count in cls:
+            live = list(listings[q - 1][:count])
+            zeros += [start + j - 1 for j in range(1, parts[r - 1] + 1) if j not in live]
+            members += [(start + j - 1, binom_mod_p(parts[q - 1] + j, j, p)) for j in live]
+        classes.append(members)
+    return sorted(zeros), classes
+
+
 def commuting_rows(lam, p):
-    """The (C) relations of ``_commuting_classes`` as tagged rows.
+    """The (C) relations of ``commuting_slots`` as tagged rows.
 
     ("C", "zero", q, r, j): y_v = 0 for each zero slot v = (q, r, j).
     Within each class, y_v std_w - y_w std_v for the first slot w of v's
@@ -266,7 +286,7 @@ def commuting_rows(lam, p):
     q, r, s, t).  One row per slot of the relations the build writes into
     its forest, spanning the same space."""
     slots = canonical_slot_order(lam)
-    zeros, classes = _commuting_classes(lam, p)
+    zeros, classes = commuting_slots(lam, p)
     rows = [(("C", "zero", *slots[v]), {v: 1}) for v in zeros]
     for cls in classes:
         first, std_first = cls[0]
@@ -549,7 +569,7 @@ def test_commuting_relations_are_at_most_one_per_slot():
     for p in (2, 3, 5, 7):
         for d in range(15):
             for lam in enumerate_partitions(d, max(d, 1)):
-                zeros, classes = _commuting_classes(lam, p)
+                zeros, classes = commuting_slots(lam, p)
                 members = [v for cls in classes for v, _std in cls]
                 assert all(len(cls) >= 2 for cls in classes), (p, lam.parts)
                 assert len(set(zeros + members)) == len(zeros) + len(members), (p, lam.parts)
@@ -1028,13 +1048,15 @@ def test_gain_graph_build_memory_stays_small_on_a_wide_two_row_shape():
 
 
 def test_commuting_classes_are_the_components_of_the_disjointness_graph():
-    # The classes of ``_commuting_classes`` are the components of two
+    # The classes of ``_commuting_classes``' plan are the components of two
     # heads or more of the disjointness graph on the pairs with a (C)
     # head, found here by a plain breadth-first search over adjacency
     # lists, in the order of their first head: each holds, in slot order,
     # the slots (q, r, j) of its heads with std = C(part_q + j, j) nonzero
     # mod p, and that std.  The zero slots are the (q, r, j) with std 0 mod
-    # p on every pair disjoint from some head.
+    # p on every pair disjoint from some head.  The plan is expanded slot
+    # by slot by ``commuting_slots``, and its rank must count the zero
+    # slots and all but one slot of each class.
     for p in (2, 3, 5, 7):
         for d in range(4, 13):
             for lam in enumerate_partitions(d, d):
@@ -1060,7 +1082,66 @@ def test_commuting_classes_are_the_components_of_the_disjointness_graph():
                     for q, r, j in position
                     if not std[q, r, j] and any(not {q, r} & set(P) for P in heads)
                 ]
-                assert _commuting_classes(lam, p) == (zeros, classes), (p, parts)
+                assert commuting_slots(lam, p) == (zeros, classes), (p, parts)
+                rank = len(zeros) + sum(len(cls) - 1 for cls in classes)
+                assert _commuting_classes(lam, p)[0] == rank, (p, parts)
+
+
+def test_commuting_plan_counts_the_rank_of_the_transcribed_commuting_rows():
+    # For every partition with d <= 12 at p in {2, 3, 5, 7}, the live
+    # count the plan gives, V less its rank, is V less the rank of the
+    # transcribed (C) rows, and ``dim_E``, which returns that count when
+    # it is 1, is the nullspace dimension of the built system.  Of each
+    # (C) block only the order with (q, r) < (s, t) is reduced: the other
+    # order's rows are their negatives.  The plan alone reaches the
+    # ceiling on 326 of these shapes, all with five rows or more.
+    ceiling = 0
+    for p in (2, 3, 5, 7):
+        for d in range(13):
+            for lam in enumerate_partitions(d, max(d, 1)):
+                size = slot_count(lam)
+                basis = nullspace(build_relation_system(lam, p))
+                assert dim_E(lam, p) == len(basis), (p, lam.parts)
+                position = {slot: k for k, slot in enumerate(transcribed_slots(lam.parts))}
+                vectors = []
+                for tag, row in transcribed_relations(lam.parts):
+                    if tag[0] == "C" and tag[1:3] < tag[3:5]:
+                        vec = [0] * size
+                        for slot, coef in row.items():
+                            vec[position[slot]] = coef
+                        vectors.append(vec)
+                live = size - _commuting_classes(lam, p)[0]
+                assert live == size - len(rref_mod_p(vectors, p)[1]), (p, lam.parts)
+                if live == 1 and size > 1:
+                    # With four rows the disjointness graph has three
+                    # disjoint edges, so (C) alone leaves three roots.
+                    assert lam.n >= 5, (p, lam.parts)
+                    ceiling += 1
+    assert ceiling == 326
+
+
+@pytest.mark.parametrize(
+    "parts, p",
+    [((1, 1, 1, 1, 1), 3), ((2, 2, 2, 2, 1), 5), ((5, 4, 3, 2, 1), 7), ((100, 10, 10, 10, 10), 7)],
+)
+def test_dim_e_builds_no_forest_when_the_commuting_relations_reach_the_ceiling(
+    parts, p, monkeypatch
+):
+    # The (C) relations alone leave one live root on these shapes, so
+    # ``dim_E`` and ``ext1_dim_oracle`` return before ``_settle`` builds a
+    # forest, with the answers of the whole system.
+    lam = Partition(parts)
+    assert slot_count(lam) - _commuting_classes(lam, p)[0] == 1
+    basis = nullspace(build_relation_system(lam, p))
+
+    def refused(*args):
+        raise AssertionError("a _GainForest was built")
+
+    monkeypatch.setattr("spechtex.coherence._GainForest", refused)
+    with pytest.raises(AssertionError, match="_GainForest"):
+        build_relation_system(lam, p)
+    assert dim_E(lam, p) == len(basis) == 1
+    assert ext1_dim_oracle(lam, p) == ext1_dim(lam, p).ext1_dim
 
 
 def disjointness_components(heads):
@@ -1483,12 +1564,16 @@ def test_ratio_commuting_rows_carry_rank(parts, p, ratio_tag, rank):
 
 def test_is_coherent_refuses_a_broken_class_or_a_set_zero_slot():
     """From each basis vector of the built system, setting one zero slot
-    to 1, or adding 1 to the first slot of one class, breaks exactly that
-    (C) relation, and both ``is_coherent`` and ``transcribed_is_coherent``
-    refuse the vector: for every partition with at least 4 rows and d <= 9
-    at p in {2, 3, 5}, and the split shapes whose (C) zero or ratio rows
-    carry rank.  On those shapes some of the vectors satisfy every (E)
-    and (T) row, so only the (C) check can refuse them."""
+    to 1, adding 1 to the first slot of one class, or, where the vector
+    holds every slot of a class, setting the class's last slot to 0,
+    breaks exactly that (C) relation, and both ``is_coherent`` and
+    ``transcribed_is_coherent`` refuse the vector: for every partition
+    with at least 4 rows and d <= 9 at p in {2, 3, 5}, and the split
+    shapes whose (C) zero or ratio rows carry rank.  On those shapes some
+    of the vectors satisfy every (E) and (T) row, so only the (C) check
+    can refuse them.  A class missing one slot other than its first
+    shows a check that reads the support alone must count the class's
+    slots there, not only compare their values."""
     cases = [
         (lam, p) for p in (2, 3, 5) for d in range(4, 10) for lam in enumerate_partitions(d, d)
         if lam.n >= 4
@@ -1507,17 +1592,20 @@ def test_is_coherent_refuses_a_broken_class_or_a_set_zero_slot():
         literal = transcribed_rows_mod_p(lam.parts, p)
         others = {tag: row for tag, row in literal.items() if tag[0] != "C"}
         slots = canonical_slot_order(lam)
-        zeros, classes = _commuting_classes(lam, p)
+        zeros, classes = commuting_slots(lam, p)
         for ms in nullspace(build_relation_system(lam, p)):
             values = dict(ms.entries)
             broken = [("zero", slots[v], 1) for v in zeros]
             for (first, _std), *_rest in classes:
                 broken.append(("class", slots[first], values.get(slots[first], 0) + 1))
+            for cls in classes:
+                if all(slots[v] in values for v, _std in cls):
+                    broken.append(("missing", slots[cls[-1][0]], 0))
             for kind, slot, value in broken:
                 vector = multisequence_from_slots(lam, p, {**values, slot: value})
                 assert not is_coherent(vector, lam, p), (p, lam.parts, kind, slot)
                 assert not transcribed_is_coherent(vector, literal), (p, lam.parts, kind, slot)
                 refused[kind] += 1
                 only_commuting[kind] += transcribed_is_coherent(vector, others)
-    assert refused == Counter({"zero": 482, "class": 174})
-    assert only_commuting == Counter({"zero": 2, "class": 3})
+    assert refused == Counter({"zero": 482, "class": 174, "missing": 152})
+    assert only_commuting == Counter({"zero": 2, "class": 3, "missing": 2})

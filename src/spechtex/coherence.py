@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .padic import _binom_mod_p, _lucas_range, validate_prime
+from .padic import _binom_mod_p, _factorial_tables, _lucas_range, validate_prime
 from .partitions import Partition
 
 
@@ -266,7 +266,9 @@ class _GainForest:
     ``parent[v]`` and ``gain[v]`` say y_v = gain[v] * y_parent[v]; a root
     is its own parent, with gain 1.  ``zero[root]`` marks a tree whose
     nodes are all forced to 0.  A root is always the largest node of its
-    tree.  The nodes are the slot positions of ``_settle``.
+    tree.  The nodes are the slot positions of ``_settle``, whose
+    three-row join loop moves only ``parent`` and leaves every gain at 1
+    until its gain pass sets them.
     """
 
     __slots__ = ("p", "parent", "gain", "zero")
@@ -390,16 +392,6 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterat
             yield ("T3b", r, x, y, m, i)
 
 
-def _sparse_row(lam: Partition, tag: RowTag, p: int, offsets: list[list[int]]) -> dict[int, int]:
-    """One row of ``_row_terms`` as {slot position: coefficient}, zeros omitted."""
-    row = {}
-    for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
-        coef = _coefficient(p, sign, a1, b1, a2, b2)
-        if coef:
-            row[offsets[r][s] + i - 1] = coef
-    return row
-
-
 def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
     """Every candidate row of the paper: the rows ``_candidate_row_count`` counts.
 
@@ -415,7 +407,12 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
     # std[q - 1][j - 1] = std_P(j) for j <= part_{q+1}.
     std = [[_binom_mod_p(a + j, j, p) for j in range(1, b + 1)] for a, b in zip(parts, parts[1:])]
     for tag in _relation_tags(lam):
-        yield tag, _sparse_row(lam, tag, p, offsets)
+        row = {}
+        for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
+            coef = _coefficient(p, sign, a1, b1, a2, b2)
+            if coef:
+                row[offsets[r][s] + i - 1] = coef
+        yield tag, row
     pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
     for q, r in pairs:
         for s, t in pairs:
@@ -625,19 +622,19 @@ def _t1_lone(n: int, h: int, limit: int, p: int) -> bool:
     return False
 
 
-def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int]]:
     """A spanning set of the (E), (T1) and (T2) joins, for at most three rows.
 
     A join is a row C(a1, b1) y_u - C(a2, b2) y_v = 0 of these families
-    with both coefficients nonzero mod p.  Each join listed comes as (u,
-    v, a1, b1, a2, b2), u and v slot positions, its terms in ``_row_terms``
-    order; the caller computes the binomials.  Not every join is listed,
-    but the listed ones connect the same slots: two slots are linked by a
-    path of listed joins whenever they are by a path of joins, which is
-    all ``_settle`` reads of them (why is there).  By Kummer's theorem
-    C(m + h, h) is nonzero mod p exactly when h adds to m without a
-    base-p carry, and then each digit of m + h is m_d + h_d; by Lucas's
-    C(n, h) is exactly when every digit h_d <= n_d.  Per family:
+    with both coefficients nonzero mod p.  Each join listed comes as its
+    slot positions (u, v), in ``_row_terms`` order; no binomial is
+    computed.  Not every join is listed, but the listed ones connect the
+    same slots: two slots are linked by a path of listed joins whenever
+    they are by a path of joins, which is all ``_settle`` reads of them
+    (why is there).  By Kummer's theorem C(m + h, h) is nonzero mod p
+    exactly when h adds to m without a base-p carry, and then each digit
+    of m + h is m_d + h_d; by Lucas's C(n, h) is exactly when every digit
+    h_d <= n_d.  Per family:
 
     * (E) on pair (r, s), A = part_r, w = part_s: C(A+i+j, j) y_i -
       C(i+j, i) y_{i+j}, 1 <= i < i + j <= w, a join iff j adds without a
@@ -686,9 +683,8 @@ def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int
         top = parts[r - 1]
         for width in parts[r:]:
             for i in range(1, width):
-                ai = top + i
-                for j in _unit_steps(_digit_max(ai, i, p), width - i, p):
-                    yield base + i, base + i + j, ai + j, j, i + j, i
+                for j in _unit_steps(_digit_max(top + i, i, p), width - i, p):
+                    yield base + i, base + i + j
             base += width
     if n < 3:
         return
@@ -699,19 +695,19 @@ def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int
         most = _digit_max(m, k, p)
         low = most - m
         if 0 < low <= b:
-            yield x0 + low, z0 + k, m + low, k, m + low, low
+            yield x0 + low, z0 + k
         for step in _unit_steps(most, b - low, p):
             i = low + step
-            yield x0 + i, z0 + k, m + i, k, m + i, i
+            yield x0 + i, z0 + k
     for i in range(1, b + 1):
         m = a + i
         most = _digit_max(m, i, p)
         low = most - m
         if 0 < low <= c:
-            yield x0 + i, z0 + low, m + low, low, m + low, i
+            yield x0 + i, z0 + low
         for step in _unit_steps(most, c - low, p):
             k = low + step
-            yield x0 + i, z0 + k, m + k, k, m + k, i
+            yield x0 + i, z0 + k
     ks = _lucas_range(a, 1, c - 1, p, carry_free=True)
     js = _lucas_range(b, 1, c - 1, p, carry_free=True)
     if not (ks and js):
@@ -720,11 +716,11 @@ def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int, int, int
     for j in js:
         if j + k0 > c:
             break
-        yield y0 + j, z0 + k0, a + k0, k0, b + j, j
+        yield y0 + j, z0 + k0
     for k in ks[1:]:
         if j0 + k > c:
             break
-        yield y0 + j0, z0 + k, a + k, k, b + j0, j0
+        yield y0 + j0, z0 + k
 
 
 def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
@@ -787,6 +783,36 @@ def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
         yield from (z0 + k for k in range(1, c - js[0] + 1) if k not in live_k)
 
 
+def _std_units(lam: Partition, p: int) -> list[int]:
+    """std / p**v mod p on every slot, in canonical order: the unit part of std.
+
+    std on slot (r, s, i) is C(part_r + i, i) and v its p-adic valuation.
+    With U(x) the part of x prime to p, taken mod p, C(a + i, i) =
+    C(a + i - 1, i - 1) (a + i) / i and valuations add, so unit_i =
+    unit_(i-1) U(a + i) U(i)**-1 from unit_0 = 1.  The units of pair
+    (r, s) are the first part_s of row r's, so one running product per row
+    serves all its pairs.  An inverse is read off ``_factorial_tables``:
+    1 / x = (x - 1)! / x! mod p.
+    """
+    fact, invfact = _factorial_tables(p)
+    parts = lam.parts
+    units: list[int] = []
+    for r, (a, width) in enumerate(zip(parts, parts[1:]), start=1):
+        row, unit = [], 1
+        for i in range(1, width + 1):
+            x, y = a + i, i
+            while not x % p:
+                x //= p
+            while not y % p:
+                y //= p
+            y %= p
+            unit = unit * (x % p) * fact[y - 1] * invfact[y] % p
+            row.append(unit)
+        for part in parts[r:]:
+            units += row[:part]
+    return units
+
+
 def _t3_rows(
     lam: Partition, p: int, forest: _GainForest
 ) -> Iterator[tuple[RowTag, dict[int, int]]]:
@@ -795,7 +821,9 @@ def _t3_rows(
     The slots are visited from the last in canonical order, and every
     (T3a) and (T3b) row with a term on a visited slot (``_tags_touching``)
     is yielded once, as (tag, {slot position: coefficient}), unless the
-    slot is in a zero tree of ``forest`` when visited.  Every such row has
+    slot is in a zero tree of ``forest`` when visited.  A row holds only
+    its terms outside zero trees, as ``_GainForest.move`` drops the others,
+    so their binomials are never computed.  Every such row has
     a term on one of the last slots, y(2,3)_j, so once all of those have
     been visited outside a zero tree every row has been yielded and the
     other slots are not visited.  The forest is read between rows, so the
@@ -803,22 +831,32 @@ def _t3_rows(
     """
     offsets = _pair_offsets(lam)
     parent, zero = forest.parent, forest.zero
+
+    def dead(pos: int) -> bool:
+        root = parent[pos]
+        if parent[root] != root:
+            root = forest.find(pos)[0]
+        return zero[root]
+
     fed: set[RowTag] = set()
     skipped = False  # some y(2,3)_j was in a zero tree when visited
     for r, s in ((2, 3), (1, 3), (1, 2)):
         for i in reversed(range(1, lam.parts[s - 1] + 1)):
-            pos = offsets[r][s] + i - 1
-            root = parent[pos]
-            if parent[root] != root:
-                root = forest.find(pos)[0]
-            if zero[root]:
+            if dead(offsets[r][s] + i - 1):
                 skipped = True
                 continue
             for tag in _tags_touching(lam, (r, s, i), p):
                 if tag[0] not in ("T3a", "T3b") or tag in fed:
                     continue
                 fed.add(tag)
-                yield tag, _sparse_row(lam, tag, p, offsets)
+                row = {}
+                for x, y, m, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
+                    pos = offsets[x][y] + m - 1
+                    if not dead(pos):
+                        coef = _coefficient(p, sign, a1, b1, a2, b2)
+                        if coef:
+                            row[pos] = coef
+                yield tag, row
         if not skipped:
             break
 
@@ -873,17 +911,26 @@ def _settle(
 
     * With at most three rows, first the joins, the (E), (T1) and (T2)
       rows with both coefficients nonzero mod p: ``_live_pair_rows``
-      lists a set of them that links the same slots as all of them.  No
-      tree is zero yet, so each joins two trees, unless its slots already
-      share a root, when it is skipped before any binomial is computed, as
-      it holds on that tree (the reason is at the skip).  They are
-      settled without a row dict: most rows are of this kind, and small
-      systems pay for every dict.  The forest they leave is that of every
-      join, fed in any order: its trees are the components of the joins,
-      each rooted at its largest slot, with live their count, and the
-      gains of a tree are fixed by std / p**v, as at the skip.  A join
-      left out would have been skipped, as its slots share a tree once
-      the listed ones are fed.  Then the rows with exactly
+      lists a set of them that links the same slots as all of them.  They
+      are settled as plain connectivity, with no binomial and no row dict
+      (most rows are of this kind, and small systems pay for every dict):
+      a join whose slots share a root is skipped, and otherwise the
+      smaller root is hung on the larger.  So the trees are the components
+      of the joins, each rooted at its largest slot, with live their
+      count, whatever the order and whichever spanning set is listed.
+      Then one gain pass sets y_u = (unit[u] / unit[root]) y_root on every
+      slot u that is not a root, with unit = std / p**v mod p, v the
+      p-adic valuation of std on the slot (``_std_units``).  These are the
+      gains that feeding the joins as relations would leave, and every
+      join, listed or not, holds on them.  Over Z std satisfies each join,
+      C1 std_u = +-C2 std_v, and std is nonzero on every slot.  Both
+      coefficients are units mod p, so a join ties slots of equal
+      valuation, all slots of a tree share one valuation v, and dividing
+      by p**v, unit satisfies the join mod p.  So unit, nonzero on every
+      slot, solves every join of a tree, and the joins along a tree's
+      paths leave one solution up to scale: y_u / y_root = unit[u] /
+      unit[root].  At p = 2 every unit is 1, so is every gain, and the
+      pass is skipped.  Then the rows with exactly
       one, c y_u = 0, which say only y_u = 0: ``_lone_slots`` lists the
       slots u that carry such a coefficient, and u's tree is marked zero
       unless it already is.  These rows span exactly the unit vectors of
@@ -898,7 +945,7 @@ def _settle(
       plan's rank is the number of these relations.  Then the triple
       blocks of ``_spanning_rows`` are fed as they are generated.  A
       block row is defined only mod p, with no integer row behind it for
-      the skip's argument, so its sum on the tree is always computed.
+      the gain pass's argument, so its sum on the tree is always computed.
     * The rank ceiling V - 1 ends the feed: no row is fed once one live
       root is left.  The paper's rows have rank at most V - 1 for every
       ``lam``: with m the least p-adic valuation of C(part_r + i, i) over
@@ -953,13 +1000,13 @@ def _settle(
       once the ceiling is reached the rows not fed add nothing (the proof
       is above); a row with both coefficients 0 mod p is the zero row, so
       leaving it out changes nothing;
-    * the skip of a row whose slots share a root holds in any order, as
-      every join of the two-term loop has two unit coefficients.
+    * the skip of a join whose slots share a root holds in any order, as
+      every join holds on the gains the gain pass sets (above).
 
     Up to the (T3) rows, nothing kept depends on the order or on which
-    spanning set of the joins is listed: the forest after the joins is
-    fixed by their components (above), and ``_lone_slots`` marks the same
-    trees in its own order.  So the system built is the one that feeding
+    spanning set of the joins is listed: the forest after the gain pass
+    is fixed by their components (above), and ``_lone_slots`` marks the
+    same trees in its own order.  So the system built is the one that feeding
     every join would build, bit for bit.
     """
     forest = _GainForest(size, p)
@@ -987,29 +1034,33 @@ def _settle(
         live -= rank
         stream = _spanning_rows(lam, p) if live > 1 else ()
     else:
-        for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p):
-            x, y, gx, gy = parent[u], parent[v], gain[u], gain[v]
-            if parent[x] != x:
-                x, gx = find(u)
-            if parent[y] != y:
-                y, gy = find(v)
-            if x == y:
-                # Both slots are on one tree, and the row already holds
-                # there.  Over Z the standard multi-sequence satisfies it,
-                # C1 std_u = +-C2 std_v, and std is nonzero on every slot.
-                # Every join in this loop has both coefficients units mod
-                # p, so it ties slots of equal v_p(std), and all slots of a
-                # tree share one valuation v.  So C1 and C2 both vanish
-                # mod p, or both are units; then the row holds for std /
-                # p**v mod p, which is nonzero on the tree and satisfies
-                # its joins, so it agrees with the tree's gains and sums to
-                # 0 on the root.
-                continue
-            cx = _binom_mod_p(a1, b1, p) * gx % p
-            forest.join(x, cx, y, -_binom_mod_p(a2, b2, p) * gy % p)
+        for u, v in _live_pair_rows(lam, p):
+            while parent[u] != u:  # path halving
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u == v:
+                continue  # the join holds on that tree (the gain pass)
+            if u < v:
+                parent[u] = v
+            else:
+                parent[v] = u
             live -= 1
             if live <= 1:
                 break
+        if p > 2:  # the gain pass; at p = 2 every unit and gain is 1
+            fact, invfact = _factorial_tables(p)
+            unit = _std_units(lam, p)
+            for u in reversed(range(size)):
+                # parent[u] > u unless u is a root, so it was settled first.
+                root = parent[parent[u]]
+                if root == u:  # before the rest of its tree: keep 1 / unit
+                    unit[u] = fact[unit[u] - 1] * invfact[unit[u]] % p
+                else:
+                    parent[u] = root
+                    gain[u] = unit[u] * unit[root] % p
         for u in _lone_slots(lam, p) if live > 1 else ():
             x = parent[u]
             if parent[x] != x:
@@ -1238,17 +1289,28 @@ def nullspace(system: RelationSystem) -> list[MultiSequence]:
 
     Basis vectors correspond to free columns in ascending order: the
     vector for free column f has 1 there and -rref[c][f] on every pivot
-    column c, so identical inputs always produce identical bases.
+    column c, so identical inputs always produce identical bases.  Only
+    the columns the basis holds are named, in one walk over the pairs
+    along those columns, ascending.
     """
-    p = system.p
+    p, lam = system.p, system.lam
     rref = _echelon(system)
     basis = {col: {col: 1} for col in range(system.num_slots) if col not in rref}
     for pivot, row in rref.items():
         for col, coef in row.items():
             basis[col][pivot] = -coef % p
-    slots = canonical_slot_order(system.lam)
+    cols = sorted(set().union(*basis.values()))
+    names = {}
+    k = start = 0  # slot (r, s, i) is at start + i - 1
+    for r in range(1, lam.n + 1):
+        for s in range(r + 1, lam.n + 1):
+            end = start + lam.parts[s - 1]
+            while k < len(cols) and cols[k] < end:
+                names[cols[k]] = SlotIndex._make((r, s, cols[k] - start + 1))
+                k += 1
+            start = end
     return [
-        MultiSequence(system.lam, p, tuple((slots[col], vec[col]) for col in sorted(vec)))
+        MultiSequence(lam, p, tuple((names[col], vec[col]) for col in sorted(vec)))
         for vec in basis.values()
     ]
 

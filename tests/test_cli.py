@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -318,6 +319,29 @@ def test_basis_james_line(capsys):
     code, out, _ = run_cli(capsys, "basis", "--p", "3", "--lambda", "8,1")
     assert code == 0
     assert out.startswith("dim E = 1")
+
+
+@pytest.mark.parametrize("lam, p", [("999999,60,45", 131), ("1330,121,120", 11)])
+def test_basis_of_a_wide_shape_at_a_large_prime_is_std(capsys, lam, p):
+    # dim E = 1 with std nonzero mod p, so the one basis vector is a
+    # multiple of std, C(part_r + i, i) mod p on slot (r, s, i).  Its
+    # entries are the gains of the link rows, read off the unit parts of
+    # std; `classify` reads only the rank and so never sees them.
+    code, out, _ = run_cli(capsys, "basis", "--p", str(p), "--lambda", lam)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["dim E = 1", "basis[0]:"]
+    parts = [int(x) for x in lam.split(",")]
+    std = {
+        f"y({r},{s})_{i}": math.comb(parts[r - 1] + i, i) % p
+        for r in range(1, 4)
+        for s in range(r + 1, 4)
+        for i in range(1, parts[s - 1] + 1)
+    }
+    vector = dict(line.strip().split(" = ") for line in lines[2:])
+    first = next(iter(vector))
+    scale = int(vector[first]) * pow(std[first], -1, p)
+    assert vector == {slot: str(v * scale % p) for slot, v in std.items() if v}
 
 
 def test_sl2_parity_and_zero(capsys):

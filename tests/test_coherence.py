@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -40,6 +41,7 @@ from spechtex.coherence import (
     _relation_tags,
     _row_terms,
     _spanning_rows,
+    _std_units,
     _tags_touching,
     _triple_block,
     build_relation_system,
@@ -735,6 +737,27 @@ def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_wide_shapes(
     assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
 
 
+@pytest.mark.parametrize(
+    "parts, p",
+    [
+        ((109, 38, 11), 11),
+        ((14640, 54, 9), 11),
+        ((1330, 121, 120), 11),
+        ((999999, 60, 45), 131),
+        ((131, 30, 20), 131),
+        ((10**30 + 7, 24, 20), 131),
+    ],
+)
+def test_gain_graph_system_has_the_rref_of_the_paper_rows_at_large_primes(parts, p):
+    # Above 7 most units differ from +-1, so link rows carry gains other
+    # than +-1, which the gain pass of ``_settle`` reads off the unit parts
+    # of std: 2, 10, 0, 135, 68 and 63 of them here.  The first two have
+    # dim_E = 2, and the first keeps a (T3a) long row.
+    lam = Partition(parts)
+    built = build_relation_system(lam, p)
+    assert dense_echelon(built) == dense_echelon(paper_system(lam, p)), (p, parts)
+
+
 @pytest.mark.parametrize("parts, p", [((59048, 107, 96), 3), ((4095, 127, 127), 2)])
 def test_gain_graph_expands_few_of_the_t3_rows_on_wide_shapes(parts, p, monkeypatch):
     # The (T3a) and (T3b) rows are read from the slots outside zero trees,
@@ -837,23 +860,19 @@ def two_term_family(slots, u, v):
 @example(top=4, lower=[4, 3], p=2)  # needs the (T2) joins (j0, k), k > k0
 @example(top=8, lower=[4, 4], p=2)  # needs the (T1) joins listed for each i
 def test_live_pair_rows_span_the_transcribed_two_coefficient_rows(top, lower, p):
-    # Every listed join is a transcribed row with both coefficients nonzero
-    # mod p, with the same coefficients.  Not every such row is listed, but
-    # in each family the listed ones connect the same slots, which is all
-    # the gain graph reads of them (``_settle``).
+    # Every listed join is the slot pair of a transcribed row with both
+    # coefficients nonzero mod p; what those coefficients say is checked by
+    # ``test_std_units_solve_every_transcribed_two_coefficient_row``.  Not
+    # every such row is listed, but in each family the listed ones connect
+    # the same slots, which is all the gain graph reads of them (``_settle``).
     lam = two_term_shape(top, lower)
-    listed = [
-        tuple(sorted({u: binom_mod_p(a1, b1, p), v: -binom_mod_p(a2, b2, p) % p}.items()))
-        for u, v, a1, b1, a2, b2 in _live_pair_rows(lam, p)
-    ]
-    transcribed = [
-        tuple(sorted(row.items())) for row in transcribed_two_term_rows(lam, p) if len(row) == 2
-    ]
+    listed = list(_live_pair_rows(lam, p))
+    transcribed = [tuple(row) for row in transcribed_two_term_rows(lam, p) if len(row) == 2]
     assert set(listed) <= set(transcribed), (lam.parts, p)
     slots = canonical_slot_order(lam)
     for family in ("E", "T1", "T2"):
         edges = [
-            [(u, v) for (u, _), (v, _) in rows if two_term_family(slots, u, v) == family]
+            [(u, v) for u, v in rows if two_term_family(slots, u, v) == family]
             for rows in (listed, transcribed)
         ]
         assert slot_components(edges[0], len(slots)) == slot_components(edges[1], len(slots)), (
@@ -863,15 +882,49 @@ def test_live_pair_rows_span_the_transcribed_two_coefficient_rows(top, lower, p)
         )
 
 
+def exact_std_units(lam, p):
+    """std / p**v mod p on every slot, in canonical order, from the exact
+    C(part_r + i, i) and its p-adic valuation v."""
+    units = []
+    for r, _s, i in transcribed_slots(lam.parts):
+        std = math.comb(lam.parts[r - 1] + i, i)
+        units.append(std // p ** int_val(std, p) % p)
+    return units
+
+
+@settings(max_examples=60, deadline=None)
+@two_term_shapes
+def test_std_units_are_the_unit_parts_of_the_exact_binomials(top, lower, p):
+    lam = two_term_shape(top, lower)
+    assert _std_units(lam, p) == exact_std_units(lam, p), (lam.parts, p)
+
+
+@settings(max_examples=60, deadline=None)
+@two_term_shapes
+@example(top=4, lower=[4, 3], p=3)
+@example(top=26, lower=[25, 24], p=5)
+def test_std_units_solve_every_transcribed_two_coefficient_row(top, lower, p):
+    # The fact the gain pass of ``_settle`` rests on: each row with two
+    # unit coefficients, c_u y_u + c_v y_v, holds for the unit parts of
+    # std, so the gains of a tree of such rows are unit[u] / unit[root].
+    lam = two_term_shape(top, lower)
+    unit = exact_std_units(lam, p)
+    for row in transcribed_two_term_rows(lam, p):
+        if len(row) == 2:
+            (u, cu), (v, cv) = row.items()
+            assert (cu * unit[u] + cv * unit[v]) % p == 0, (lam.parts, p, u, v)
+
+
 def every_two_term_join(lam, p):
     """Every (E), (T1) and (T2) row with both coefficients nonzero mod p,
-    in ``_relation_tags`` order, as ``_live_pair_rows`` lists a join."""
+    in ``_relation_tags`` order, as ``_live_pair_rows`` lists a join: its
+    slot pair."""
     position = {slot: pos for pos, slot in enumerate(canonical_slot_order(lam))}
     for tag in _relation_tags(lam):
         if tag[0] in ("E", "T1", "T2"):
             (r, s, i, _, a1, b1, _, _), (q, t, k, _, a2, b2, _, _) = _row_terms(lam, tag, p)
             if binom_mod_p(a1, b1, p) and binom_mod_p(a2, b2, p):
-                yield position[(r, s, i)], position[(q, t, k)], a1, b1, a2, b2
+                yield position[(r, s, i)], position[(q, t, k)]
 
 
 def assert_built_as_if_fed_every_join(lam, p):
@@ -922,7 +975,7 @@ def test_live_pair_rows_list_few_joins_past_the_budget():
     # and 2,055 of them.  Called directly: the budget refuses the build.
     lam = Partition((3000, 3000, 3000))
     slots = canonical_slot_order(lam)
-    count = Counter(two_term_family(slots, u, v) for u, v, *_ in _live_pair_rows(lam, 3))
+    count = Counter(two_term_family(slots, u, v) for u, v in _live_pair_rows(lam, 3))
     assert count["E"] + count["T2"] < 4 * len(slots), count
     assert count["T1"] < 4 * len(slots), count
 

@@ -181,7 +181,7 @@ def _relation_tags(lam: Partition) -> Iterator[RowTag]:
     (E) for every pair, then (T1), (T2), (T3a), (T3b) for every triple,
     with pairs, triples and row indices in ascending lexicographic order,
     so the row order is deterministic.  Only ``_iter_relation_rows``
-    reads them: the build lists its two-term rows with ``_live_pair_rows``
+    reads them: the build lists its two-term rows with ``_pair_feed``
     and its (T3a) and (T3b) rows with ``_tags_touching``.
     """
     n = lam.n
@@ -558,158 +558,139 @@ def _commuting_classes(lam: Partition, p: int) -> _CommutingPlan:
     return rank - len(classes), listings, zero_pairs, classes
 
 
-def _digit_max(n: int, h: int, p: int) -> int:
-    """The digit-wise maximum of n and h in base p.
-
-    A number adds to it without a base-p carry iff it adds without one to
-    n and to h.
-    """
-    if p == 2:
-        return n | h
-    out, scale = n, 1
-    while h:
-        dn, dh = n % p, h % p
-        if dh > dn:
-            out += (dh - dn) * scale
-        n //= p
-        h //= p
-        scale *= p
-    return out
-
-
-def _unit_steps(n: int, limit: int, p: int) -> list[int]:
-    """The powers p**d <= limit that add to n without a base-p carry.
-
-    p**d does exactly when digit d of n is below p - 1.
-    """
-    steps, scale = [], 1
-    while scale <= limit:
-        if n % p < p - 1:
-            steps.append(scale)
-        n //= p
-        scale *= p
-    return steps
-
-
-def _t1_lone(n: int, h: int, limit: int, p: int) -> bool:
-    """Whether some k in [1, limit] adds to n without a base-p carry while C(n + k, h) is 0 mod p.
-
-    For the (T1) row C(a+i+k, k) x_i - C(a+i+k, i) z_k with i = h and n =
-    a + h: the first coefficient is nonzero iff k adds to n without a
-    carry (Kummer), and then n + k has digits n_d + k_d, so by Lucas the
-    second is 0 iff some digit has h_d > n_d + k_d.  For one digit d with
-    h_d > n_d the k that do both are a box, k_d <= h_d - n_d - 1 and k_e
-    <= p - 1 - n_e at every other digit, whose least element other than 0
-    is p**e, e the lowest digit with a bound of 1 or more.  The least over
-    every such d is p**e for the lowest e at which some d allows 1 or
-    more: p - 1 - n_e, unless e is the only such d, when it is h_e - n_e -
-    1.  By symmetry this reads z_h too, with i in place of k.
-    """
-    excess = []  # digits d with h_d > n_d; two are as good as more
-    x, y, d = h, n, 0
-    while x and len(excess) < 2:
-        if x % p > y % p:
-            excess.append(d)
-        x, y, d = x // p, y // p, d + 1
-    if not excess:
-        return False
-    alone = excess[0] if len(excess) == 1 else -1
-    x, y, e, scale = h, n, 0, 1
-    while scale <= limit:
-        if (x % p if e == alone else p) - y % p > 1:
-            return True
-        x, y, e, scale = x // p, y // p, e + 1, scale * p
-    return False
-
-
-def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int]]:
+def _pair_feed(lam: Partition, p: int, lone: list[int]) -> Iterator[tuple[int, int]]:
     """A spanning set of the (E), (T1) and (T2) joins, for at most three rows.
 
     A join is a row C(a1, b1) y_u - C(a2, b2) y_v = 0 of these families
     with both coefficients nonzero mod p.  Each join listed comes as its
-    slot positions (u, v), in ``_row_terms`` order; no binomial is
-    computed.  Not every join is listed, but the listed ones connect the
-    same slots: two slots are linked by a path of listed joins whenever
-    they are by a path of joins, which is all ``_settle`` reads of them
-    (why is there).  By Kummer's theorem C(m + h, h) is nonzero mod p
-    exactly when h adds to m without a base-p carry, and then each digit
-    of m + h is m_d + h_d; by Lucas's C(n, h) is exactly when every digit
-    h_d <= n_d.  Per family:
+    slot positions (u, v), in either order; no binomial is computed.  Not
+    every join is listed, but the listed ones connect the same slots: two
+    slots are linked by a path of listed joins whenever they are by a path
+    of joins, which is all ``_settle`` reads of them (why is there).  A
+    row with one nonzero coefficient, c y_u = 0, says only y_u = 0, so
+    such rows span exactly the unit vectors of their slots: each family
+    appends a slot u to ``lone`` once, when some row of it has its one
+    nonzero coefficient there.  By Kummer's theorem C(m + h, h) is nonzero
+    mod p exactly when h adds to m without a base-p carry, and then each
+    digit of m + h is m_d + h_d; by Lucas's C(n, h) is exactly when every
+    digit h_d <= n_d.  Per family:
 
     * (E) on pair (r, s), A = part_r, w = part_s: C(A+i+j, j) y_i -
       C(i+j, i) y_{i+j}, 1 <= i < i + j <= w, a join iff j adds without a
-      carry to A + i and to i, i.e. to their digit-wise maximum M_i.
+      carry to A + i and to i, i.e. to their digit-wise maximum M_i (a
+      number adds to M_i without a carry iff it adds without one to both).
       Listed: the unit steps j = p**d with (M_i)_d < p - 1 and i + p**d
-      <= w (``_unit_steps``).  A join (i, i+j) is a path of them: add the
-      digits of j one unit at a time.  Each partial sum u = i + j', j'_d
-      <= j_d throughout, has u_d = i_d + j'_d and (A+u)_d = (A+i)_d +
-      j'_d, as j' adds to both without a carry.  At a digit d where j'_d <
-      j_d both are at most (M_i)_d + j_d - 1 <= p - 2, and u + p**d <= i +
-      j <= w, so the next step (u, u + p**d) is listed.
+      <= w.  A join (i, i+j) is a path of them: add the digits of j one
+      unit at a time.  Each partial sum u = i + j', j'_d <= j_d
+      throughout, has u_d = i_d + j'_d and (A+u)_d = (A+i)_d + j'_d, as j'
+      adds to both without a carry.  At a digit d where j'_d < j_d both
+      are at most (M_i)_d + j_d - 1 <= p - 2, and u + p**d <= i + j <= w,
+      so the next step (u, u + p**d) is listed.  Lone on y_m, with n = A
+      + m: as y_i, y_m's coefficient is nonzero iff j adds to n, and the
+      other is 0 iff j then has a carry with m: the least such j is (p -
+      m_d) p**d at a digit with m_d > n_d.  As y_{i+j}, j = m - i, y_m's
+      C(m, j) is nonzero iff j_d <= m_d throughout, and C(n, j) is 0 iff
+      some j_d > n_d: the least such j is (n_d + 1) p**d at a digit with
+      m_d > n_d.  A term at digit d is below p**(d+1), so the lowest such
+      digit gives both least j; the rows need j <= w - m and j <= m - 1.
+      One walk over the digits of m and n reads the steps and that digit.
     * (T1) C(a+i+k, k) x_i - C(a+i+k, i) z_k, i <= b, k <= c, x = y(1,2)
-      and z = y(1,3): with m = a + k, the second coefficient is nonzero
-      iff i adds to m without a carry, and then the first iff k_d <= m_d +
-      i_d throughout.  So the i joined to k are those in [1, b] whose
-      every digit lies in [max(0, k_d - m_d), p - 1 - m_d], a box whose
-      least element is lo_k = M - m, M the digit-wise maximum of m and k;
-      lo_k + p**d is in it iff M_d < p - 1.  The row is symmetric under i
-      <-> k, x <-> z, b <-> c.  Listed: for each k, lo_k and each lo_k +
-      p**d in the box and in [1, b]; for each i, the same with k.  A join
-      (i, k) listed from neither side has i - lo_k and k - lo_i of digit
-      sum 2 or more.  Take a digit d of i - lo_k and a digit e of k - lo_i,
-      and by symmetry d <= e.  Then i' = i - p**d and k' = k - p**e are at
-      least 1, (i', k) and (i, k') are joins, one digit lowered in a box,
-      and so is (i', k'): i is in the box of k', and i' differs from i only
-      at digit d, where it needs i_d - 1 >= k'_d - m'_d, m' = a + k'.
-      There i_d - 1 >= (lo_k)_d >= k_d - m_d, and k'_d - m'_d <= k_d - m_d:
-      if d < e, k' and m' agree with k and m below digit e; if d = e, k'_d
-      = k_d - 1 and m'_d >= m_d - 1 (p - 1 after a borrow).  So x_i, z_k',
-      x_i' and z_k are linked by joins of smaller i + k, and by induction
-      on i + k every join is a path of listed ones.
-    * (T2) C(a+k, k) y_j - C(b+j, j) z_k, j + k <= c: a join iff j is in
-      J, the j < c that add to b without a carry, and k in K, the k < c
-      that add to a without one.  With j0 and k0 the least of J and K, a
-      join (j, k) has (j, k0), (j0, k0) and (j0, k) joins too, as j + k0
-      and j0 + k are at most j + k <= c.  Listed: (j, k0) for each j and
-      (j0, k) for each other k.
+      and z = y(1,3).  The row is symmetric under i <-> k, x <-> z, b <->
+      c, so one loop reads the side of each k and of each i; on the side
+      of k, write m = a + k.  The second coefficient is nonzero iff i adds
+      to m without a carry, and then the first iff k_d <= m_d + i_d
+      throughout.  So the i joined to k are those in [1, b] whose every
+      digit lies in [max(0, k_d - m_d), p - 1 - m_d], a box whose least
+      element is lo_k = M - m, M the digit-wise maximum of m and k; lo_k +
+      p**d is in it iff M_d < p - 1.  Listed: for each k, lo_k and each
+      lo_k + p**d in the box and in [1, b]; for each i, the same with k.  A
+      join (i, k) listed from neither side has i - lo_k and k - lo_i of
+      digit sum 2 or more.  Take a digit d of i - lo_k and a digit e of k -
+      lo_i, and by symmetry d <= e.  Then i' = i - p**d and k' = k - p**e
+      are at least 1, (i', k) and (i, k') are joins, one digit lowered in a
+      box, and so is (i', k'): i is in the box of k', and i' differs from i
+      only at digit d, where it needs i_d - 1 >= k'_d - m'_d, m' = a + k'.
+      There i_d - 1 >= (lo_k)_d >= k_d - m_d, and k'_d - m'_d <= k_d -
+      m_d: if d < e, k' and m' agree with k and m below digit e; if d = e,
+      k'_d = k_d - 1 and m'_d >= m_d - 1 (p - 1 after a borrow).  So x_i,
+      z_k', x_i' and z_k are linked by joins of smaller i + k, and by
+      induction on i + k every join is a path of listed ones.  Lone on z_k:
+      its coefficient is nonzero and x_i's 0 iff i adds to m without a
+      carry and some digit has k_d > m_d + i_d.  For one digit d with k_d >
+      m_d the i that do both are a box, i_d <= k_d - m_d - 1 and i_e <= p
+      - 1 - m_e at every other digit, whose least element other than 0 is
+      p**e, e the lowest digit with a bound of 1 or more.  The least over
+      every such d is p**e for the lowest e at which some d allows 1 or
+      more: p - 1 - m_e, unless e is the only such d, when it is k_e - m_e
+      - 1; z_k is lone iff that p**e <= b.  Each k takes two walks over its
+      digits: one over those of k for lo_k and for whether one digit d or
+      more has k_d > m_d (two are as good as more), one up to b for the
+      steps and e.
+    * (T2) C(a+k, k) y_j - C(b+j, j) z_k, j + k <= c: the first
+      coefficient is nonzero iff k is in K, the k < c that add to a without
+      a carry, and the second iff j is in J, the j < c that add to b
+      without one.  With j0 and k0 the least of J and K, a join (j, k) has
+      (j, k0), (j0, k0) and (j0, k) joins too, as j + k0 and j0 + k are at
+      most j + k <= c.  Listed: (j, k0) for each j and (j0, k) for each
+      other k.  Lone: y_j for each j <= c - k0 not in J, and z_k for each k
+      <= c - j0 not in K.
 
     Each slot lists a few joins per base-p digit of its row's length, and
-    ``_lone_slots`` lists the rows with one nonzero coefficient, slot by
-    slot.  What is held at a time is at most as long as a row of ``lam``.
+    ``lone`` gets each slot at most once per family: at most 3V slot
+    numbers, no more than the forest of ``_settle`` holds.  Besides it,
+    what is held at a time is at most as long as a row of ``lam``.
     """
     parts, n = lam.parts, lam.n
     base = -1  # slot (r, s, i) is at base + i
     for r in range(1, n + 1):
         top = parts[r - 1]
         for width in parts[r:]:
-            for i in range(1, width):
-                for j in _unit_steps(_digit_max(top + i, i, p), width - i, p):
-                    yield base + i, base + i + j
+            for m in range(1, width + 1):
+                x, y, scale, room, seek = m, top + m, 1, width - m, True
+                while scale <= room or seek and x:
+                    dx, dy = x % p, y % p
+                    if scale <= room and dx < p - 1 and dy < p - 1:
+                        yield base + m, base + m + scale
+                    if seek and dx > dy:  # the lowest digit of m above top + m's
+                        seek = False
+                        if (p - dx) * scale <= room or (dy + 1) * scale < m:
+                            lone.append(base + m)
+                    x, y, scale = x // p, y // p, scale * p
             base += width
     if n < 3:
         return
     a, b, c = parts
     x0, z0, y0 = -1, b - 1, b + c - 1  # slot (1, 2, i) is at x0 + i
-    for k in range(1, c + 1):
-        m = a + k
-        most = _digit_max(m, k, p)
-        low = most - m
-        if 0 < low <= b:
-            yield x0 + low, z0 + k
-        for step in _unit_steps(most, b - low, p):
-            i = low + step
-            yield x0 + i, z0 + k
-    for i in range(1, b + 1):
-        m = a + i
-        most = _digit_max(m, i, p)
-        low = most - m
-        if 0 < low <= c:
-            yield x0 + i, z0 + low
-        for step in _unit_steps(most, c - low, p):
-            k = low + step
-            yield x0 + i, z0 + k
+    # (T1) from the side of each k, then of each i: h is the index, and
+    # its partner runs up to limit.
+    for own, other, count, limit in ((z0, x0, c, b), (x0, z0, b, c)):
+        for h in range(1, count + 1):
+            # low = lo_h, and alone the scale of the one digit of h above
+            # that of a + h, or -1 if there are more.
+            x, y, scale, low, alone = h, a + h, 1, 0, 0
+            while x:
+                dx, dy = x % p, y % p
+                if dx > dy:
+                    alone = -1 if low else scale
+                    low += (dx - dy) * scale
+                x, y, scale = x // p, y // p, scale * p
+            if 0 < low <= limit:
+                yield own + h, other + low
+            x, y, scale, seek = h, a + h, 1, low > 0
+            while scale <= (limit if seek else limit - low):
+                dx, dy = x % p, y % p
+                if scale <= limit - low and dx < p - 1 and dy < p - 1:
+                    yield own + h, other + low + scale
+                if seek and (dx if scale == alone else p) - dy > 1:
+                    seek = False
+                    lone.append(own + h)
+                x, y, scale = x // p, y // p, scale * p
     ks = _lucas_range(a, 1, c - 1, p, carry_free=True)
     js = _lucas_range(b, 1, c - 1, p, carry_free=True)
+    for own, mine, theirs in ((y0, js, ks), (z0, ks, js)):
+        if theirs:
+            live = set(mine)
+            lone.extend(own + h for h in range(1, c - theirs[0] + 1) if h not in live)
     if not (ks and js):
         return
     j0, k0 = js[0], ks[0]
@@ -721,66 +702,6 @@ def _live_pair_rows(lam: Partition, p: int) -> Iterator[tuple[int, int]]:
         if j0 + k > c:
             break
         yield y0 + j0, z0 + k
-
-
-def _lone_slots(lam: Partition, p: int) -> Iterator[int]:
-    """The slots that carry the nonzero coefficient of an (E), (T1) or (T2) row with one.
-
-    For at most three rows.  Such a row, c y_u = 0 with c nonzero mod p,
-    says only y_u = 0, so these rows span exactly the unit vectors of the
-    slots listed.  Each family lists a slot once, when some row of it has
-    its one nonzero coefficient there.  (E) and (T1) find that by a scan
-    of a few base-p digits, with no listing; no binomial is computed.
-    C(n + h, h) is nonzero mod p iff h adds to n without a carry
-    (Kummer), and C(n, h) iff each digit h_d <= n_d (Lucas).
-    """
-    parts, n = lam.parts, lam.n
-    base = -1  # slot (r, s, i) is at base + i
-    for r in range(1, n + 1):
-        top = parts[r - 1]
-        for width in parts[r:]:
-            for m in range(1, width + 1):
-                # (E) C(A+i+j, j) y_i - C(i+j, i) y_{i+j}, A = part_r, on
-                # y_m; write n = A + m.  As y_i, y_m's coefficient is
-                # nonzero iff j adds to n, and the other is 0 iff j then
-                # has a carry with m: the least such j is (p - m_d) p**d at
-                # a digit with m_d > n_d.  As y_{i+j}, j = m - i, y_m's
-                # C(m, j) is nonzero iff j_d <= m_d throughout, and C(n, j)
-                # is 0 iff some j_d > n_d: the least such j is (n_d + 1)
-                # p**d at a digit with m_d > n_d.  A term at digit d is
-                # below p**(d+1), so the lowest such digit gives both least
-                # j; the rows need j <= w - m and j <= m - 1.
-                x, y, scale = m, top + m, 1
-                while x:
-                    dm, dn = x % p, y % p
-                    if dm > dn:
-                        if (p - dm) * scale <= width - m or (dn + 1) * scale < m:
-                            yield base + m
-                        break
-                    x, y, scale = x // p, y // p, scale * p
-            base += width
-    if n < 3:
-        return
-    a, b, c = parts
-    x0, z0, y0 = -1, b - 1, b + c - 1
-    # (T1) C(a+i+k, k) x_i - C(a+i+k, i) z_k, i <= b and k <= c, is
-    # symmetric under i <-> k, x <-> z: x_h is read with k <= c and z_h
-    # with i <= b.
-    for first, count, limit in ((x0, b, c), (z0, c, b)):
-        for h in range(1, count + 1):
-            if _t1_lone(a + h, h, limit, p):
-                yield first + h
-    # (T2) C(a+k, k) y_j - C(b+j, j) z_k, j + k <= c: its one nonzero
-    # coefficient is on y_j iff k adds to a and j not to b, and on z_k iff
-    # j adds to b and k not to a.
-    ks = _lucas_range(a, 1, c - 1, p, carry_free=True)
-    js = _lucas_range(b, 1, c - 1, p, carry_free=True)
-    if ks:
-        live_j = set(js)
-        yield from (y0 + j for j in range(1, c - ks[0] + 1) if j not in live_j)
-    if js:
-        live_k = set(ks)
-        yield from (z0 + k for k in range(1, c - js[0] + 1) if k not in live_k)
 
 
 def _std_units(lam: Partition, p: int) -> list[int]:
@@ -910,8 +831,8 @@ def _settle(
     it by one.  What is fed depends on the shape:
 
     * With at most three rows, first the joins, the (E), (T1) and (T2)
-      rows with both coefficients nonzero mod p: ``_live_pair_rows``
-      lists a set of them that links the same slots as all of them.  They
+      rows with both coefficients nonzero mod p: ``_pair_feed`` lists a
+      set of them that links the same slots as all of them.  They
       are settled as plain connectivity, with no binomial and no row dict
       (most rows are of this kind, and small systems pay for every dict):
       a join whose slots share a root is skipped, and otherwise the
@@ -930,12 +851,12 @@ def _settle(
       slot, solves every join of a tree, and the joins along a tree's
       paths leave one solution up to scale: y_u / y_root = unit[u] /
       unit[root].  At p = 2 every unit is 1, so is every gain, and the
-      pass is skipped.  Then the rows with exactly
-      one, c y_u = 0, which say only y_u = 0: ``_lone_slots`` lists the
-      slots u that carry such a coefficient, and u's tree is marked zero
-      unless it already is.  These rows span exactly the unit vectors of
-      the slots listed, and each mark adds one of them, so feeding the
-      marks is feeding the rows.  Then the (T3a) and (T3b) rows of
+      pass is skipped.  Then the rows with exactly one, c y_u = 0, which
+      say only y_u = 0: ``_pair_feed`` collects the slots u that carry
+      such a coefficient in the same scan, and after the gain pass u's
+      tree is marked zero unless it already is.  These rows span exactly
+      the unit vectors of the slots listed, and each mark adds one of
+      them, so feeding the marks is feeding the rows.  Then the (T3a) and (T3b) rows of
       ``_t3_rows``, read from the slots outside zero trees.
     * With four rows or more, the forest starts from the independent
       (C) relations of ``plan``, expanded pair by pair: every slot of a
@@ -1005,8 +926,9 @@ def _settle(
 
     Up to the (T3) rows, nothing kept depends on the order or on which
     spanning set of the joins is listed: the forest after the gain pass
-    is fixed by their components (above), and ``_lone_slots`` marks the
-    same trees in its own order.  So the system built is the one that feeding
+    is fixed by their components (above), and the lone slots mark the
+    same trees in any order: once the ceiling stops the marks, a further
+    mark would raise the rank past V - 1.  So the system built is the one that feeding
     every join would build, bit for bit.
     """
     forest = _GainForest(size, p)
@@ -1034,7 +956,8 @@ def _settle(
         live -= rank
         stream = _spanning_rows(lam, p) if live > 1 else ()
     else:
-        for u, v in _live_pair_rows(lam, p):
+        lone: list[int] = []
+        for u, v in _pair_feed(lam, p, lone):
             while parent[u] != u:  # path halving
                 parent[u] = parent[parent[u]]
                 u = parent[u]
@@ -1061,7 +984,7 @@ def _settle(
                 else:
                     parent[u] = root
                     gain[u] = unit[u] * unit[root] % p
-        for u in _lone_slots(lam, p) if live > 1 else ():
+        for u in lone if live > 1 else ():
             x = parent[u]
             if parent[x] != x:
                 x = find(u)[0]
@@ -1144,8 +1067,8 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     is not a root (the proof of both is in ``_settle``).  With at most
     three rows the relations fed are the paper's: a set of the (E), (T1)
     and (T2) rows with two coefficients nonzero mod p that links the same
-    slots as all of them (``_live_pair_rows``), which leaves the same
-    forest, then the slots of the rows with one, then the (T3a) and (T3b)
+    slots as all of them (``_pair_feed``), which leaves the same forest,
+    then the slots of the rows with one, then the (T3a) and (T3b)
     rows from the slots not forced to 0.
     With four or more the forest starts with the (C) relations of the
     per-pair plan of ``_commuting_classes``, and then, triple by triple,

@@ -21,17 +21,23 @@ SPLIT = "split"
 
 
 class InvalidPartitionError(ValueError):
-    """The part list is not weakly decreasing and non-negative."""
+    """The parts are not weakly decreasing positive ints."""
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing positive parts; the empty partition is allowed."""
+    """Weakly decreasing positive parts; the empty partition is allowed.
+
+    A part must be an ``int`` and not a ``bool``, as p must be in
+    ``validate_prime``.
+    """
 
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         for k, part in enumerate(self.parts):
+            if not isinstance(part, int) or isinstance(part, bool):
+                raise InvalidPartitionError(f"part {part!r} at index {k} is not an int")
             if part < 1:
                 raise InvalidPartitionError(f"part {part} at index {k} is not positive")
             if k and self.parts[k - 1] < part:

@@ -35,8 +35,7 @@ from spechtex.coherence import (
     _echelon,
     _h0,
     _iter_relation_rows,
-    _live_pair_rows,
-    _lone_slots,
+    _pair_feed,
     _reduce,
     _relation_tags,
     _row_terms,
@@ -859,15 +858,16 @@ def two_term_family(slots, u, v):
 @two_term_shapes
 @example(top=4, lower=[4, 3], p=2)  # needs the (T2) joins (j0, k), k > k0
 @example(top=8, lower=[4, 4], p=2)  # needs the (T1) joins listed for each i
-def test_live_pair_rows_span_the_transcribed_two_coefficient_rows(top, lower, p):
-    # Every listed join is the slot pair of a transcribed row with both
-    # coefficients nonzero mod p; what those coefficients say is checked by
-    # ``test_std_units_solve_every_transcribed_two_coefficient_row``.  Not
-    # every such row is listed, but in each family the listed ones connect
-    # the same slots, which is all the gain graph reads of them (``_settle``).
+def test_pair_feed_spans_the_transcribed_two_coefficient_rows(top, lower, p):
+    # Every listed join is the slot pair, in either order, of a transcribed
+    # row with both coefficients nonzero mod p; what those coefficients say
+    # is checked by ``test_std_units_solve_every_transcribed_two_coefficient_row``.
+    # Not every such row is listed, but in each family the listed ones
+    # connect the same slots, which is all the gain graph reads of them
+    # (``_settle``).
     lam = two_term_shape(top, lower)
-    listed = list(_live_pair_rows(lam, p))
-    transcribed = [tuple(row) for row in transcribed_two_term_rows(lam, p) if len(row) == 2]
+    listed = [tuple(sorted(join)) for join in _pair_feed(lam, p, [])]
+    transcribed = [tuple(sorted(row)) for row in transcribed_two_term_rows(lam, p) if len(row) == 2]
     assert set(listed) <= set(transcribed), (lam.parts, p)
     slots = canonical_slot_order(lam)
     for family in ("E", "T1", "T2"):
@@ -915,23 +915,28 @@ def test_std_units_solve_every_transcribed_two_coefficient_row(top, lower, p):
             assert (cu * unit[u] + cv * unit[v]) % p == 0, (lam.parts, p, u, v)
 
 
-def every_two_term_join(lam, p):
+def every_two_term_join(lam, p, lone):
     """Every (E), (T1) and (T2) row with both coefficients nonzero mod p,
-    in ``_relation_tags`` order, as ``_live_pair_rows`` lists a join: its
-    slot pair."""
+    in ``_relation_tags`` order, as ``_pair_feed`` lists a join: its slot
+    pair.  The slot of every such row with one nonzero coefficient goes
+    into ``lone``, once per row."""
     position = {slot: pos for pos, slot in enumerate(canonical_slot_order(lam))}
     for tag in _relation_tags(lam):
         if tag[0] in ("E", "T1", "T2"):
             (r, s, i, _, a1, b1, _, _), (q, t, k, _, a2, b2, _, _) = _row_terms(lam, tag, p)
-            if binom_mod_p(a1, b1, p) and binom_mod_p(a2, b2, p):
-                yield position[(r, s, i)], position[(q, t, k)]
+            u, v = position[(r, s, i)], position[(q, t, k)]
+            c1, c2 = binom_mod_p(a1, b1, p), binom_mod_p(a2, b2, p)
+            if c1 and c2:
+                yield u, v
+            elif c1 or c2:
+                lone.append(u if c1 else v)
 
 
 def assert_built_as_if_fed_every_join(lam, p):
     built = build_relation_system(lam, p)
     dim = dim_E(lam, p)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("spechtex.coherence._live_pair_rows", every_two_term_join)
+        patch.setattr("spechtex.coherence._pair_feed", every_two_term_join)
         full = build_relation_system(lam, p)
         assert dim_E(lam, p) == dim, (lam.parts, p)
     assert [list(row.items()) for row in built.rows] == [
@@ -969,28 +974,80 @@ def test_build_is_bit_identical_to_one_fed_every_two_term_join_on_wide_shapes(pa
     assert_built_as_if_fed_every_join(Partition(parts), p)
 
 
-def test_live_pair_rows_list_few_joins_past_the_budget():
+def test_pair_feed_lists_few_joins_past_the_budget():
     # (3000, 3000, 3000) at p = 3 has 9,000 slots and 305,910 (E),
     # 143,579 (T1) and 571,573 (T2) joins; the listing keeps 32,268, 28,034
     # and 2,055 of them.  Called directly: the budget refuses the build.
     lam = Partition((3000, 3000, 3000))
     slots = canonical_slot_order(lam)
-    count = Counter(two_term_family(slots, u, v) for u, v in _live_pair_rows(lam, 3))
+    count = Counter(two_term_family(slots, u, v) for u, v in _pair_feed(lam, 3, []))
     assert count["E"] + count["T2"] < 4 * len(slots), count
     assert count["T1"] < 4 * len(slots), count
 
 
 @settings(max_examples=60, deadline=None)
 @two_term_shapes
-def test_lone_slots_are_the_slots_of_the_transcribed_one_coefficient_rows(top, lower, p):
+def test_pair_feed_lists_the_slots_of_the_transcribed_one_coefficient_rows(top, lower, p):
     # A row with one coefficient nonzero mod p says only that its slot is
     # 0, so the feed marks the slot instead; each of (E), (T1) and (T2)
     # lists a slot at most once.
     lam = two_term_shape(top, lower)
-    listed = list(_lone_slots(lam, p))
+    listed = []
+    list(_pair_feed(lam, p, listed))
     expected = {pos for row in transcribed_two_term_rows(lam, p) if len(row) == 1 for pos in row}
     assert set(listed) == expected, (lam.parts, p)
     assert len(listed) <= 3 * slot_count(lam), (lam.parts, p)
+
+
+def direct_scan(lam, p):
+    """(E unit steps, lone flags) of ``lam``, at most three rows, each
+    coefficient by ``binom_mod_p``: the joins (y_i, y_{i+p**d}) of every
+    (E) row with both coefficients nonzero, sorted, and a Counter of the
+    slot positions counted once per family of (E), (T1) and (T2) in which
+    some row has its one nonzero coefficient there."""
+    position = {slot: pos for pos, slot in enumerate(canonical_slot_order(lam))}
+    steps, lone = [], set()
+
+    def row(family, c1, slot1, c2, slot2):
+        if c1 and not c2:
+            lone.add((family, position[slot1]))
+        if c2 and not c1:
+            lone.add((family, position[slot2]))
+
+    parts = lam.parts
+    for r, s in combinations(range(1, lam.n + 1), 2):
+        top, width = parts[r - 1], parts[s - 1]
+        for i in range(1, width):
+            for j in range(1, width - i + 1):
+                c1, c2 = binom_mod_p(top + i + j, j, p), binom_mod_p(i + j, i, p)
+                row("E", c1, (r, s, i), c2, (r, s, i + j))
+                if c1 and c2 and p ** int_val(j, p) == j:
+                    steps.append((position[(r, s, i)], position[(r, s, i + j)]))
+    if lam.n == 3:
+        a, b, c = parts
+        for i in range(1, b + 1):
+            for k in range(1, c + 1):
+                top = a + i + k
+                row("T1", binom_mod_p(top, k, p), (1, 2, i), binom_mod_p(top, i, p), (1, 3, k))
+        for j in range(1, c + 1):
+            for k in range(1, c - j + 1):
+                row("T2", binom_mod_p(a + k, k, p), (2, 3, j), binom_mod_p(b + j, j, p), (1, 3, k))
+    return sorted(steps), Counter(pos for _family, pos in lone)
+
+
+def test_pair_feed_scans_each_index_as_its_binomials_say():
+    # One digit walk per (E) index lists its unit steps and its lone flag,
+    # and the (T1) sides share one loop: on every shape of at most three
+    # rows and d <= 12, each index's (E) unit steps and its lone flag in
+    # each family against the binomials themselves.
+    for d in range(1, 13):
+        for lam in enumerate_partitions(d, 3):
+            slots = canonical_slot_order(lam)
+            for p in (2, 3, 5, 7):
+                lone = []
+                joins = list(_pair_feed(lam, p, lone))
+                steps = sorted((u, v) for u, v in joins if two_term_family(slots, u, v) == "E")
+                assert (steps, Counter(lone)) == direct_scan(lam, p), (lam.parts, p)
 
 
 @pytest.mark.parametrize(
@@ -1009,25 +1066,24 @@ def test_gain_graph_feeds_fewer_than_half_of_the_two_term_rows_on_wide_shapes(
     # The rows with both coefficients 0 mod p are never listed, a spanning
     # set of those with two nonzero ones comes first, and those with one
     # are listed slot by slot, each slot at most once per family.  So the
-    # rank ceiling is reached after 8-12% as many joins and marks as there
-    # are (E), (T1) and (T2) rows on the three-row shapes, and 1.2% on
+    # joins fed and the slots listed for marks are 8.9-13.5% as many as
+    # the (E), (T1) and (T2) rows on the three-row shapes, and 1.3% on
     # (406, 406); listing every join it took 8-47% and 1.8%.  Fed row by
     # row, the one-coefficient rows alone on the first two shapes were 449
     # and 2,024, above three per slot.
-    fed = {"joins": 0, "marks": 0}
+    fed = {"joins": 0}
+    lones = []
 
-    def counted(listing, key):
-        def listed(lam, p):
-            for item in listing(lam, p):
-                fed[key] += 1
-                yield item
+    def counted(lam, p, lone):
+        lones.append(lone)
+        for join in _pair_feed(lam, p, lone):
+            fed["joins"] += 1
+            yield join
 
-        return listed
-
-    monkeypatch.setattr("spechtex.coherence._live_pair_rows", counted(_live_pair_rows, "joins"))
-    monkeypatch.setattr("spechtex.coherence._lone_slots", counted(_lone_slots, "marks"))
+    monkeypatch.setattr("spechtex.coherence._pair_feed", counted)
     lam = Partition(parts)
     build_relation_system(lam, p)
+    fed["marks"] = sum(len(lone) for lone in lones)
     two_term = sum(tag[0] in ("E", "T1", "T2") for tag in _relation_tags(lam))
     assert 0 < fed["joins"] + fed["marks"] < two_term / 5, (fed, two_term)
     assert fed["marks"] <= 3 * slot_count(lam), fed

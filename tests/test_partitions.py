@@ -41,6 +41,14 @@ def test_new_partition_rejects_interior_zero():
         new_partition([3, 0, 1])
 
 
+@pytest.mark.parametrize("parts", [(3.5, 2), (8.0, 2), (True, True)])
+def test_partition_rejects_a_part_that_is_not_an_int(parts):
+    # ext1_dim read (3.5, 2) as split with ext^1 = 0 and failed on (8.0, 2)
+    # with a TypeError; a bool is an int in Python but no part.
+    with pytest.raises(InvalidPartitionError, match="is not an int"):
+        Partition(parts)
+
+
 def test_is_james_pair_examples():
     assert is_james_pair(8, 1, 3)
     assert not is_james_pair(3, 1, 3)

@@ -21,7 +21,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .padic import _binom_mod_p, _factorial_tables, _lucas_range, validate_prime
 from .partitions import Partition
@@ -154,10 +155,10 @@ class RelationSystem:
     they are what ``_slot_rows`` writes of the gain graph that ``_settle``
     leaves of the relations fed to it.  First come the long rows, on the
     roots of its trees, each tagged by the row it came from: a (T3a) or
-    (T3b) relation with at most three rows, a triple block row ("B", r,
-    s, t, local pivot) of ``_spanning_rows`` with four or more ((C) is
-    written into the trees before any row is fed, so no long row comes
-    from it).  Then, slot by slot, ("zero", r, s, i) for y(r,s)_i = 0 and
+    (T3b) relation with at most three rows, a row ("B", r, s, t, local
+    pivot) of the ``_triple_block`` of rows r < s < t with four or more
+    ((C) is written into the trees before any row is fed, so no long row
+    comes from it).  Then, slot by slot, ("zero", r, s, i) for y(r,s)_i = 0 and
     ("link", r, s, i) for y(r,s)_i = g * y_root.
     There may be no long rows once the build reaches rank V - 1.
     Which zero, link and long rows are kept follows the order the gain
@@ -280,17 +281,22 @@ class _GainForest:
         self.zero = [False] * size
 
     def find(self, v: int) -> tuple[int, int]:
-        """(root, g) with y_v = g * y_root; every node on the path is re-hung on the root."""
+        """(root, g) with y_v = g * y_root, by path halving.
+
+        Every other node on the path is re-hung on its grandparent, with
+        the product of the two gains, in the one walk up.
+        """
         parent, gain, p = self.parent, self.gain, self.p
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
         g = 1
-        for u in reversed(path):
-            g = g * gain[u] % p
-            gain[u] = g
-            parent[u] = v
+        u = parent[v]
+        while u != v:
+            w = parent[u]
+            if w == u:
+                return u, g * gain[v] % p
+            gain[v] = gv = gain[v] * gain[u] % p
+            parent[v] = w
+            g = g * gv % p
+            v, u = w, parent[w]
         return v, g
 
     def join(self, x: int, cx: int, y: int, cy: int) -> None:
@@ -304,8 +310,8 @@ class _GainForest:
         self.parent[x] = y
         self.gain[x] = -cy * pow(cx, self.p - 2, self.p) % self.p
 
-    def move(self, row: dict[int, int]) -> dict[int, int]:
-        """The row sum coef * y_u, coefficients nonzero mod p, on the roots.
+    def move(self, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """The row sum coef * y_u over (u, coef) ``terms``, coefficients nonzero mod p, on the roots.
 
         Each term becomes coef * g * y_root (y_u = g * y_root); terms on
         zero trees are dropped and those on one root summed, and a root
@@ -313,7 +319,7 @@ class _GainForest:
         """
         parent, gain, zero, p = self.parent, self.gain, self.zero, self.p
         moved: dict[int, int] = {}
-        for u, coef in row.items():
+        for u, coef in terms:
             x = parent[u]
             if parent[x] == x:  # u is a root or hangs on one
                 g = gain[u]
@@ -327,6 +333,54 @@ class _GainForest:
             else:
                 del moved[x]
         return moved
+
+    def settle(self, terms: Sequence[tuple[int, int]]) -> dict[int, int] | None:
+        """Impose the row sum coef * y_u = 0 over (u, coef) ``terms`` on the forest.
+
+        The terms, one or more, are on distinct slots, with coefficients
+        nonzero mod p.  The row is moved onto the roots as by ``move``.  If
+        that leaves nothing, the row already holds and {} is returned; one
+        term marks its tree zero and two join their trees, and None is
+        returned; three or more leave the forest as it is and are
+        returned, the row moved.  A row of one or two terms is settled
+        without a dict.
+        """
+        if len(terms) > 2:
+            moved = self.move(terms)
+            if not 0 < len(moved) <= 2:
+                return moved
+            terms = tuple(moved.items())  # on distinct live roots
+        parent, gain, zero = self.parent, self.gain, self.zero
+        u, cu = terms[0]
+        x = parent[u]
+        if parent[x] == x:
+            gx = gain[u]
+        else:
+            x, gx = self.find(u)
+        if len(terms) == 1:
+            if zero[x]:
+                return {}
+            zero[x] = True
+            return None
+        v, cv = terms[1]
+        y = parent[v]
+        if parent[y] == y:
+            gy = gain[v]
+        else:
+            y, gy = self.find(v)
+        if zero[x]:
+            if zero[y]:
+                return {}
+            zero[y] = True
+        elif zero[y]:
+            zero[x] = True
+        elif x != y:
+            self.join(x, cu * gx % self.p, y, cv * gy % self.p)
+        elif (cu * gx + cv * gy) % self.p:
+            zero[x] = True
+        else:
+            return {}
+        return None
 
 
 def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
@@ -497,64 +551,74 @@ def _commuting_classes(lam: Partition, p: int) -> _CommutingPlan:
     and whose other part_r - |S_P| are zero slots.  So the rank is the
     number of slots on pairs with a disjoint head, less one per class.
 
+    The components themselves follow from a closed rule on the heads
+    with a disjoint head, those of the classes.  If they hold five rows
+    or more, they form one class.  Otherwise they hold exactly four,
+    a < b < c < d, as two disjoint pairs take four rows, and each class
+    is one of the perfect matchings {(a, b), (c, d)}, {(a, c), (b, d)}
+    and {(a, d), (b, c)} whose two heads are both present.  Proof: let
+    a class C1 hold disjoint heads {a, b} and {c, d}, and let some head
+    lie in another class C2.  It is disjoint from no head of C1, so it
+    meets both {a, b} and {c, d} and lies in {a, b, c, d}.  Symmetrically
+    every head of C1 lies in the four rows of two disjoint heads of C2,
+    which are in {a, b, c, d}, so the class heads hold four rows.  On
+    four rows a pair is disjoint only from its complement, so there the
+    components are the matchings.
+
     Returns (rank, listings, zero pairs, classes): ``listings[q - 1]`` is
     L_q; the zero pairs are (q, r, position of slot (q, r, 1)),
     ascending; the classes, in the order of their first head, each list
     their heads as (q, r, position of slot (q, r, 1), |S_P|), ascending.
-    A breadth-first search over the heads finds the components.
     """
     n = lam.n
     if n < 4:
         return 0, [], [], []  # no two disjoint pairs
     parts = lam.parts
     listings = [_lucas_range(a, 1, b, p, carry_free=True) for a, b in zip(parts, parts[1:])]
-    heads = []
+    size = 0  # heads
     reach = list(range(n + 1))  # reach[q]: the last r with (q, r) a head, else q
     degree = [0] * (n + 1)  # row x -> heads that hold it
     for q, listing in enumerate(listings, start=1):
         if listing:
             least, r = listing[0], q + 1
             while r <= n and parts[r - 1] >= least:
-                heads.append((q, r))
                 degree[q] += 1
                 degree[r] += 1
                 r += 1
             reach[q] = r - 1
-
-    size = len(heads)
+            size += r - 1 - q
+    if not size:
+        return 0, listings, [], []
     zero_pairs = []
     start = {}  # head with a disjoint head -> position of its slot 1
     pos = rank = 0
     for q in range(1, n + 1):
+        # (q, r) has a disjoint head iff degree[r] < short, or <= short for a head.
+        last, short = reach[q], size - degree[q]
         for r in range(q + 1, n + 1):
             width = parts[r - 1]
-            head = r <= reach[q]
-            if degree[q] + degree[r] - head < size:
-                if head:
+            if r <= last:
+                if degree[r] <= short:
                     start[q, r] = pos
-                else:
-                    zero_pairs.append((q, r, pos))
+                    rank += width
+            elif degree[r] < short:
+                zero_pairs.append((q, r, pos))
                 rank += width
             pos += width
 
-    classes = []
-    unreached = heads  # lexicographic order
-    while unreached:
-        component = [unreached[0]]
-        unreached = unreached[1:]
-        for q, r in component:  # the heads reached below join it
-            if not unreached:
-                break
-            left = []
-            for head in unreached:
-                (left if q in head or r in head else component).append(head)
-            unreached = left
-        if len(component) > 1:
-            component.sort()
-            classes.append([
-                (q, r, start[q, r], bisect_right(listings[q - 1], parts[r - 1]))
-                for q, r in component
-            ])
+    held = {x for head in start for x in head}
+    if len(held) > 4:
+        components = [list(start)]  # lexicographic order
+    elif held:
+        a, b, c, d = sorted(held)
+        matchings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+        components = [pairs for pairs in matchings if pairs[0] in start and pairs[1] in start]
+    else:
+        components = []
+    classes = [
+        [(q, r, start[q, r], bisect_right(listings[q - 1], parts[r - 1])) for q, r in component]
+        for component in components
+    ]
     return rank - len(classes), listings, zero_pairs, classes
 
 
@@ -736,15 +800,16 @@ def _std_units(lam: Partition, p: int) -> list[int]:
 
 def _t3_rows(
     lam: Partition, p: int, forest: _GainForest
-) -> Iterator[tuple[RowTag, dict[int, int]]]:
+) -> Iterator[tuple[RowTag, list[tuple[int, int]]]]:
     """The (T3a) and (T3b) rows of a three-row ``lam``, read from the live slots.
 
     The slots are visited from the last in canonical order, and every
     (T3a) and (T3b) row with a term on a visited slot (``_tags_touching``)
-    is yielded once, as (tag, {slot position: coefficient}), unless the
-    slot is in a zero tree of ``forest`` when visited.  A row holds only
-    its terms outside zero trees, as ``_GainForest.move`` drops the others,
-    so their binomials are never computed.  Every such row has
+    is read once, unless the slot is in a zero tree of ``forest`` when
+    visited, and yielded as (tag, [(slot position, coefficient), ...])
+    unless it has no term left.  A row holds only its nonzero terms
+    outside zero trees, as ``_GainForest.move`` drops the others, so their
+    binomials are never computed.  Every such row has
     a term on one of the last slots, y(2,3)_j, so once all of those have
     been visited outside a zero tree every row has been yielded and the
     other slots are not visited.  The forest is read between rows, so the
@@ -770,48 +835,94 @@ def _t3_rows(
                 if tag[0] not in ("T3a", "T3b") or tag in fed:
                     continue
                 fed.add(tag)
-                row = {}
+                row = []
                 for x, y, m, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
                     pos = offsets[x][y] + m - 1
                     if not dead(pos):
                         coef = _coefficient(p, sign, a1, b1, a2, b2)
                         if coef:
-                            row[pos] = coef
-                yield tag, row
+                            row.append((pos, coef))
+                if row:
+                    yield tag, row
         if not skipped:
             break
 
 
-def _spanning_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
-    """Rows spanning the (E) and (T) rows of ``lam`` with four rows or more.
+def _unsettled_triples(lam: Partition, plan: _CommutingPlan) -> Iterator[tuple[int, int, int]]:
+    """The triples r < s < t of ``lam`` whose blocks ``_settle`` feeds, in lexicographic order.
 
-    For every triple r < s < t in lexicographic order, the rows of
-    ``_triple_block(part_r, part_s, part_t, p)`` moved onto the pairs
-    (r, s), (r, t) and (s, t), tagged ("B", r, s, t, local pivot), each as
-    {slot position: coefficient}.  They are generated as they are read,
-    so a caller that stops early builds no later row.  The blocks span the
-    paper's (E), (T1), (T2), (T3a) and (T3b) rows:
+    Every triple but those the (C) relations of ``plan``, a
+    ``_commuting_classes`` plan, already settle: the triples whose three
+    pairs (r, s), (r, t) and (s, t) are each a zero pair of the plan or a
+    head of one and the same class.  On the forest ``_commuting_forest``
+    starts from, every row of such a triple's block moves onto nothing,
+    whatever has been fed to the forest since:
 
-    * each such row of ``lam`` lies in one triple (r, s, t): the (T) rows
-      of that triple, or the (E) rows of a pair of it, and its
-      coefficients read only part_r, part_s and part_t (``_row_terms``).
-      Moved onto local rows 1, 2, 3 it is the same row of the three-row
-      system of (part_r, part_s, part_t), and every row of that system is
-      such a row of ``lam``, moved;
-    * moving the slots of a triple is injective and linear, so the moved
-      block spans the moved three-row system;
-    * with n >= 3 every pair lies in some triple, so every (E) row is in
-      some block; and a union of row sets spans the sum of their spans.
+    * the standard multi-sequence std, C(part_q + j, j) mod p on slot
+      (q, r, j), solves every block row: the block spans the triple's
+      paper rows mod p (``_settle``), moved onto its pairs, and std
+      solves those;
+    * std is 0 mod p on every slot of a zero pair (it has no live j) and
+      on every dead j of a head, and those slots are zero trees, which
+      stay zero, so their terms are dropped;
+    * the class's slots start as one tree with y_v = (std_v / std_root)
+      y_root, std_root nonzero mod p.  A later join hangs a whole tree
+      below another root and a mark zeroes a whole tree, so on any later
+      forest either every class slot is in one zero tree or y_v = g
+      (std_v / std_root) y_R on every class slot v, for one root R and
+      one g.  The row's sum on R is then g / std_root times its sum on
+      std, which is 0.
+
+    So feeding such a block changes nothing, and skipping it leaves the
+    forest, the long rows and ``live`` as they were.
     """
-    n, parts, offsets = lam.n, lam.parts, _pair_offsets(lam)
-    for r in range(1, n - 1):
-        for s in range(r + 1, n):
-            for t in range(s + 1, n + 1):
-                b, c = parts[s - 1], parts[t - 1]
-                rs, rt, st = offsets[r][s], offsets[r][t], offsets[s][t]
-                where = (*range(rs, rs + b), *range(rt, rt + c), *range(st, st + c))
-                for row in _triple_block(parts[r - 1], b, c, p):
-                    yield ("B", r, s, t, row[0][0]), {where[col]: coef for col, coef in row}
+    _rank, _listings, zero_pairs, classes = plan
+    n = lam.n
+    if not (zero_pairs or classes):
+        yield from combinations(range(1, n + 1), 3)
+        return
+    # A bit per class, none for a zero pair and all for any other pair, so
+    # a triple is settled when its labels' union is at most one bit.
+    label = [[-1] * (n + 1) for _ in range(n + 1)]
+    for q, r, _start in zero_pairs:
+        label[q][r] = 0
+    for k, cls in enumerate(classes):
+        for q, r, _start, _count in cls:
+            label[q][r] = 1 << k
+    for r, s, t in combinations(range(1, n + 1), 3):
+        held = label[r][s] | label[r][t] | label[s][t]
+        if held < 0 or held & (held - 1):
+            yield r, s, t
+
+
+def _commuting_forest(lam: Partition, p: int, size: int, plan: _CommutingPlan) -> _GainForest:
+    """A ``_GainForest`` on the V = ``size`` slots holding the (C) relations of ``plan``.
+
+    The plan of ``_commuting_classes``, expanded pair by pair: every slot
+    of a zero pair and every dead j of a class's head marked zero, and
+    each class one tree on its largest slot, with gain std_v / std_root
+    on its other slots; binomials are computed on class slots only.
+    """
+    forest = _GainForest(size, p)
+    parent, gain, zero = forest.parent, forest.gain, forest.zero
+    _rank, listings, zero_pairs, classes = plan
+    parts = lam.parts
+    for _q, r, start in zero_pairs:
+        zero[start : start + parts[r - 1]] = [True] * parts[r - 1]
+    for cls in classes:
+        q, _r, start, count = cls[-1]
+        top = listings[q - 1][count - 1]
+        root = start + top - 1
+        inv = pow(_binom_mod_p(parts[q - 1] + top, top, p), p - 2, p)
+        for q, r, start, count in cls:
+            a, width = parts[q - 1], parts[r - 1]
+            zero[start : start + width] = [True] * width
+            for j in listings[q - 1][:count]:
+                v = start + j - 1
+                zero[v] = False
+                parent[v] = root
+                gain[v] = _binom_mod_p(a + j, j, p) * inv % p
+    return forest
 
 
 def _settle(
@@ -822,11 +933,11 @@ def _settle(
     ``size`` is V, the slot count, and ``plan`` is ``_commuting_classes``
     of ``lam`` and p.  Relations are fed in turn to a ``_GainForest``
     over the slot positions, which moves each onto the roots of its slots
-    (y_v = g * y_root; ``_GainForest.move``): terms on slots of zero
+    (y_v = g * y_root; ``_GainForest.settle``): terms on slots of zero
     trees are dropped, the others summed per root.  Of what is left,
     nothing means the relation already holds; one term marks its tree
     zero; two join the trees; three or more are kept as a long row,
-    (tag, row) with the row as fed.  ``live`` counts the roots not marked
+    (tag, row) with the row as moved.  ``live`` counts the roots not marked
     zero: it starts at V, and each join, zero mark or (C) relation lowers
     it by one.  What is fed depends on the shape:
 
@@ -859,14 +970,26 @@ def _settle(
       them, so feeding the marks is feeding the rows.  Then the (T3a) and (T3b) rows of
       ``_t3_rows``, read from the slots outside zero trees.
     * With four rows or more, the forest starts from the independent
-      (C) relations of ``plan``, expanded pair by pair: every slot of a
-      zero pair and every dead j of a class's head marked zero, and each
-      class one tree on its largest slot, with gain std_v / std_root on
-      its other slots; binomials are computed on class slots only.  The
-      plan's rank is the number of these relations.  Then the triple
-      blocks of ``_spanning_rows`` are fed as they are generated.  A
-      block row is defined only mod p, with no integer row behind it for
-      the gain pass's argument, so its sum on the tree is always computed.
+      (C) relations of ``plan``, expanded pair by pair
+      (``_commuting_forest``); the plan's rank is the number of these
+      relations.  Then, for each triple r < s < t of ``_unsettled_triples``,
+      in lexicographic order, the rows of ``_triple_block(part_r, part_s,
+      part_t, p)`` are moved onto the pairs (r, s), (r, t) and (s, t) and
+      fed, tagged ("B", r, s, t, local pivot), with no dict for a row of
+      one or two entries.  A block row is defined only mod p, with no
+      integer row behind it for the gain pass's argument, so its sum on
+      the tree is always computed.  The blocks span the paper's (E),
+      (T1), (T2), (T3a) and (T3b) rows: each such row lies in one triple
+      (r, s, t), as the (T) rows of that triple or the (E) rows of one of
+      its pairs, and its coefficients read only part_r, part_s and part_t
+      (``_row_terms``), so moved onto local rows 1, 2, 3 it is a row of
+      the three-row system of (part_r, part_s, part_t), and every row of
+      that system is such a row of ``lam``, moved.  Moving the slots of a
+      triple is injective and linear, so the moved block spans the moved
+      three-row system; every pair lies in some triple, so every (E) row
+      is in some block.  The triples ``_unsettled_triples`` leaves out are
+      those whose every block row moves onto nothing on any forest grown
+      from the (C) relations (the proof is there).
     * The rank ceiling V - 1 ends the feed: no row is fed once one live
       root is left.  The paper's rows have rank at most V - 1 for every
       ``lam``: with m the least p-adic valuation of C(part_r + i, i) over
@@ -884,8 +1007,8 @@ def _settle(
     the paper's rows:
 
     * Every row written is a combination of the paper's rows.  Every row
-      fed is one: a paper row, or a row of ``_spanning_rows``, which span
-      the paper's (E) and (T) rows (the proof is there), and so are the
+      fed is one: a paper row, or a moved triple block row, which span
+      the paper's (E) and (T) rows (the proof is above), and so are the
       (C) relations the forest starts with and the zero marks.  A join, a
       zero mark or a long row is its relation minus multiples of the zero
       and link relations the forest held before it, so by induction every
@@ -896,8 +1019,9 @@ def _settle(
       marks, so what it held at any time lies in W.  A relation fed to it
       is therefore in W, or, for a long row, the final long row plus an
       element of W.  With four rows or more the forest started with
-      relations spanning the (C) rows, and every row of
-      ``_spanning_rows``, spanning the others, was fed.  With at most
+      relations spanning the (C) rows, and every moved block row,
+      spanning the others, was fed, or moves onto nothing on the final
+      forest (``_unsettled_triples``), so lies in W.  With at most
       three, every (E), (T1) and (T2) row with two coefficients nonzero
       mod p was fed or, left out of the listing, has both slots on one
       tree, where it holds, so lies in W; every one with one lies in the
@@ -919,8 +1043,9 @@ def _settle(
 
     * below the ceiling every live row is fed, in whatever order, and
       once the ceiling is reached the rows not fed add nothing (the proof
-      is above); a row with both coefficients 0 mod p is the zero row, so
-      leaving it out changes nothing;
+      is above); a row with both coefficients 0 mod p is the zero row,
+      and a block row of a triple the plan settles moves onto nothing, so
+      leaving either out changes nothing;
     * the skip of a join whose slots share a root holds in any order, as
       every join holds on the gains the gain pass sets (above).
 
@@ -931,87 +1056,77 @@ def _settle(
     mark would raise the rank past V - 1.  So the system built is the one that feeding
     every join would build, bit for bit.
     """
-    forest = _GainForest(size, p)
-    find, parent, gain, zero = forest.find, forest.parent, forest.gain, forest.zero
     live = size
-
+    long_rows: list[tuple[RowTag, dict[int, int]]] = []
     if lam.n >= 4:
-        rank, listings, zero_pairs, classes = plan
-        parts = lam.parts
-        for _q, r, start in zero_pairs:
-            zero[start : start + parts[r - 1]] = [True] * parts[r - 1]
-        for cls in classes:
-            q, _r, start, count = cls[-1]
-            top = listings[q - 1][count - 1]
-            root = start + top - 1
-            inv = pow(_binom_mod_p(parts[q - 1] + top, top, p), p - 2, p)
-            for q, r, start, count in cls:
-                a, width = parts[q - 1], parts[r - 1]
-                zero[start : start + width] = [True] * width
-                for j in listings[q - 1][:count]:
-                    v = start + j - 1
-                    zero[v] = False
-                    parent[v] = root
-                    gain[v] = _binom_mod_p(a + j, j, p) * inv % p
-        live -= rank
-        stream = _spanning_rows(lam, p) if live > 1 else ()
-    else:
-        lone: list[int] = []
-        for u, v in _pair_feed(lam, p, lone):
-            while parent[u] != u:  # path halving
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u == v:
-                continue  # the join holds on that tree (the gain pass)
-            if u < v:
-                parent[u] = v
-            else:
-                parent[v] = u
-            live -= 1
+        forest = _commuting_forest(lam, p, size, plan)
+        settle, parts, offsets = forest.settle, lam.parts, _pair_offsets(lam)
+        live -= plan[0]
+        for r, s, t in _unsettled_triples(lam, plan) if live > 1 else ():
+            base = (offsets[r][s], offsets[r][t], offsets[s][t])
+            b = parts[s - 1]
+            for terms in _triple_block(parts[r - 1], b, parts[t - 1], p):
+                row = settle([(base[k] + i, coef) for k, i, coef in terms])
+                if row is None:
+                    live -= 1
+                    if live <= 1:
+                        break
+                elif row:
+                    k, i, _one = terms[0]
+                    pivot = i + (0, b, b + parts[t - 1])[k]
+                    long_rows.append((("B", r, s, t, pivot), row))
             if live <= 1:
                 break
-        if p > 2:  # the gain pass; at p = 2 every unit and gain is 1
-            fact, invfact = _factorial_tables(p)
-            unit = _std_units(lam, p)
-            for u in reversed(range(size)):
-                # parent[u] > u unless u is a root, so it was settled first.
-                root = parent[parent[u]]
-                if root == u:  # before the rest of its tree: keep 1 / unit
-                    unit[u] = fact[unit[u] - 1] * invfact[unit[u]] % p
-                else:
-                    parent[u] = root
-                    gain[u] = unit[u] * unit[root] % p
-        for u in lone if live > 1 else ():
-            x = parent[u]
-            if parent[x] != x:
-                x = find(u)[0]
-            if not zero[x]:
-                zero[x] = True
-                live -= 1
-                if live <= 1:
-                    break
-        # Below three rows there are no (T3) rows.
-        stream = _t3_rows(lam, p, forest) if lam.n == 3 and live > 1 else ()
+        return forest, long_rows, live
 
-    long_rows: list[tuple[RowTag, dict[int, int]]] = []
-    for tag, row in stream:
-        row = forest.move(row)
-        if len(row) > 2:
-            long_rows.append((tag, row))
-            continue
-        if len(row) == 2:
-            (x, cx), (y, cy) = row.items()
-            forest.join(x, cx, y, cy)
-        elif row:
-            zero[next(iter(row))] = True
+    forest = _GainForest(size, p)
+    find, parent, gain, zero = forest.find, forest.parent, forest.gain, forest.zero
+    lone: list[int] = []
+    for u, v in _pair_feed(lam, p, lone):
+        while parent[u] != u:  # path halving
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            continue  # the join holds on that tree (the gain pass)
+        if u < v:
+            parent[u] = v
         else:
-            continue
+            parent[v] = u
         live -= 1
         if live <= 1:
             break
+    if p > 2:  # the gain pass; at p = 2 every unit and gain is 1
+        fact, invfact = _factorial_tables(p)
+        unit = _std_units(lam, p)
+        for u in reversed(range(size)):
+            # parent[u] > u unless u is a root, so it was settled first.
+            root = parent[parent[u]]
+            if root == u:  # before the rest of its tree: keep 1 / unit
+                unit[u] = fact[unit[u] - 1] * invfact[unit[u]] % p
+            else:
+                parent[u] = root
+                gain[u] = unit[u] * unit[root] % p
+    for u in lone if live > 1 else ():
+        x = parent[u]
+        if parent[x] != x:
+            x = find(u)[0]
+        if not zero[x]:
+            zero[x] = True
+            live -= 1
+            if live <= 1:
+                break
+    # Below three rows there are no (T3) rows.
+    for tag, terms in _t3_rows(lam, p, forest) if lam.n == 3 and live > 1 else ():
+        row = forest.settle(terms)
+        if row is None:
+            live -= 1
+            if live <= 1:
+                break
+        elif row:
+            long_rows.append((tag, row))
     return forest, long_rows, live
 
 
@@ -1034,7 +1149,7 @@ def _slot_rows(
     rows: list[dict[int, int]] = []
     tags: list[RowTag] = []
     for tag, row in long_rows:
-        row = forest.move(row)
+        row = forest.move(row.items())
         if row:
             rows.append(row)
             tags.append(tag)
@@ -1073,7 +1188,8 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     With four or more the forest starts with the (C) relations of the
     per-pair plan of ``_commuting_classes``, and then, triple by triple,
     the rows of each triple's three-row RREF (``_triple_block``) moved
-    onto its pairs (``_spanning_rows``) are fed, so the unique RREF,
+    onto its pairs are fed, but for the triples whose rows the plan
+    already settles (``_unsettled_triples``), so the unique RREF,
     ``nullspace``, ``dim_E`` and every basis are those of the paper's
     rows.
 
@@ -1101,21 +1217,33 @@ def check_budget(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _triple_block(a: int, b: int, c: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The RREF of the three-row system of (a, b, c) at p, one row per pivot.
+def _triple_block(a: int, b: int, c: int, p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The RREF of the three-row system of (a, b, c) at p, one row per pivot, split by pair.
 
-    ``_echelon(build_relation_system(Partition((a, b, c)), p))`` as rows
-    of (column, coefficient) pairs in ascending pivot order, each row
-    listing its pivot first with coefficient 1, then its free columns in
-    ascending order; ``_echelon`` reduces the long rows alone and reads
-    the zero and link rows off.  Columns are the three-row system's slot
-    positions: pair (1, 2) at 0..b-1, (1, 3) at b..b+c-1 and (2, 3) at
-    b+c..b+2c-1.  Memoised per process, at most 1024 blocks; a block has
-    at most b + 2c rows, and a row's entries other than its pivot lie on
-    the block's free columns.
+    ``_echelon(build_relation_system(Partition((a, b, c)), p))`` in
+    ascending pivot order, each row as its entries: the pivot first with
+    coefficient 1, then its free columns in ascending order; ``_echelon``
+    reduces the long rows alone and reads the zero and link rows off.
+    Columns are the three-row system's slot positions: pair (1, 2) at
+    0..b-1, (1, 3) at b..b+c-1 and (2, 3) at b+c..b+2c-1.  Each entry is
+    split into (pair, index, coefficient), with pair 0, 1 or 2 for (1, 2),
+    (1, 3) and (2, 3) and index its column less that pair's first, so a
+    caller moves it onto the slot of its pair's first plus index.
+    Memoised per process, at most 1024 blocks; a block has at most b + 2c
+    rows, and a row's entries other than its pivot lie on the block's free
+    columns.
     """
     echelon = _echelon(build_relation_system(Partition((a, b, c)), p))
-    return tuple(((pivot, 1), *sorted(echelon[pivot].items())) for pivot in sorted(echelon))
+
+    def split(col: int, coef: int) -> tuple[int, int, int]:
+        if col < b:
+            return 0, col, coef
+        return (1, col - b, coef) if col < b + c else (2, col - b - c, coef)
+
+    return tuple(
+        (split(pivot, 1), *(split(col, coef) for col, coef in sorted(echelon[pivot].items())))
+        for pivot in sorted(echelon)
+    )
 
 
 def _echelon(system: RelationSystem) -> dict[int, dict[int, int]]:
@@ -1259,7 +1387,7 @@ def dim_E(lam: Partition, p: int) -> int:
     if live <= 1:
         return live
     forest, long_rows, live = _settle(lam, p, size, plan)
-    return live - len(_reduce([forest.move(row) for _tag, row in long_rows], p))
+    return live - len(_reduce([forest.move(row.items()) for _tag, row in long_rows], p))
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:

@@ -32,6 +32,7 @@ from spechtex.coherence import (
     SystemTooLargeError,
     _candidate_row_count,
     _commuting_classes,
+    _commuting_forest,
     _echelon,
     _h0,
     _iter_relation_rows,
@@ -39,10 +40,11 @@ from spechtex.coherence import (
     _reduce,
     _relation_tags,
     _row_terms,
-    _spanning_rows,
+    _settle,
     _std_units,
     _tags_touching,
     _triple_block,
+    _unsettled_triples,
     build_relation_system,
     canonical_slot_order,
     dim_E,
@@ -320,12 +322,31 @@ def paper_system(lam, p):
     return system_of(lam, p, rows)
 
 
+def spanning_rows(lam, p):
+    """Every triple block of ``lam`` with four rows or more, moved onto its
+    pairs: for each triple r < s < t in lexicographic order, the rows of
+    ``_triple_block(part_r, part_s, part_t, p)`` on the pairs (r, s),
+    (r, t) and (s, t), tagged ("B", r, s, t, local pivot), each as
+    {slot position: coefficient}.  The build reads these rows, but not
+    those of the triples the (C) plan settles (``_unsettled_triples``)."""
+    position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
+    parts, rows = lam.parts, []
+    for r, s, t in combinations(range(1, lam.n + 1), 3):
+        pairs = ((r, s), (r, t), (s, t))
+        for terms in _triple_block(parts[r - 1], parts[s - 1], parts[t - 1], p):
+            row = {position[(*pairs[k], i + 1)]: coef for k, i, coef in terms}
+            k, i, _one = terms[0]
+            pivot = i + (0, parts[s - 1], parts[s - 1] + parts[t - 1])[k]
+            rows.append((("B", r, s, t, pivot), row))
+    return rows
+
+
 def stream_system(lam, p):
-    """A `RelationSystem` of every relation `build_relation_system` settles
-    in its gain graph from four rows on, none of them reduced: the (C)
-    rows of `commuting_rows`, then every triple block moved onto its pairs
-    (`_spanning_rows`)."""
-    return system_of(lam, p, commuting_rows(lam, p) + list(_spanning_rows(lam, p)))
+    """A `RelationSystem` of every relation `build_relation_system` may
+    settle in its gain graph from four rows on, none of them reduced: the
+    (C) rows of `commuting_rows`, then every triple block moved onto its
+    pairs (`spanning_rows`)."""
+    return system_of(lam, p, commuting_rows(lam, p) + spanning_rows(lam, p))
 
 
 def assert_matches_python_rref(lam, p, system=None):
@@ -580,7 +601,7 @@ def test_commuting_relations_are_at_most_one_per_slot():
                 kinds = {tag[1] for tag, _row in rows}
                 assert kinds <= {"zero", "ratio", "link"}, (p, lam.parts)
                 if lam.n >= 4:
-                    assert {tag[0] for tag, _row in _spanning_rows(lam, p)} == {"B"}
+                    assert {tag[0] for tag, _row in spanning_rows(lam, p)} == {"B"}
 
 
 #: Four to six rows, long enough that most pairs have several (C) slots.
@@ -1092,22 +1113,53 @@ def test_gain_graph_feeds_fewer_than_half_of_the_two_term_rows_on_wide_shapes(
 def test_james_build_stops_once_one_live_root_is_left(monkeypatch):
     # (1^12) at p = 2 is James with dim_E = 1: its rows reach rank V - 1,
     # the ceiling of every shape, part way through the triple blocks, and
-    # the blocks after that are never built.  Each row is pulled from
-    # ``_spanning_rows`` as it is generated.
-    pulled = 0
+    # the block rows after that are never read.  At p = 2 no (1^k) has a
+    # (C) head, so no triple is skipped.  Each block row is counted as the
+    # build reads it.
+    read = 0
 
-    def counted(lam, p):
-        nonlocal pulled
-        for row in _spanning_rows(lam, p):
-            pulled += 1
+    def counted(*triple):
+        nonlocal read
+        for row in _triple_block(*triple):
+            read += 1
             yield row
 
-    monkeypatch.setattr("spechtex.coherence._spanning_rows", counted)
+    monkeypatch.setattr("spechtex.coherence._triple_block", counted)
     lam = Partition((1,) * 12)
     assert dim_E(lam, 2) == 1
     assert is_james_partition(lam, 2)
-    total = sum(1 for _ in _spanning_rows(lam, 2))
-    assert 0 < pulled < total / 2, (pulled, total)
+    total = len(spanning_rows(lam, 2))
+    assert 0 < read < total / 2, (read, total)
+
+
+def test_the_triples_the_commuting_plan_settles_add_nothing():
+    # ``_settle`` feeds no block of a triple whose three pairs are each a
+    # (C) zero pair or a head of one and the same class
+    # (``_unsettled_triples``, where the proof is): on the forest the plan
+    # leaves, and on the forest the whole feed leaves, every row of such a
+    # block moves onto nothing.
+    skipped = 0
+    for p in (2, 3, 5, 7):
+        for d in range(4, 15):
+            for lam in enumerate_partitions(d, d):
+                if lam.n < 4:
+                    continue
+                size, plan = slot_count(lam), _commuting_classes(lam, p)
+                fed = set(_unsettled_triples(lam, plan))
+                rows = [row for tag, row in spanning_rows(lam, p) if tag[1:4] not in fed]
+                forests = [_commuting_forest(lam, p, size, plan), _settle(lam, p, size, plan)[0]]
+                for forest in forests:
+                    for row in rows:
+                        assert forest.move(row.items()) == {}, (p, lam.parts, row)
+                skipped += math.comb(lam.n, 3) - len(fed)
+    assert skipped > 0
+    # (2, 2, 1^10) at p = 2: the pairs (1, t) and (2, t), t >= 3, are one
+    # class, every pair of rows below the second is a zero pair, and
+    # (1, 2) is neither, so only the triples (1, 2, t) are fed.
+    lam = Partition((2, 2) + (1,) * 10)
+    fed = list(_unsettled_triples(lam, _commuting_classes(lam, 2)))
+    assert fed == [(1, 2, t) for t in range(3, 13)]
+    assert math.comb(12, 3) - len(fed) == 210
 
 
 @pytest.mark.parametrize("parts, p", [((4, 4, 4, 4), 7), ((974026, 46, 31), 3)])
@@ -1156,77 +1208,102 @@ def test_gain_graph_build_memory_stays_small_on_a_wide_two_row_shape():
     assert peak <= 8 * 2**20, peak
 
 
+#: Shapes whose (C) heads with a disjoint head hold four rows, so each
+#: class is a perfect matching of those rows whose two heads are both
+#: present, with the pairs of rows of each class.
+SEVERAL_CLASSES = [
+    ((3, 2, 2, 1, 1), 2, [[(2, 4), (3, 5)], [(2, 5), (3, 4)]]),  # four of five rows
+    ((3, 2, 2, 2, 1), 2, [[(2, 3), (4, 5)], [(2, 4), (3, 5)], [(2, 5), (3, 4)]]),
+    ((5, 5, 2, 1, 1), 3, [[(1, 2), (4, 5)]]),  # one matching on four of five rows
+    ((2, 2, 1, 1), 2, [[(1, 3), (2, 4)], [(1, 4), (2, 3)]]),
+    ((2, 2, 2, 1), 2, [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(1, 4), (2, 3)]]),
+]
+
+
+def assert_classes_are_the_components(lam, p):
+    """The classes of ``_commuting_classes``' plan are the components of
+    two heads or more of the disjointness graph on the pairs with a (C)
+    head, found here by a plain breadth-first search over adjacency
+    lists, in the order of their first head: each holds, in slot order,
+    the slots (q, r, j) of its heads with std = C(part_q + j, j) nonzero
+    mod p, and that std.  The zero slots are the (q, r, j) with std 0 mod
+    p on every pair disjoint from some head.  The plan is expanded slot
+    by slot by ``commuting_slots``, and its rank must count the zero
+    slots and all but one slot of each class."""
+    parts = lam.parts
+    position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
+    std = {(q, r, j): pascal_binom(parts[q - 1] + j, j) % p for q, r, j in position}
+    heads = supported_pairs(lam, p)
+    classes = [
+        [
+            (position[q, r, j], std[q, r, j])
+            for q, r in component
+            for j in range(1, parts[r - 1] + 1)
+            if std[q, r, j]
+        ]
+        for component in disjointness_components(heads)
+        if len(component) > 1
+    ]
+    zeros = [
+        position[q, r, j]
+        for q, r, j in position
+        if not std[q, r, j] and any(not {q, r} & set(P) for P in heads)
+    ]
+    assert commuting_slots(lam, p) == (zeros, classes), (p, parts)
+    rank = len(zeros) + sum(len(cls) - 1 for cls in classes)
+    assert _commuting_classes(lam, p)[0] == rank, (p, parts)
+
+
 def test_commuting_classes_are_the_components_of_the_disjointness_graph():
-    # The classes of ``_commuting_classes``' plan are the components of two
-    # heads or more of the disjointness graph on the pairs with a (C)
-    # head, found here by a plain breadth-first search over adjacency
-    # lists, in the order of their first head: each holds, in slot order,
-    # the slots (q, r, j) of its heads with std = C(part_q + j, j) nonzero
-    # mod p, and that std.  The zero slots are the (q, r, j) with std 0 mod
-    # p on every pair disjoint from some head.  The plan is expanded slot
-    # by slot by ``commuting_slots``, and its rank must count the zero
-    # slots and all but one slot of each class.
     for p in (2, 3, 5, 7):
         for d in range(4, 13):
             for lam in enumerate_partitions(d, d):
-                parts = lam.parts
-                position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
-                std = {
-                    (q, r, j): pascal_binom(parts[q - 1] + j, j) % p
-                    for q, r, j in position
-                }
-                heads = supported_pairs(lam, p)
-                classes = [
-                    [
-                        (position[q, r, j], std[q, r, j])
-                        for q, r in component
-                        for j in range(1, parts[r - 1] + 1)
-                        if std[q, r, j]
-                    ]
-                    for component in disjointness_components(heads)
-                    if len(component) > 1
-                ]
-                zeros = [
-                    position[q, r, j]
-                    for q, r, j in position
-                    if not std[q, r, j] and any(not {q, r} & set(P) for P in heads)
-                ]
-                assert commuting_slots(lam, p) == (zeros, classes), (p, parts)
-                rank = len(zeros) + sum(len(cls) - 1 for cls in classes)
-                assert _commuting_classes(lam, p)[0] == rank, (p, parts)
+                assert_classes_are_the_components(lam, p)
+    for parts, p, pairs in SEVERAL_CLASSES:
+        lam = Partition(parts)
+        assert_classes_are_the_components(lam, p)
+        classes = _commuting_classes(lam, p)[3]
+        assert [[head[:2] for head in cls] for cls in classes] == pairs, (p, parts)
+
+
+def plan_live_count(lam, p):
+    """V less the rank of the plan of ``_commuting_classes``, checked to be
+    V less the rank of the transcribed (C) rows; ``dim_E``, which returns
+    that count when it is 1, must be the nullspace dimension of the built
+    system.  Of each (C) block only the order with (q, r) < (s, t) is
+    reduced: the other order's rows are their negatives."""
+    size = slot_count(lam)
+    basis = nullspace(build_relation_system(lam, p))
+    assert dim_E(lam, p) == len(basis), (p, lam.parts)
+    position = {slot: k for k, slot in enumerate(transcribed_slots(lam.parts))}
+    vectors = []
+    for tag, row in transcribed_relations(lam.parts):
+        if tag[0] == "C" and tag[1:3] < tag[3:5]:
+            vec = [0] * size
+            for slot, coef in row.items():
+                vec[position[slot]] = coef
+            vectors.append(vec)
+    live = size - _commuting_classes(lam, p)[0]
+    assert live == size - len(rref_mod_p(vectors, p)[1]), (p, lam.parts)
+    return live
 
 
 def test_commuting_plan_counts_the_rank_of_the_transcribed_commuting_rows():
-    # For every partition with d <= 12 at p in {2, 3, 5, 7}, the live
-    # count the plan gives, V less its rank, is V less the rank of the
-    # transcribed (C) rows, and ``dim_E``, which returns that count when
-    # it is 1, is the nullspace dimension of the built system.  Of each
-    # (C) block only the order with (q, r) < (s, t) is reduced: the other
-    # order's rows are their negatives.  The plan alone reaches the
-    # ceiling on 326 of these shapes, all with five rows or more.
+    # Every partition with d <= 12 at p in {2, 3, 5, 7}, and the shapes of
+    # ``SEVERAL_CLASSES``.  The plan alone reaches the ceiling on 326 of
+    # the former, all with five rows or more.
     ceiling = 0
     for p in (2, 3, 5, 7):
         for d in range(13):
             for lam in enumerate_partitions(d, max(d, 1)):
-                size = slot_count(lam)
-                basis = nullspace(build_relation_system(lam, p))
-                assert dim_E(lam, p) == len(basis), (p, lam.parts)
-                position = {slot: k for k, slot in enumerate(transcribed_slots(lam.parts))}
-                vectors = []
-                for tag, row in transcribed_relations(lam.parts):
-                    if tag[0] == "C" and tag[1:3] < tag[3:5]:
-                        vec = [0] * size
-                        for slot, coef in row.items():
-                            vec[position[slot]] = coef
-                        vectors.append(vec)
-                live = size - _commuting_classes(lam, p)[0]
-                assert live == size - len(rref_mod_p(vectors, p)[1]), (p, lam.parts)
-                if live == 1 and size > 1:
+                if plan_live_count(lam, p) == 1 and slot_count(lam) > 1:
                     # With four rows the disjointness graph has three
                     # disjoint edges, so (C) alone leaves three roots.
                     assert lam.n >= 5, (p, lam.parts)
                     ceiling += 1
     assert ceiling == 326
+    for parts, p, _pairs in SEVERAL_CLASSES:
+        plan_live_count(Partition(parts), p)
 
 
 @pytest.mark.parametrize(

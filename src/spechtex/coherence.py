@@ -453,7 +453,7 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
     zeros omitted, then both orders ("C", q, r, s, t, i, j) of every (C)
     row std_Q(i) y(P)_j - std_P(j) y(Q)_i, P = (q, r) and Q = (s, t)
     disjoint, with std_P(j) = C(part_q + j, j) mod p.  The library
-    reads (C) from the per-pair plan of ``_commuting_classes``, which
+    reads (C) from the per-pair label of ``_commuting_classes``, which
     says what these rows say; the stream is for callers that count rows
     per family.
     """
@@ -499,14 +499,10 @@ def _candidate_row_count(lam: Partition) -> int:
     return total
 
 
-#: What ``_commuting_classes`` returns: (rank, listings, zero pairs, classes).
-_CommutingPlan = tuple[
-    int, list[Sequence[int]], list[tuple[int, int, int]], list[list[tuple[int, int, int, int]]]
-]
-
-
-def _commuting_classes(lam: Partition, p: int) -> _CommutingPlan:
-    """The (C) relations of ``lam`` at ``p``, as a plan per pair of rows.
+def _commuting_classes(
+    lam: Partition, p: int
+) -> tuple[int, list[Sequence[int]], list[list[int]], list[int]]:
+    """The (C) relations of ``lam`` at ``p``, as a label per pair of rows.
 
     For a pair P = (q, r) let std_P(j) = C(part_q + j, j) mod p for
     1 <= j <= part_r, S_P the j with std_P(j) nonzero, and call P a head
@@ -565,10 +561,13 @@ def _commuting_classes(lam: Partition, p: int) -> _CommutingPlan:
     four rows a pair is disjoint only from its complement, so there the
     components are the matchings.
 
-    Returns (rank, listings, zero pairs, classes): ``listings[q - 1]`` is
-    L_q; the zero pairs are (q, r, position of slot (q, r, 1)),
-    ascending; the classes, in the order of their first head, each list
-    their heads as (q, r, position of slot (q, r, 1), |S_P|), ascending.
+    Returns (rank, listings, label, sizes).  ``listings[q - 1]`` is L_q.
+    ``label[q][r]``, for q < r, is 0 for a zero pair, 1 << k for a head
+    of class k, the classes numbered in the order of their first head,
+    and -1 for a pair the (C) relations say nothing of; with fewer than
+    four rows or no head, no pair has a label and the table is empty.
+    ``sizes[k]`` is |K| for class k, the sum of |S_P| = bisect_right(L_q,
+    part_r) over its heads P = (q, r).
     """
     n = lam.n
     if n < 4:
@@ -589,37 +588,36 @@ def _commuting_classes(lam: Partition, p: int) -> _CommutingPlan:
             size += r - 1 - q
     if not size:
         return 0, listings, [], []
-    zero_pairs = []
-    start = {}  # head with a disjoint head -> position of its slot 1
-    pos = rank = 0
+    label = [[-1] * (n + 1) for _ in range(n + 1)]
+    heads = []  # with a disjoint head, in lexicographic order
+    rank = 0
     for q in range(1, n + 1):
         # (q, r) has a disjoint head iff degree[r] < short, or <= short for a head.
         last, short = reach[q], size - degree[q]
         for r in range(q + 1, n + 1):
-            width = parts[r - 1]
             if r <= last:
                 if degree[r] <= short:
-                    start[q, r] = pos
-                    rank += width
+                    heads.append((q, r))
+                    rank += parts[r - 1]
             elif degree[r] < short:
-                zero_pairs.append((q, r, pos))
-                rank += width
-            pos += width
+                label[q][r] = 0
+                rank += parts[r - 1]
 
-    held = {x for head in start for x in head}
+    held = {x for head in heads for x in head}
     if len(held) > 4:
-        components = [list(start)]  # lexicographic order
+        components = [heads]
     elif held:
         a, b, c, d = sorted(held)
         matchings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-        components = [pairs for pairs in matchings if pairs[0] in start and pairs[1] in start]
+        components = [pairs for pairs in matchings if pairs[0] in heads and pairs[1] in heads]
     else:
         components = []
-    classes = [
-        [(q, r, start[q, r], bisect_right(listings[q - 1], parts[r - 1])) for q, r in component]
-        for component in components
-    ]
-    return rank - len(classes), listings, zero_pairs, classes
+    sizes = []
+    for k, component in enumerate(components):
+        for q, r in component:
+            label[q][r] = 1 << k
+        sizes.append(sum(bisect_right(listings[q - 1], parts[r - 1]) for q, r in component))
+    return rank - len(sizes), listings, label, sizes
 
 
 def _pair_feed(lam: Partition, p: int, lone: list[int]) -> Iterator[tuple[int, int]]:
@@ -848,15 +846,16 @@ def _t3_rows(
             break
 
 
-def _unsettled_triples(lam: Partition, plan: _CommutingPlan) -> Iterator[tuple[int, int, int]]:
+def _unsettled_triples(lam: Partition, label: list[list[int]]) -> Iterator[tuple[int, int, int]]:
     """The triples r < s < t of ``lam`` whose blocks ``_settle`` feeds, in lexicographic order.
 
-    Every triple but those the (C) relations of ``plan``, a
-    ``_commuting_classes`` plan, already settle: the triples whose three
-    pairs (r, s), (r, t) and (s, t) are each a zero pair of the plan or a
-    head of one and the same class.  On the forest ``_commuting_forest``
-    starts from, every row of such a triple's block moves onto nothing,
-    whatever has been fed to the forest since:
+    Every triple but those the (C) relations already settle: the triples
+    whose three pairs (r, s), (r, t) and (s, t) have labels in ``label``,
+    the per-pair table of ``_commuting_classes``, whose union has at most
+    one bit, so each is a zero pair (0) or a head of one and the same
+    class (1 << k); a free pair's -1 has every bit.  On the forest
+    ``_commuting_forest`` starts from, every row of such a triple's block
+    moves onto nothing, whatever has been fed to the forest since:
 
     * the standard multi-sequence std, C(part_q + j, j) mod p on slot
       (q, r, j), solves every block row: the block spans the triple's
@@ -876,65 +875,71 @@ def _unsettled_triples(lam: Partition, plan: _CommutingPlan) -> Iterator[tuple[i
     So feeding such a block changes nothing, and skipping it leaves the
     forest, the long rows and ``live`` as they were.
     """
-    _rank, _listings, zero_pairs, classes = plan
-    n = lam.n
-    if not (zero_pairs or classes):
-        yield from combinations(range(1, n + 1), 3)
+    rows = range(1, lam.n + 1)
+    if not label:
+        yield from combinations(rows, 3)
         return
-    # A bit per class, none for a zero pair and all for any other pair, so
-    # a triple is settled when its labels' union is at most one bit.
-    label = [[-1] * (n + 1) for _ in range(n + 1)]
-    for q, r, _start in zero_pairs:
-        label[q][r] = 0
-    for k, cls in enumerate(classes):
-        for q, r, _start, _count in cls:
-            label[q][r] = 1 << k
-    for r, s, t in combinations(range(1, n + 1), 3):
+    for r, s, t in combinations(rows, 3):
         held = label[r][s] | label[r][t] | label[s][t]
         if held < 0 or held & (held - 1):
             yield r, s, t
 
 
-def _commuting_forest(lam: Partition, p: int, size: int, plan: _CommutingPlan) -> _GainForest:
-    """A ``_GainForest`` on the V = ``size`` slots holding the (C) relations of ``plan``.
+def _commuting_forest(
+    lam: Partition, p: int, size: int, listings: list[Sequence[int]], label: list[list[int]]
+) -> _GainForest:
+    """A ``_GainForest`` on the V = ``size`` slots holding the (C) relations.
 
-    The plan of ``_commuting_classes``, expanded pair by pair: every slot
-    of a zero pair and every dead j of a class's head marked zero, and
-    each class one tree on its largest slot, with gain std_v / std_root
-    on its other slots; binomials are computed on class slots only.
+    ``listings`` and ``label`` are those of ``_commuting_classes``.  The
+    table is expanded pair by pair, from the last pair in slot order:
+    every slot of a labelled pair is marked zero, then a class's head
+    unmarks its live j, the j of L_q up to part_r, and hangs them on the
+    class's root with gain std_v / std_root.  The root is the class's
+    largest slot: the last live j of its last head, which is the first of
+    its heads met.  Binomials are computed on class slots only.
     """
     forest = _GainForest(size, p)
-    parent, gain, zero = forest.parent, forest.gain, forest.zero
-    _rank, listings, zero_pairs, classes = plan
-    parts = lam.parts
-    for _q, r, start in zero_pairs:
-        zero[start : start + parts[r - 1]] = [True] * parts[r - 1]
-    for cls in classes:
-        q, _r, start, count = cls[-1]
-        top = listings[q - 1][count - 1]
-        root = start + top - 1
-        inv = pow(_binom_mod_p(parts[q - 1] + top, top, p), p - 2, p)
-        for q, r, start, count in cls:
-            a, width = parts[q - 1], parts[r - 1]
+    parent, gain, zero, parts = forest.parent, forest.gain, forest.zero, lam.parts
+    roots: dict[int, tuple[int, int]] = {}  # class bit -> (root, 1 / std_root)
+    start = size  # of slot (q, r, 1), from the last pair
+    for q in reversed(range(1, len(label))):
+        for r in reversed(range(q + 1, len(label))):
+            width = parts[r - 1]
+            start -= width
+            bit = label[q][r]
+            if bit < 0:
+                continue
             zero[start : start + width] = [True] * width
-            for j in listings[q - 1][:count]:
-                v = start + j - 1
-                zero[v] = False
-                parent[v] = root
-                gain[v] = _binom_mod_p(a + j, j, p) * inv % p
+            if bit:
+                a, listing = parts[q - 1], listings[q - 1]
+                if bit not in roots:
+                    top = listing[bisect_right(listing, width) - 1]
+                    roots[bit] = start + top - 1, pow(_binom_mod_p(a + top, top, p), p - 2, p)
+                root, inv = roots[bit]
+                for j in listing:
+                    if j > width:
+                        break
+                    v = start + j - 1
+                    zero[v] = False
+                    parent[v] = root
+                    gain[v] = _binom_mod_p(a + j, j, p) * inv % p
     return forest
 
 
 def _settle(
-    lam: Partition, p: int, size: int, plan: _CommutingPlan
+    lam: Partition,
+    p: int,
+    size: int,
+    plan: tuple[int, list[Sequence[int]], list[list[int]], list[int]],
 ) -> tuple[_GainForest, list[tuple[RowTag, dict[int, int]]], int]:
     """The gain graph of the paper's relations of ``lam``: (forest, long rows, live).
 
     ``size`` is V, the slot count, and ``plan`` is ``_commuting_classes``
-    of ``lam`` and p.  Relations are fed in turn to a ``_GainForest``
-    over the slot positions, which moves each onto the roots of its slots
-    (y_v = g * y_root; ``_GainForest.settle``): terms on slots of zero
-    trees are dropped, the others summed per root.  Of what is left,
+    of ``lam`` and p: its rank, listings, per-pair label and class sizes.
+    Relations are fed in turn to a ``_GainForest`` over the slot
+    positions, which moves each onto the roots of its slots (y_v = g *
+    y_root; ``_GainForest.settle``): terms on slots of zero trees are
+    dropped, the others summed per root.  Of what is left,
     nothing means the relation already holds; one term marks its tree
     zero; two join the trees; three or more are kept as a long row,
     (tag, row) with the row as moved.  ``live`` counts the roots not marked
@@ -970,7 +975,7 @@ def _settle(
       them, so feeding the marks is feeding the rows.  Then the (T3a) and (T3b) rows of
       ``_t3_rows``, read from the slots outside zero trees.
     * With four rows or more, the forest starts from the independent
-      (C) relations of ``plan``, expanded pair by pair
+      (C) relations, the plan's label expanded pair by pair
       (``_commuting_forest``); the plan's rank is the number of these
       relations.  Then, for each triple r < s < t of ``_unsettled_triples``,
       in lexicographic order, the rows of ``_triple_block(part_r, part_s,
@@ -1059,10 +1064,11 @@ def _settle(
     live = size
     long_rows: list[tuple[RowTag, dict[int, int]]] = []
     if lam.n >= 4:
-        forest = _commuting_forest(lam, p, size, plan)
+        rank, listings, label, _sizes = plan
+        forest = _commuting_forest(lam, p, size, listings, label)
         settle, parts, offsets = forest.settle, lam.parts, _pair_offsets(lam)
-        live -= plan[0]
-        for r, s, t in _unsettled_triples(lam, plan) if live > 1 else ():
+        live -= rank
+        for r, s, t in _unsettled_triples(lam, label) if live > 1 else ():
             base = (offsets[r][s], offsets[r][t], offsets[s][t])
             b = parts[s - 1]
             for terms in _triple_block(parts[r - 1], b, parts[t - 1], p):
@@ -1186,7 +1192,7 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     then the slots of the rows with one, then the (T3a) and (T3b)
     rows from the slots not forced to 0.
     With four or more the forest starts with the (C) relations of the
-    per-pair plan of ``_commuting_classes``, and then, triple by triple,
+    per-pair label of ``_commuting_classes``, and then, triple by triple,
     the rows of each triple's three-row RREF (``_triple_block``) moved
     onto its pairs are fed, but for the triples whose rows the plan
     already settles (``_unsettled_triples``), so the unique RREF,
@@ -1377,8 +1383,9 @@ def dim_E(lam: Partition, p: int) -> int:
     and the long rows are reduced as ``_slot_rows`` would write them,
     moved onto the final roots.  So this is live less the rank of those
     rows.  When the (C) relations alone leave one live root, V less the
-    plan's rank, ``_settle`` would feed no row, so that 1 is returned
-    before any forest is built.
+    rank of ``_commuting_classes``, ``_settle`` would feed no row, so
+    that 1 is returned before any forest is built; the plan's label and
+    sizes are not read.
     """
     validate_prime(p)
     size = check_budget(lam)
@@ -1417,11 +1424,12 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     read.  This walk costs in proportion to the rows touching the nonzero
     slots and their terms, not to the whole system, and its memory does
     not grow with them.  (C) is then checked on the support alone, as the
-    per-pair plan of ``_commuting_classes`` states it: no slot of the
-    support may lie on a zero pair, or on a class's head where std is 0;
-    and the support's slots on a class must share one value of y / std
-    and number |K|, the sum of its heads' live counts, or none.  That is
-    one binomial per slot of the support on a class.
+    per-pair label of ``_commuting_classes`` states it, one lookup per
+    slot: no slot of the support may lie on a pair labelled 0, or on a
+    class's head where std is 0; and the support's slots on the heads of
+    one class must share one value of y / std and number |K|, the class's
+    size, or none.  That is one binomial per slot of the support on a
+    class.
     Raises ``ValueError`` unless ``ms`` is a multi-sequence of ``lam`` at
     ``p``.
     """
@@ -1445,25 +1453,18 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
             else:
                 if total % p:
                     return False
-    _rank, _listings, zero_pairs, classes = _commuting_classes(lam, p)
-    of_pair = {(q, r): -1 for q, r, _start in zero_pairs}  # pair -> its class, -1 if none
-    for k, cls in enumerate(classes):
-        of_pair.update(((q, r), k) for q, r, _start, _count in cls)
-    held: dict[int, list[int]] = {}  # class -> [its slots in the support, y and std at the first]
+    _rank, _listings, label, sizes = _commuting_classes(lam, p)
+    held: dict[int, list[int]] = {}  # class bit -> [its support slots, y and std at the first]
     parts = lam.parts
-    for (q, r, j), value in ms.entries:
-        k = of_pair.get((q, r))
-        if k is None:
+    for (q, r, j), value in ms.entries if label else ():
+        bit = label[q][r]
+        if bit < 0:
             continue
-        std = _binom_mod_p(parts[q - 1] + j, j, p) if k >= 0 else 0
+        std = _binom_mod_p(parts[q - 1] + j, j, p) if bit else 0
         if not std:
             return False  # a zero slot
-        if k not in held:
-            held[k] = [1, value, std]
-        elif (value * held[k][2] - held[k][1] * std) % p:
+        record = held.setdefault(bit, [0, value, std])
+        if (value * record[2] - record[1] * std) % p:
             return False
-        else:
-            held[k][0] += 1
-    return all(
-        seen == sum(count for *_head, count in classes[k]) for k, (seen, _y, _std) in held.items()
-    )
+        record[0] += 1
+    return all(seen == sizes[bit.bit_length() - 1] for bit, (seen, _y, _std) in held.items())

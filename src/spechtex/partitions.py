@@ -217,8 +217,6 @@ def enumerate_partitions(d: int, max_parts: int) -> Iterator[Partition]:
         if remaining == 0:
             yield ()
             return
-        if slots == 0:
-            return
         lowest = -(-remaining // slots)
         for first in range(min(remaining, cap), lowest - 1, -1):
             for rest in gen(remaining - first, first, slots - 1):

@@ -259,22 +259,30 @@ def system_of(lam, p, rows):
 
 
 def commuting_slots(lam, p):
-    """The per-pair plan of ``_commuting_classes`` expanded slot by slot:
-    the zero slots, ascending, and the classes in the order of their first
-    head, each as (slot position, std_P(j)) pairs in ascending position.
-    A zero pair gives all its slots; a class's head (q, r) gives its first
-    ``count`` listed j to the class and its other slots to the zeros."""
-    _rank, listings, zero_pairs, plan_classes = _commuting_classes(lam, p)
+    """The per-pair table of ``_commuting_classes`` expanded slot by slot:
+    the zero slots, ascending, and the classes in the order of their
+    bits, each as (slot position, std_P(j)) pairs in ascending position.
+    A pair labelled 0 gives all its slots to the zeros; a pair labelled
+    1 << k, a head of class k, gives its listed j up to part_r to class k
+    and its other slots to the zeros; a pair labelled -1 gives nothing.
+    Every label is one of these, for one of the classes ``sizes`` counts,
+    and the table is empty or has a row and a column per row of ``lam``
+    and one more."""
+    _rank, listings, label, sizes = _commuting_classes(lam, p)
     parts = lam.parts
-    zeros = [start + j for _q, r, start in zero_pairs for j in range(parts[r - 1])]
-    classes = []
-    for cls in plan_classes:
-        members = []
-        for q, r, start, count in cls:
-            live = list(listings[q - 1][:count])
-            zeros += [start + j - 1 for j in range(1, parts[r - 1] + 1) if j not in live]
-            members += [(start + j - 1, binom_mod_p(parts[q - 1] + j, j, p)) for j in live]
-        classes.append(members)
+    assert label == [] or [len(row) for row in label] == [lam.n + 1] * (lam.n + 1), (p, parts)
+    position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
+    zeros, classes = [], [[] for _ in sizes]
+    for q, r in combinations(range(1, len(label)), 2):
+        bit = label[q][r]
+        assert bit in [-1, 0] + [1 << k for k in range(len(sizes))], (p, parts, bit)
+        if bit < 0:
+            continue
+        live = [j for j in listings[q - 1] if j <= parts[r - 1]] if bit else []
+        zeros += [position[q, r, j] for j in range(1, parts[r - 1] + 1) if j not in live]
+        if bit:
+            k = bit.bit_length() - 1
+            classes[k] += [(position[q, r, j], binom_mod_p(parts[q - 1] + j, j, p)) for j in live]
     return sorted(zeros), classes
 
 
@@ -1145,9 +1153,13 @@ def test_the_triples_the_commuting_plan_settles_add_nothing():
                 if lam.n < 4:
                     continue
                 size, plan = slot_count(lam), _commuting_classes(lam, p)
-                fed = set(_unsettled_triples(lam, plan))
+                _rank, listings, label, _sizes = plan
+                fed = set(_unsettled_triples(lam, label))
                 rows = [row for tag, row in spanning_rows(lam, p) if tag[1:4] not in fed]
-                forests = [_commuting_forest(lam, p, size, plan), _settle(lam, p, size, plan)[0]]
+                forests = [
+                    _commuting_forest(lam, p, size, listings, label),
+                    _settle(lam, p, size, plan)[0],
+                ]
                 for forest in forests:
                     for row in rows:
                         assert forest.move(row.items()) == {}, (p, lam.parts, row)
@@ -1157,7 +1169,7 @@ def test_the_triples_the_commuting_plan_settles_add_nothing():
     # class, every pair of rows below the second is a zero pair, and
     # (1, 2) is neither, so only the triples (1, 2, t) are fed.
     lam = Partition((2, 2) + (1,) * 10)
-    fed = list(_unsettled_triples(lam, _commuting_classes(lam, 2)))
+    fed = list(_unsettled_triples(lam, _commuting_classes(lam, 2)[2]))
     assert fed == [(1, 2, t) for t in range(3, 13)]
     assert math.comb(12, 3) - len(fed) == 210
 
@@ -1221,15 +1233,16 @@ SEVERAL_CLASSES = [
 
 
 def assert_classes_are_the_components(lam, p):
-    """The classes of ``_commuting_classes``' plan are the components of
+    """The classes of ``_commuting_classes``' table are the components of
     two heads or more of the disjointness graph on the pairs with a (C)
     head, found here by a plain breadth-first search over adjacency
     lists, in the order of their first head: each holds, in slot order,
     the slots (q, r, j) of its heads with std = C(part_q + j, j) nonzero
     mod p, and that std.  The zero slots are the (q, r, j) with std 0 mod
-    p on every pair disjoint from some head.  The plan is expanded slot
-    by slot by ``commuting_slots``, and its rank must count the zero
-    slots and all but one slot of each class."""
+    p on every pair disjoint from some head.  The table is expanded slot
+    by slot by ``commuting_slots``; its rank must count the zero slots
+    and all but one slot of each class, and the size of each class must
+    be its component's live j."""
     parts = lam.parts
     position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
     std = {(q, r, j): pascal_binom(parts[q - 1] + j, j) % p for q, r, j in position}
@@ -1251,7 +1264,9 @@ def assert_classes_are_the_components(lam, p):
     ]
     assert commuting_slots(lam, p) == (zeros, classes), (p, parts)
     rank = len(zeros) + sum(len(cls) - 1 for cls in classes)
-    assert _commuting_classes(lam, p)[0] == rank, (p, parts)
+    plan_rank, _listings, _label, sizes = _commuting_classes(lam, p)
+    assert plan_rank == rank, (p, parts)
+    assert sizes == [len(cls) for cls in classes], (p, parts)
 
 
 def test_commuting_classes_are_the_components_of_the_disjointness_graph():
@@ -1262,14 +1277,18 @@ def test_commuting_classes_are_the_components_of_the_disjointness_graph():
     for parts, p, pairs in SEVERAL_CLASSES:
         lam = Partition(parts)
         assert_classes_are_the_components(lam, p)
-        classes = _commuting_classes(lam, p)[3]
-        assert [[head[:2] for head in cls] for cls in classes] == pairs, (p, parts)
+        _rank, _listings, label, sizes = _commuting_classes(lam, p)
+        heads = [
+            [(q, r) for q, r in combinations(range(1, lam.n + 1), 2) if label[q][r] == 1 << k]
+            for k in range(len(sizes))
+        ]
+        assert heads == pairs, (p, parts)
 
 
 def plan_live_count(lam, p):
-    """V less the rank of the plan of ``_commuting_classes``, checked to be
-    V less the rank of the transcribed (C) rows; ``dim_E``, which returns
-    that count when it is 1, must be the nullspace dimension of the built
+    """V less the rank of ``_commuting_classes``, checked to be V less
+    the rank of the transcribed (C) rows; ``dim_E``, which returns that
+    count when it is 1, must be the nullspace dimension of the built
     system.  Of each (C) block only the order with (q, r) < (s, t) is
     reduced: the other order's rows are their negatives."""
     size = slot_count(lam)
@@ -1283,7 +1302,8 @@ def plan_live_count(lam, p):
             for slot, coef in row.items():
                 vec[position[slot]] = coef
             vectors.append(vec)
-    live = size - _commuting_classes(lam, p)[0]
+    rank, _listings, _label, _sizes = _commuting_classes(lam, p)
+    live = size - rank
     assert live == size - len(rref_mod_p(vectors, p)[1]), (p, lam.parts)
     return live
 

@@ -72,8 +72,10 @@ class MultiSequence:
 
     ``entries`` holds one (SlotIndex, value) pair per nonzero slot, in
     canonical slot order, with values in [1, p).  The constructor rejects
-    a slot that ``lam`` does not have, a value outside [1, p), and slots
-    that repeat or are out of order, so equal vectors compare equal.
+    a slot index or value that is not an int, a bool included (as
+    ``Partition`` does a part), a slot that ``lam`` does not have, a
+    value outside [1, p), and slots that repeat or are out of order, so
+    equal vectors compare equal.
     """
 
     lam: Partition
@@ -86,6 +88,8 @@ class MultiSequence:
         previous = (0, 0, 0)
         for slot, value in self.entries:
             r, s, i = slot
+            if not type(r) is type(s) is type(i) is type(value) is int:  # no bool, no float
+                raise ValueError(f"slot {tuple(slot)!r} or its value {value!r} is not an int")
             if not (1 <= r < s <= len(parts) and 1 <= i <= parts[s - 1]):
                 raise ValueError(f"slot {tuple(slot)} does not exist for {self.lam}")
             if not 1 <= value < self.p:
@@ -155,16 +159,17 @@ class RelationSystem:
     they are what ``_slot_rows`` writes of the gain graph that ``_settle``
     leaves of the relations fed to it.  First come the long rows, on the
     roots of its trees, each tagged by the row it came from: a (T3a) or
-    (T3b) relation with at most three rows, a row ("B", r, s, t, local
-    pivot) of the ``_triple_block`` of rows r < s < t with four or more
-    ((C) is written into the trees before any row is fed, so no long row
-    comes from it).  Then, slot by slot, ("zero", r, s, i) for y(r,s)_i = 0 and
-    ("link", r, s, i) for y(r,s)_i = g * y_root.
+    (T3b) relation with at most three rows, tagged as in ``_row_terms``,
+    a row ("B", r, s, t, local pivot) of the ``_triple_block`` of rows
+    r < s < t with four or more ((C) is written into the trees before any
+    row is fed, so no long row comes from it).  Then, slot by slot,
+    ("zero", r, s, i) for y(r,s)_i = 0 and ("link", r, s, i) for
+    y(r,s)_i = g * y_root.
     There may be no long rows once the build reaches rank V - 1.
     Which zero, link and long rows are kept follows the order the gain
-    graph is fed in, not the order of ``_relation_tags``; their span does
-    not.  Why the rows span the paper's rows is in ``_settle``, and how
-    ``_echelon`` reads their RREF off this form is in ``_echelon``.
+    graph is fed in; their span does not.  Why the rows span the paper's
+    rows is in ``_settle``, and how ``_echelon`` reads their RREF off
+    this form is in ``_echelon``.
     ``dim_E`` and ``ext1_dim_oracle`` build none: they count the rank on
     the settled forest.
     """
@@ -176,48 +181,22 @@ class RelationSystem:
     row_tags: tuple[RowTag, ...]
 
 
-def _relation_tags(lam: Partition) -> Iterator[RowTag]:
-    """Tags (family, indices) of every candidate (E), (T1), (T2), (T3a) and (T3b) row.
-
-    (E) for every pair, then (T1), (T2), (T3a), (T3b) for every triple,
-    with pairs, triples and row indices in ascending lexicographic order,
-    so the row order is deterministic.  Only ``_iter_relation_rows``
-    reads them: the build lists its two-term rows with ``_pair_feed``
-    and its (T3a) and (T3b) rows with ``_tags_touching``.
-    """
-    n = lam.n
-    part = (0,) + lam.parts  # part[r] = part_r
-    pairs = [(r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
-
-    for r, s in pairs:
-        b = part[s]
-        for i in range(1, b):
-            for j in range(1, b - i + 1):
-                yield ("E", r, s, i, j)
-
-    for r, s in pairs:
-        for t in range(s + 1, n + 1):
-            b, c = part[s], part[t]
-            for i in range(1, b + 1):
-                for k in range(1, c + 1):
-                    yield ("T1", r, s, t, i, k)
-            for j in range(1, c + 1):
-                for k in range(1, c - j + 1):
-                    yield ("T2", r, s, t, j, k)
-            for j in range(1, c + 1):
-                for i in range(1, j + 1):
-                    yield ("T3a", r, s, t, i, j)
-            for j in range(1, c + 1):
-                for i in range(j + 1, b + j + 1):
-                    yield ("T3b", r, s, t, j, i)
-
-
 def _row_terms(lam: Partition, tag: RowTag, p: int) -> list[tuple[int, ...]]:
-    """The terms of one row of ``_relation_tags`` as (r, s, i, sign, a1, b1, a2, b2).
+    """The terms of the paper's row ``tag`` as (r, s, i, sign, a1, b1, a2, b2).
 
-    The term's coefficient on slot (r, s, i) is sign * C(a1, b1) * C(a2, b2)
-    mod p; ``_coefficient`` evaluates it, so a caller pays for binomials
-    only on the terms it needs.  Single-binomial terms carry b2 = 0, as
+    The paper's (E), (T1), (T2), (T3a) and (T3b) rows are, for each pair
+    r < s with b = part_s, ("E", r, s, i, j) with i, j >= 1 and i + j <= b,
+    and for each triple r < s < t with b = part_s and c = part_t:
+
+    * ("T1", r, s, t, i, k) with 1 <= i <= b and 1 <= k <= c;
+    * ("T2", r, s, t, j, k) with j, k >= 1 and j + k <= c;
+    * ("T3a", r, s, t, i, j) with 1 <= i <= j <= c;
+    * ("T3b", r, s, t, j, i) with 1 <= j <= c and j < i <= b + j.
+
+    ``_tags_touching`` lists them slot by slot.  The term's coefficient
+    on slot (r, s, i) is sign * C(a1, b1) * C(a2, b2) mod p;
+    ``_coefficient`` evaluates it, so a caller pays for binomials only on
+    the terms it needs.  Single-binomial terms carry b2 = 0, as
     C(a2, 0) = 1.  No row has two terms on the same slot.  The sums of
     (T3a) and (T3b) run only over the h with C(a+i, h) nonzero mod p,
     which by Lucas's theorem are the h whose base-p digits are at most
@@ -392,15 +371,17 @@ def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
 
 
 def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterator[RowTag]:
-    """Tags of the rows of ``_relation_tags`` with a term on ``slot`` = (x, y, m).
+    """Tags of the paper's rows with a term on ``slot`` = (x, y, m).
 
-    Each family's index ranges in ``_relation_tags``, solved for the
-    indices that put (x, y, m) into one term position of ``_row_terms``.
+    Each family's index ranges, as ``_row_terms`` lists them, solved for
+    the indices that put (x, y, m) into one term position of its terms.
     As x_m = x_{i-h} in the sums of (T3a) and (T3b), with coefficient
     C(b+j-i, j-h) C(a+m+h, h), only the rows whose h adds to a+m without
     a base-p carry are yielded: by Lucas's theorem the others have no term
     on the slot in ``_row_terms``.  Every row whose ``_row_terms`` hold the
-    slot is yielded once; the order is unspecified.
+    slot is yielded once; the order is unspecified.  In particular each
+    row is yielded at the slot of its first term, whatever p, so
+    ``_iter_relation_rows`` reads the paper's rows off here slot by slot.
     """
     x, y, m = slot
     n = lam.n
@@ -449,24 +430,33 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterat
 def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[int, int]]]:
     """Every candidate row of the paper: the rows ``_candidate_row_count`` counts.
 
-    Each row of ``_relation_tags`` as (tag, {slot position: coefficient}),
-    zeros omitted, then both orders ("C", q, r, s, t, i, j) of every (C)
-    row std_Q(i) y(P)_j - std_P(j) y(Q)_i, P = (q, r) and Q = (s, t)
-    disjoint, with std_P(j) = C(part_q + j, j) mod p.  The library
-    reads (C) from the per-pair label of ``_commuting_classes``, which
-    says what these rows say; the stream is for callers that count rows
-    per family.
+    Each (E), (T1), (T2), (T3a) and (T3b) row as (tag, {slot position:
+    coefficient}), zeros omitted, read off ``_tags_touching`` slot by slot
+    in canonical order, once, the first time a slot lists it: every row
+    is listed at the slot of its first term, so none is left out.  Within
+    a slot the order is ``_tags_touching``'s, so a caller compares the
+    stream as a multiset.  Then both orders ("C", q, r, s, t, i, j) of
+    every (C) row std_Q(i) y(P)_j - std_P(j) y(Q)_i, P = (q, r) and
+    Q = (s, t) disjoint, with std_P(j) = C(part_q + j, j) mod p.  The
+    library reads (C) from the per-pair label of ``_commuting_classes``,
+    which says what these rows say; the stream is for callers that count
+    rows per family.
     """
     offsets, parts, n = _pair_offsets(lam), lam.parts, lam.n
     # std[q - 1][j - 1] = std_P(j) for j <= part_{q+1}.
     std = [[_binom_mod_p(a + j, j, p) for j in range(1, b + 1)] for a, b in zip(parts, parts[1:])]
-    for tag in _relation_tags(lam):
-        row = {}
-        for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
-            coef = _coefficient(p, sign, a1, b1, a2, b2)
-            if coef:
-                row[offsets[r][s] + i - 1] = coef
-        yield tag, row
+    listed: set[RowTag] = set()
+    for slot in canonical_slot_order(lam):
+        for tag in _tags_touching(lam, slot, p):
+            if tag in listed:
+                continue
+            listed.add(tag)
+            row = {}
+            for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
+                coef = _coefficient(p, sign, a1, b1, a2, b2)
+                if coef:
+                    row[offsets[r][s] + i - 1] = coef
+            yield tag, row
     pairs = [(q, r) for q in range(1, n + 1) for r in range(q + 1, n + 1)]
     for q, r in pairs:
         for s, t in pairs:
@@ -1159,11 +1149,12 @@ def _slot_rows(
         if row:
             rows.append(row)
             tags.append(tag)
-    offsets, parts = _pair_offsets(lam), lam.parts
+    parts = lam.parts
+    pos = -1  # canonical position of slot (r, s, i)
     for r in range(1, lam.n + 1):
         for s in range(r + 1, lam.n + 1):
             for i in range(1, parts[s - 1] + 1):
-                pos = offsets[r][s] + i - 1
+                pos += 1
                 root = parent[pos]
                 if parent[root] == root:
                     g = gain[pos]

@@ -174,8 +174,10 @@ def transcribed_relations(parts: tuple[int, ...]):
     """Every candidate relation row as (tag, {(r, s, i): exact coefficient}).
 
     A literal transcription of the six families over exact Pascal
-    binomials, in the package's tag order: (E) per pair, then (T1), (T2),
+    binomials, with the package's tags: (E) per pair, then (T1), (T2),
     (T3a), (T3b) per triple, then (C) per ordered pair of disjoint pairs.
+    The package's stream lists its rows slot by slot instead, so the
+    tests compare the two without their order.
     With rows r < s < t of lengths a, b, c, x = y(r,s), y = y(s,t) and
     z = y(r,t):
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import spechtex.classifier
 import spechtex.padic
 from oracles import rref_mod_p
 from spechtex.classifier import (
@@ -15,6 +16,7 @@ from spechtex.classifier import (
     triple_verdict,
 )
 from spechtex.coherence import (
+    MultiSequence,
     SlotIndex,
     SystemTooLargeError,
     canonical_slot_order,
@@ -349,6 +351,22 @@ def test_witness_coherent_on_sample():
                 c = ext1_dim(lam, p)
                 if c.witness is not None:
                     assert is_coherent(c.witness, lam, p)
+
+
+def test_a_witness_that_is_zero_or_incoherent_is_refused(monkeypatch):
+    # ``ext1_dim`` checks each witness before it returns it: the canonical
+    # one of a James shape, (2, 1) at p = 3, and the slots of a rule, here
+    # the pointed pair (3, 3).
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            spechtex.classifier, "canonical_multisequence", lambda lam, p: MultiSequence(lam, p, ())
+        )
+        with pytest.raises(RuntimeError, match=r"witness for \(2,1\) at p=3 is zero"):
+            ext1_dim(Partition((2, 1)), 3)
+    monkeypatch.setattr(spechtex.classifier, "is_coherent", lambda ms, lam, p: False)
+    for parts in ((2, 1), (3, 3)):
+        with pytest.raises(RuntimeError, match="fails the coherence relations"):
+            ext1_dim(Partition(parts), 3)
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,14 @@ def test_classify_both_exits_1_when_the_oracles_h0_disagrees(capsys, monkeypatch
     assert err == "MISMATCH: classifier h0=1 oracle h0=0 for (3,3) at p=2\n"
 
 
+def test_classify_both_exits_1_when_the_oracles_ext1_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(spechtex.cli, "ext1_dim_oracle", lambda lam, p: 0)
+    code, out, err = run_cli(capsys, "classify", "--p", "2", "--lambda", "3,3", "--method", "both")
+    assert code == 1
+    assert "ext1_B = 1" in out and "oracle ext1_B = 0" in out
+    assert err == "MISMATCH: classifier=1 oracle=0 for (3,3) at p=2\n"
+
+
 def test_usage_error_bad_partition(capsys):
     code, _, err = run_cli(capsys, "classify", "--p", "3", "--lambda", "1,2")
     assert code == 2

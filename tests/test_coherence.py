@@ -38,7 +38,6 @@ from spechtex.coherence import (
     _iter_relation_rows,
     _pair_feed,
     _reduce,
-    _relation_tags,
     _row_terms,
     _settle,
     _std_units,
@@ -545,27 +544,32 @@ def assert_gain_graph_rows(system, origins):
 
 def assert_rows_match_transcription(parts):
     """At every prime of ``TRANSCRIPTION_PRIMES``: the nonzero rows of
-    ``_iter_relation_rows``, tag by tag and in order, are the transcribed
-    rows that do not vanish mod p, (C) rows of both orders included; so
-    are its nonzero rows of the (E), (T1), (T2), (T3a) and (T3b)
-    families (``paper_rows``); the RREF of the built system is that of
-    every transcribed row; the system holds the gain-graph rows of
-    ``assert_gain_graph_rows``; and from four rows on the stream it is
-    reduced from holds the transcribed triple blocks after its (C) rows."""
+    ``_iter_relation_rows``, no tag twice, are as a multiset the
+    transcribed rows that do not vanish mod p, (C) rows of both orders
+    included; so are its nonzero rows of the (E), (T1), (T2), (T3a) and
+    (T3b) families (``paper_rows``).  The stream reads these off
+    ``_tags_touching`` slot by slot, so it is compared without its order,
+    and this checks the very listing ``is_coherent`` reads.  The RREF of
+    the built system is that of every transcribed row; the system holds
+    the gain-graph rows of ``assert_gain_graph_rows``; and from four rows
+    on the stream it is reduced from holds the transcribed triple blocks
+    after its (C) rows."""
     lam = Partition(parts)
     slots = transcribed_slots(parts)
     for p in TRANSCRIPTION_PRIMES:
         literal = transcribed_rows_mod_p(parts, p)
-        candidates = {
-            tag: {slots[pos]: coef for pos, coef in sparse.items()}
+        candidates = [
+            (tag, {slots[pos]: coef for pos, coef in sparse.items()})
             for tag, sparse in _iter_relation_rows(lam, p)
             if sparse
-        }
-        assert list(candidates.items()) == list(literal.items()), (p, parts)
+        ]
+        listed = dict(candidates)
+        assert len(listed) == len(candidates), (p, parts)  # no tag repeats
+        assert listed == literal, (p, parts)
         system, streamed = assert_rref_matches_transcription(parts, p, literal)
         expected = {tag: row for tag, row in literal.items() if tag[0] != "C"}
         tagged = [(tag, sparse) for tag, sparse in paper_rows(lam, p) if sparse]
-        assert [tag for tag, _sparse in tagged] == list(expected), (p, parts)
+        assert sorted(tag for tag, _sparse in tagged) == sorted(expected), (p, parts)
         for tag, sparse in tagged:
             got = {slots[pos]: coef for pos, coef in sparse.items()}
             assert got == expected[tag], (p, parts, tag)
@@ -789,7 +793,7 @@ def test_gain_graph_system_has_the_rref_of_the_paper_rows_at_large_primes(parts,
 @pytest.mark.parametrize("parts, p", [((59048, 107, 96), 3), ((4095, 127, 127), 2)])
 def test_gain_graph_expands_few_of_the_t3_rows_on_wide_shapes(parts, p, monkeypatch):
     # The (T3a) and (T3b) rows are read from the slots outside zero trees,
-    # y(2,3)_j first, not in ``_relation_tags`` order: on these shapes the
+    # y(2,3)_j first, not family by family: on these shapes the
     # build expands 483 of 14,928 and 191 of 24,257 of them.  Feeding them
     # all in tag order gave the same bases but made such shapes up to four
     # times slower (ROADMAP, "Dropped").
@@ -803,7 +807,8 @@ def test_gain_graph_expands_few_of_the_t3_rows_on_wide_shapes(parts, p, monkeypa
     monkeypatch.setattr("spechtex.coherence._row_terms", row_terms)
     lam = Partition(parts)
     build_relation_system(lam, p)
-    t3_rows = sum(tag[0] in ("T3a", "T3b") for tag in _relation_tags(lam))
+    # Each triple (r, s, t) has c(c+1)/2 (T3a) and bc (T3b) rows, b = part_s, c = part_t.
+    t3_rows = sum(c * (c + 1) // 2 + b * c for _a, b, c in combinations(parts, 3))
     assert 0 < len(expanded) < t3_rows / 10, (len(expanded), t3_rows)
 
 
@@ -946,13 +951,18 @@ def test_std_units_solve_every_transcribed_two_coefficient_row(top, lower, p):
 
 def every_two_term_join(lam, p, lone):
     """Every (E), (T1) and (T2) row with both coefficients nonzero mod p,
-    in ``_relation_tags`` order, as ``_pair_feed`` lists a join: its slot
-    pair.  The slot of every such row with one nonzero coefficient goes
-    into ``lone``, once per row."""
+    as ``_pair_feed`` lists a join: its slot pair.  The slot of every such
+    row with one nonzero coefficient goes into ``lone``, once per row.
+    The rows are read off ``_tags_touching`` slot by slot, each at the
+    slot of its first term."""
     position = {slot: pos for pos, slot in enumerate(canonical_slot_order(lam))}
-    for tag in _relation_tags(lam):
-        if tag[0] in ("E", "T1", "T2"):
+    for slot in position:
+        for tag in _tags_touching(lam, slot, p):
+            if tag[0] not in ("E", "T1", "T2"):
+                continue
             (r, s, i, _, a1, b1, _, _), (q, t, k, _, a2, b2, _, _) = _row_terms(lam, tag, p)
+            if (r, s, i) != slot:
+                continue  # read at its first term's slot
             u, v = position[(r, s, i)], position[(q, t, k)]
             c1, c2 = binom_mod_p(a1, b1, p), binom_mod_p(a2, b2, p)
             if c1 and c2:
@@ -1113,7 +1123,10 @@ def test_gain_graph_feeds_fewer_than_half_of_the_two_term_rows_on_wide_shapes(
     lam = Partition(parts)
     build_relation_system(lam, p)
     fed["marks"] = sum(len(lone) for lone in lones)
-    two_term = sum(tag[0] in ("E", "T1", "T2") for tag in _relation_tags(lam))
+    # (E) has b(b-1)/2 rows per pair (r, s), b = part_s; each triple
+    # (r, s, t) has bc (T1) and c(c-1)/2 (T2) rows, b = part_s, c = part_t.
+    two_term = sum(b * (b - 1) // 2 for _a, b in combinations(parts, 2))
+    two_term += sum(b * c + c * (c - 1) // 2 for _a, b, c in combinations(parts, 3))
     assert 0 < fed["joins"] + fed["marks"] < two_term / 5, (fed, two_term)
     assert fed["marks"] <= 3 * slot_count(lam), fed
 
@@ -1501,6 +1514,13 @@ def test_multisequence_rejects_bad_entries():
         ((a, -1),),
         ((a, 1), (a, 2)),
         ((b, 1), (a, 1)),
+        # Not ints, or bools, as ``Partition`` refuses a part.
+        ((a, 1.5),),
+        ((a, True),),
+        ((SlotIndex(1, 2, 1.5), 1),),
+        ((SlotIndex(1.0, 2, 1), 1),),
+        ((SlotIndex(1, 2.0, 1), 1),),
+        ((SlotIndex(True, 2, 1), 1),),
     ):
         with pytest.raises(ValueError):
             MultiSequence(lam, 3, entries)
@@ -1520,8 +1540,9 @@ def test_multisequences_are_equal_iff_their_slot_values_are():
 
 def test_multisequence_from_slots_validates():
     lam = Partition((2, 1))
-    with pytest.raises(ValueError):
-        multisequence_from_slots(lam, 3, {(1, 2, 2): 1})
+    for bad in ({(1, 2, 2): 1}, {(1, 2, 1): 1.5}, {(1, 2, 1.5): 1}):
+        with pytest.raises(ValueError):
+            multisequence_from_slots(lam, 3, bad)
     ms = multisequence_from_slots(lam, 3, {(1, 2, 1): -1})
     assert dense(ms) == (2,)
     with pytest.raises(ValueError):

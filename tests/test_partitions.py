@@ -1,6 +1,8 @@
 import pytest
 
 from oracles import james_index_by_divisibility, partition_counts, pascal_binom
+from spechtex.classifier import sl2_verdict
+from spechtex.padic import digit_p
 from spechtex.partitions import (
     InvalidPartitionError,
     Partition,
@@ -160,6 +162,28 @@ def test_p_segments_join_fires():
 def test_p_segments_rejects_non_james():
     with pytest.raises(ValueError):
         p_segments(Partition((3, 1)), 3)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: digit_p(-1, 0, 3), ValueError, id="digit_p-negative-a"),
+        pytest.param(lambda: digit_p(5, -1, 3), ValueError, id="digit_p-negative-i"),
+        pytest.param(lambda: Partition((2, 1)).part(0), IndexError, id="part-row-0"),
+        pytest.param(lambda: Partition((2, 1)).part(3), IndexError, id="part-past-the-end"),
+        pytest.param(lambda: is_james_pair(1, 2, 3), ValueError, id="is_james_pair-a-lt-b"),
+        pytest.param(lambda: classify_two_part(1, 2, 3), ValueError, id="classify_two_part-a-lt-b"),
+        pytest.param(lambda: classify_two_part(2, 0, 3), ValueError, id="classify_two_part-b-0"),
+        pytest.param(lambda: p_segments(Partition(()), 3), ValueError, id="p_segments-no-rows"),
+        pytest.param(lambda: list(enumerate_partitions(-1, 2)), ValueError, id="enumerate-d-lt-0"),
+        pytest.param(lambda: list(enumerate_partitions(3, 0)), ValueError, id="enumerate-no-rows"),
+        pytest.param(lambda: sl2_verdict(-1, 0, 3), ValueError, id="sl2_verdict-negative-r"),
+        pytest.param(lambda: sl2_verdict(4, -2, 3), ValueError, id="sl2_verdict-negative-s"),
+    ],
+)
+def test_arguments_out_of_range_are_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_p_segments_cover_and_coarsen():

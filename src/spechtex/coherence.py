@@ -56,13 +56,16 @@ def _pair_offsets(lam: Partition) -> list[list[int]]:
 
     Slot (r, s, i) then sits at ``offsets[r][s] + i - 1``.
     """
-    n = lam.n
-    offsets = [[0] * (n + 1) for _ in range(n + 1)]
+    parts = lam.parts
+    n = len(parts)
+    offsets = [[0] * (n + 1)]
     pos = 0
     for r in range(1, n + 1):
+        row = [0] * (n + 1)
         for s in range(r + 1, n + 1):
-            offsets[r][s] = pos
-            pos += lam.parts[s - 1]
+            row[s] = pos
+            pos += parts[s - 1]
+        offsets.append(row)
     return offsets
 
 
@@ -84,19 +87,14 @@ class MultiSequence:
 
     def __post_init__(self) -> None:
         validate_prime(self.p)
-        parts = self.lam.parts
+        _check_slots(self.lam, self.entries)
         previous = (0, 0, 0)
         for slot, value in self.entries:
-            r, s, i = slot
-            if not type(r) is type(s) is type(i) is type(value) is int:  # no bool, no float
-                raise ValueError(f"slot {tuple(slot)!r} or its value {value!r} is not an int")
-            if not (1 <= r < s <= len(parts) and 1 <= i <= parts[s - 1]):
-                raise ValueError(f"slot {tuple(slot)} does not exist for {self.lam}")
             if not 1 <= value < self.p:
                 raise ValueError(f"slot value {value} at {tuple(slot)} is not in [1, {self.p})")
-            if (r, s, i) <= previous:
+            if slot <= previous:  # a 3-tuple, checked above
                 raise ValueError(f"slot {tuple(slot)} repeats or is out of canonical order")
-            previous = (r, s, i)
+            previous = slot
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -105,14 +103,29 @@ class MultiSequence:
         return list(self.entries)
 
 
+def _check_slots(lam: Partition, entries: Iterable[tuple[tuple[int, int, int], int]]) -> None:
+    """``ValueError`` unless each (slot, value) is a slot of ``lam`` and the two hold ints only."""
+    parts = lam.parts
+    for slot, value in entries:
+        r, s, i = slot
+        if not type(r) is type(s) is type(i) is type(value) is int:  # no bool, no float
+            raise ValueError(f"slot {tuple(slot)!r} or its value {value!r} is not an int")
+        if not (1 <= r < s <= len(parts) and 1 <= i <= parts[s - 1]):
+            raise ValueError(f"slot {tuple(slot)} does not exist for {lam}")
+
+
 def multisequence_from_slots(
     lam: Partition, p: int, entries: Mapping[SlotIndex | tuple[int, int, int], int]
 ) -> MultiSequence:
-    """Build a MultiSequence from a sparse {(r, s, i): value} mapping."""
+    """Build a MultiSequence from a sparse {(r, s, i): value} mapping.
+
+    Every entry is checked as ``MultiSequence`` checks its own before the
+    values are reduced mod p and the zeros dropped, so an entry that is 0
+    mod p, or a bool that reduces to 1, does not go unchecked.
+    """
     validate_prime(p)
-    nonzero = sorted(
-        (SlotIndex(*slot), value % p) for slot, value in entries.items() if value % p
-    )
+    _check_slots(lam, entries.items())
+    nonzero = sorted((SlotIndex(*slot), value % p) for slot, value in entries.items() if value % p)
     return MultiSequence(lam, p, tuple(nonzero))
 
 
@@ -370,8 +383,10 @@ def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return sign * coef % p
 
 
-def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterator[RowTag]:
-    """Tags of the paper's rows with a term on ``slot`` = (x, y, m).
+def _tags_touching(
+    lam: Partition, slot: tuple[int, int, int], p: int, pair_rows: bool = True
+) -> Iterator[RowTag]:
+    """Tags of the paper's rows with a term on ``slot`` = (x, y, m), (E) only if ``pair_rows``.
 
     Each family's index ranges, as ``_row_terms`` lists them, solved for
     the indices that put (x, y, m) into one term position of its terms.
@@ -389,10 +404,11 @@ def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterat
     width = part(y)  # slots on pair (x, y)
 
     # (E) on pair (x, y): the slot is y_i with i = m, or y_{i+j} with i + j = m.
-    for j in range(1, width - m + 1):
-        yield ("E", x, y, m, j)
-    for i in range(1, m):
-        yield ("E", x, y, i, m - i)
+    if pair_rows:
+        for j in range(1, width - m + 1):
+            yield ("E", x, y, m, j)
+        for i in range(1, m):
+            yield ("E", x, y, i, m - i)
 
     # Triples (x, y, t): the slot is x_i = y(r,s)_i in (T1), x_{i-h} with
     # i = m + h in (T3a) (i <= j <= c) and in (T3b) (h <= j < i).
@@ -819,7 +835,7 @@ def _t3_rows(
             if dead(offsets[r][s] + i - 1):
                 skipped = True
                 continue
-            for tag in _tags_touching(lam, (r, s, i), p):
+            for tag in _tags_touching(lam, (r, s, i), p, pair_rows=False):
                 if tag[0] not in ("T3a", "T3b") or tag in fed:
                     continue
                 fed.add(tag)
@@ -1398,29 +1414,149 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
     return dim_E(lam, p) - 1 + _h0(lam, p)
 
 
+def _rows_hold(
+    lam: Partition,
+    entries: Sequence[tuple[tuple[int, int, int], int]],
+    p: int,
+    pair_rows: bool = True,
+) -> bool:
+    """True iff every (E), (T1), (T2), (T3a) and (T3b) row of ``lam`` holds on ``entries``.
+
+    ``entries`` are the nonzero slots of a vector, ((r, s, i), value) in
+    canonical slot order with values nonzero mod p; every other slot is
+    0.  With ``pair_rows`` false the (E) rows are left out.  Only the
+    rows with a term on a slot of ``entries`` are evaluated
+    (``_tags_touching``): every other row sums zero values and holds,
+    whatever its coefficients.  A (T3a) or (T3b) row whose binomial
+    C(a+i, h) on a slot is 0 mod p (by Lucas's theorem, some digit of h
+    exceeds that of a+i) has no term on that slot, so the slot does not
+    bring the row in.  Each evaluated row walks all of its ``_row_terms``
+    and sums those on slots of ``entries``.  A row is read at the first
+    slot of ``entries`` it has a term on: ``_tags_touching`` yields it
+    for every slot of its terms, so a term on an earlier slot means the
+    row was read there, and it is skipped without a record of the rows
+    read.  So the walk costs in proportion to the rows touching the
+    slots and their terms, not to the whole system, and its memory does
+    not grow with them.
+    """
+    offsets = _pair_offsets(lam)
+    support = {offsets[r][s] + i: value for (r, s, i), value in entries}  # canonical position + 1
+    for (x, y, m), _value in entries:
+        here = offsets[x][y] + m
+        for tag in _tags_touching(lam, (x, y, m), p, pair_rows):
+            total = 0
+            for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
+                pos = offsets[r][s] + i
+                if pos in support:
+                    if pos < here:
+                        break  # read at that earlier slot
+                    total += support[pos] * _coefficient(p, sign, a1, b1, a2, b2)
+            else:
+                if total % p:
+                    return False
+    return True
+
+
+def _local_entries(*flats: tuple[int, ...]) -> list[tuple[tuple[int, int, int], int]]:
+    """Restrictions (i, value, i, value, ...) on local pairs (1, 2), (1, 3), (2, 3) as entries."""
+    return [
+        (pair + (flat[k],), flat[k + 1])
+        for pair, flat in zip(((1, 2), (1, 3), (2, 3)), flats)
+        for k in range(0, len(flat), 2)
+    ]
+
+
+def _local_rows_hold(lam: Partition, entries: Sequence[tuple[SlotIndex, int]], p: int) -> bool:
+    """``_rows_hold(lam, entries, p)``, pair by pair and triple by triple once keys repeat.
+
+    Every (E) row lies on one pair r < s and its coefficients read only
+    part_r and part_s; every (T) row lies on one triple r < s < t, with
+    terms on its pairs (r, s), (r, t) and (s, t) only, and its
+    coefficients read only part_r, part_s and part_t (``_row_terms``).
+    Moved onto local rows 1, 2 (and 3), such a row is a row of the
+    two-row system of (part_r, part_s), or of the three-row system of
+    (part_r, part_s, part_t), and every row of that system is such a row
+    of ``lam``, moved, as ``_settle`` argues for its triple blocks.  So
+    the rows of ``lam`` hold exactly when, on each pair, the (E) rows of
+    the two-row system hold on the vector's restriction to the pair, and
+    on each triple, the (T) rows of the three-row system hold on its
+    restriction to the triple's three pairs, each moved onto the local
+    rows.  A zero restriction satisfies every row, so only the pairs of
+    the support and the triples that meet it count, and each local
+    verdict is fixed by its key: (part_r, part_s, restriction) for a
+    pair, (part_r, part_s, part_t, three restrictions) for a triple.
+    Each distinct key is checked once, by ``_rows_hold`` on the two- or
+    three-row partition, with (E) left out of the triple's; a pair of
+    width 1 has no (E) row.  The keys checked are kept in a set that
+    lives for this call.  Triples are streamed: each is visited from the
+    first of its pairs in the support, in canonical order.
+
+    A local check costs a set-up that the whole walk does not pay, and
+    with no key repeated the local checks read the same rows as it.  So
+    they run only when the support's pairs outnumber their distinct keys
+    by four or more, and ``lam`` is walked whole otherwise.  Measured on
+    the witnesses of four rows or more of the acceptance range, the
+    local checks made those with one or two repeats, 14 quadruples
+    among them, up to 1.7x slower, and those with four or more up to 13x
+    faster.  Four repeats need five pairs of the support, so
+    ``is_coherent`` sends no vector of four slots or fewer here.
+    """
+    parts, n = lam.parts, lam.n
+    flats: dict[tuple[int, int], list[int]] = {}
+    for (r, s, i), value in entries:
+        flat = flats.get((r, s))
+        if flat is None:
+            flats[r, s] = flat = []
+        flat += (i, value)
+    restriction = {pair: tuple(flat) for pair, flat in flats.items()}
+    keys = {(parts[r - 1], parts[s - 1], flat) for (r, s), flat in restriction.items()}
+    if len(restriction) - len(keys) < 4:
+        return _rows_hold(lam, entries, p)
+    for a, b, flat in keys:
+        if b > 1 and not _rows_hold(Partition((a, b)), _local_entries(flat), p):
+            return False
+    get = restriction.get
+    checked: set[tuple] = set()
+    for x, y in restriction:
+        # The triples whose first pair in the support is (x, y): every
+        # (x, y, t), each (x, s, y) unless (x, s) is in it, and each
+        # (r, x, y) unless (r, x) or (r, y) is.
+        triples = [(x, y, t) for t in range(y + 1, n + 1)]
+        triples += [(x, s, y) for s in range(x + 1, y) if (x, s) not in restriction]
+        triples += [
+            (r, x, y) for r in range(1, x) if not ((r, x) in restriction or (r, y) in restriction)
+        ]
+        for r, s, t in triples:
+            key = (parts[r - 1], parts[s - 1], parts[t - 1])
+            key += (get((r, s), ()), get((r, t), ()), get((s, t), ()))
+            if key in checked:
+                continue
+            checked.add(key)
+            if not _rows_hold(Partition(key[:3]), _local_entries(*key[3:]), p, pair_rows=False):
+                return False
+    return True
+
+
 def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     """True iff the multi-sequence satisfies every relation row.
 
-    Of the (E), (T1), (T2), (T3a) and (T3b) rows, only those with a term
-    on a nonzero slot of ``ms`` are evaluated (``_tags_touching``).  This
-    is the full check: every other row sums zero values and instantiates
-    to 0 = 0, whatever its coefficients.  A (T3a) or (T3b) row whose
-    binomial C(a+i, h) on a slot is 0 mod p (by Lucas's theorem, some
-    digit of h exceeds that of a+i) has no term on that slot, so the slot
-    does not bring the row in.  Each evaluated row walks all of its
-    ``_row_terms`` and sums those on nonzero slots.  A row is read at the
-    first nonzero slot it has a term on: ``_tags_touching`` yields it for
-    every slot of its terms, so a term on an earlier nonzero slot means
-    the row was read there, and it is skipped without a record of the rows
-    read.  This walk costs in proportion to the rows touching the nonzero
-    slots and their terms, not to the whole system, and its memory does
-    not grow with them.  (C) is then checked on the support alone, as the
-    per-pair label of ``_commuting_classes`` states it, one lookup per
-    slot: no slot of the support may lie on a pair labelled 0, or on a
-    class's head where std is 0; and the support's slots on the heads of
-    one class must share one value of y / std and number |K|, the class's
-    size, or none.  That is one binomial per slot of the support on a
-    class.
+    The (E), (T1), (T2), (T3a) and (T3b) rows go first.  With at most
+    three rows ``_rows_hold`` walks them whole: only the rows with a term
+    on a nonzero slot of ``ms`` are evaluated, each once, at the first
+    nonzero slot it has a term on, with no record of the rows read.  That
+    is the full check, as every other row sums zero values; it costs in
+    proportion to those rows and their terms, and its memory does not
+    grow with them.  With four rows or more ``_local_rows_hold`` checks
+    the same rows per pair for (E) and per triple for (T), each distinct
+    local restriction once per call, where the support's pairs repeat
+    their keys often enough, and walks them whole otherwise; why the two
+    checks agree, and the rule, are there.  (C) is then checked on the
+    support alone, as the per-pair label of ``_commuting_classes`` states
+    it, one lookup per slot: no slot of the support may lie on a pair
+    labelled 0, or on a class's head where std is 0; and the support's
+    slots on the heads of one class must share one value of y / std and
+    number |K|, the class's size, or none.  That is one binomial per slot
+    of the support on a class.
     Raises ``ValueError`` unless ``ms`` is a multi-sequence of ``lam`` at
     ``p``.
     """
@@ -1429,25 +1565,14 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
         raise ValueError(
             f"multi-sequence of {ms.lam} at p={ms.p} checked against {lam} at p={p}"
         )
-    offsets = _pair_offsets(lam)
-    support = {offsets[r][s] + i - 1: value for (r, s, i), value in ms.entries}
-    for (x, y, m), _value in ms.entries:
-        here = offsets[x][y] + m - 1
-        for tag in _tags_touching(lam, (x, y, m), p):
-            total = 0
-            for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
-                pos = offsets[r][s] + i - 1
-                if pos in support:
-                    if pos < here:
-                        break  # read at that earlier slot
-                    total += support[pos] * _coefficient(p, sign, a1, b1, a2, b2)
-            else:
-                if total % p:
-                    return False
+    entries = ms.entries
+    walk = _local_rows_hold if len(entries) > 4 and lam.n > 3 else _rows_hold
+    if not walk(lam, entries, p):
+        return False
     _rank, _listings, label, sizes = _commuting_classes(lam, p)
     held: dict[int, list[int]] = {}  # class bit -> [its support slots, y and std at the first]
     parts = lam.parts
-    for (q, r, j), value in ms.entries if label else ():
+    for (q, r, j), value in entries if label else ():
         bit = label[q][r]
         if bit < 0:
             continue

@@ -344,15 +344,6 @@ def test_witness_independent_of_standard():
         assert len(pivots) == 2, f"witness for {lam} at p={p} is a standard multiple"
 
 
-def test_witness_coherent_on_sample():
-    for p in (2, 3, 5):
-        for d in range(2, 12):
-            for lam in enumerate_partitions(d, d):
-                c = ext1_dim(lam, p)
-                if c.witness is not None:
-                    assert is_coherent(c.witness, lam, p)
-
-
 def test_a_witness_that_is_zero_or_incoherent_is_refused(monkeypatch):
     # ``ext1_dim`` checks each witness before it returns it: the canonical
     # one of a James shape, (2, 1) at p = 3, and the slots of a rule, here

@@ -1549,6 +1549,20 @@ def test_multisequence_from_slots_validates():
         MultiSequence(lam, 3, ((SlotIndex(1, 2, 2), 1),))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [{(1, 2, 5): 3}, {(1, 2, 1): 3.0}, {(1, 2, 1): True}, {(1, 2): 1}],
+    ids=["slot-it-does-not-have", "float", "bool", "two-index-slot"],
+)
+def test_multisequence_from_slots_checks_an_entry_before_reducing_it(entries):
+    # The first three values are 0 mod 3, or a bool that reduces to 1:
+    # reduced before they were checked, they gave the zero vector or a
+    # witness of value 1.  The last slot gave a TypeError, where the same
+    # slot with a value 0 mod 3 gave a ValueError.
+    with pytest.raises(ValueError):
+        multisequence_from_slots(Partition((3, 2)), 3, entries)
+
+
 def test_standard_in_kernel_small_range():
     for p in (2, 3, 5):
         for d in range(0, 11):
@@ -1556,14 +1570,16 @@ def test_standard_in_kernel_small_range():
                 assert is_coherent(standard_multisequence(lam, p), lam, p)
 
 
-def dense_is_coherent(ms, lam, p):
+def dense_is_coherent(ms, lam, p, rows=None):
     """The full check: every row of the relation system against the values.
 
     The rows span the same space as every relation, so this is the check
     against every relation.  They are reduced from the (C) relations
     that ``is_coherent`` reads too; ``transcribed_is_coherent`` checks (C)
-    independently."""
-    rows = dense_rows(build_relation_system(lam, p))
+    independently.  ``rows``, if given, are ``dense_rows`` of the built
+    system, for a caller that checks several vectors of one shape."""
+    if rows is None:
+        rows = dense_rows(build_relation_system(lam, p))
     values = dense(ms)
     return all(sum(c * v for c, v in zip(row, values)) % p == 0 for row in rows)
 
@@ -1667,6 +1683,78 @@ def test_is_coherent_matches_dense_check_on_sparse_random_vectors():
                 assert verdict == dense_is_coherent(ms, lam, p), (p, lam.parts, values)
                 verdicts.append(verdict)
     assert verdicts.count(False) > 100 and verdicts.count(True) > 10
+
+
+#: Tall chains of equal rows, each within the oracle's size budget: James
+#: at p = 2 for (1^k), at p = 3 for (2^k), and for ((p-1)^k) at p = 5 and 7;
+#: the others are not James and carry no dense witness.
+TALL_CHAINS = (
+    [((1,) * k, p) for p in (2, 3) for k in range(2, 27)]
+    + [((v,) * k, p) for v, top in ((2, 18), (3, 15)) for p in (3, 5) for k in range(2, top + 1)]
+    + [((v,) * k, p) for p, top in ((5, 12), (7, 10)) for v in (p - 1, p) for k in range(2, top + 1)]
+)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The partitions ``_rows_hold`` is called on: lam itself when it is
+    walked whole, the two- and three-row partitions of a local check."""
+    seen = []
+    real = spechtex.coherence._rows_hold
+    monkeypatch.setattr(
+        spechtex.coherence, "_rows_hold", lambda lam, *args, **kw: seen.append(lam) or real(lam, *args, **kw)
+    )
+    return seen
+
+
+def test_is_coherent_matches_dense_check_on_tall_chains(walks):
+    """Dense vectors on tall chains, and one slot dropped or changed: the
+    James witness where the chain is James, else the standard vector,
+    nonzero on every slot.  From four rows on, a dense vector repeats its
+    pairs' keys and is checked pair by pair and triple by triple, and a
+    vector of fewer rows or repeats is walked whole; both sides of the
+    rule are counted here, by the two- and three-row walks a local check
+    makes."""
+    sides, verdicts = Counter(), Counter()
+    for parts, p in TALL_CHAINS:
+        lam = Partition(parts)
+        rows = dense_rows(build_relation_system(lam, p))
+        dense_vector = (
+            canonical_multisequence(lam, p) if is_james_partition(lam, p) else standard_multisequence(lam, p)
+        )
+        values = dict(dense_vector.entries)
+        slots = list(values)
+        vectors = [dense_vector]
+        for slot in (slots[0], slots[len(slots) // 2], slots[-1]):
+            vectors.append(multisequence_from_slots(lam, p, {k: v for k, v in values.items() if k != slot}))
+        middle = slots[len(slots) // 2]
+        vectors.append(multisequence_from_slots(lam, p, {**values, middle: values[middle] + 1}))
+        free = [slot for slot in canonical_slot_order(lam) if slot not in values]
+        if free:
+            vectors.append(multisequence_from_slots(lam, p, {**values, free[0]: 1}))
+        for ms in vectors:
+            walks.clear()
+            verdict = is_coherent(ms, lam, p)
+            assert verdict == dense_is_coherent(ms, lam, p, rows), (p, parts, len(ms.entries))
+            sides[any(walked != lam for walked in walks)] += 1
+            verdicts[verdict] += 1
+    assert verdicts[True] >= len(TALL_CHAINS) and verdicts[False] > len(TALL_CHAINS)
+    assert sides[True] > 300 and sides[False] > 50, sides
+
+
+def test_is_coherent_checks_each_pairs_own_rows_on_the_local_path(walks):
+    # On (4, 4, 1, 1, 1) at p = 2 this vector holds every (T) row and (C)
+    # but not the (E) rows of pair (1, 2), which the three-row systems of
+    # its triples do not imply.  Its six pairs (r, s), r <= 2 < s, share one
+    # key, so it is checked pair by pair and triple by triple.
+    lam = Partition((4, 4, 1, 1, 1))
+    values = {(1, 2, 2): 1, **{(r, s, 1): 1 for r in (1, 2) for s in (3, 4, 5)}}
+    ms = multisequence_from_slots(lam, 2, values)
+    assert spechtex.coherence._rows_hold(lam, ms.entries, 2, pair_rows=False)
+    walks.clear()
+    assert not is_coherent(ms, lam, 2)
+    assert not dense_is_coherent(ms, lam, 2)
+    assert lam not in walks and Partition((4, 4)) in walks
 
 
 @settings(max_examples=60, deadline=None)

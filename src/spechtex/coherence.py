@@ -75,10 +75,10 @@ class MultiSequence:
 
     ``entries`` holds one (SlotIndex, value) pair per nonzero slot, in
     canonical slot order, with values in [1, p).  The constructor rejects
-    a slot index or value that is not an int, a bool included (as
-    ``Partition`` does a part), a slot that ``lam`` does not have, a
-    value outside [1, p), and slots that repeat or are out of order, so
-    equal vectors compare equal.
+    a slot that is not an (r, s, i) triple, a slot index or value that is
+    not an int, a bool included (as ``Partition`` does a part), a slot
+    that ``lam`` does not have, a value outside [1, p), and slots that
+    repeat or are out of order, so equal vectors compare equal.
     """
 
     lam: Partition
@@ -107,6 +107,8 @@ def _check_slots(lam: Partition, entries: Iterable[tuple[tuple[int, int, int], i
     """``ValueError`` unless each (slot, value) is a slot of ``lam`` and the two hold ints only."""
     parts = lam.parts
     for slot, value in entries:
+        if not (isinstance(slot, tuple) and len(slot) == 3):
+            raise ValueError(f"slot {slot!r} is not an (r, s, i) triple")
         r, s, i = slot
         if not type(r) is type(s) is type(i) is type(value) is int:  # no bool, no float
             raise ValueError(f"slot {tuple(slot)!r} or its value {value!r} is not an int")
@@ -383,10 +385,8 @@ def _coefficient(p: int, sign: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return sign * coef % p
 
 
-def _tags_touching(
-    lam: Partition, slot: tuple[int, int, int], p: int, pair_rows: bool = True
-) -> Iterator[RowTag]:
-    """Tags of the paper's rows with a term on ``slot`` = (x, y, m), (E) only if ``pair_rows``.
+def _tags_touching(lam: Partition, slot: tuple[int, int, int], p: int) -> Iterator[RowTag]:
+    """Tags of the paper's rows with a term on ``slot`` = (x, y, m).
 
     Each family's index ranges, as ``_row_terms`` lists them, solved for
     the indices that put (x, y, m) into one term position of its terms.
@@ -404,11 +404,10 @@ def _tags_touching(
     width = part(y)  # slots on pair (x, y)
 
     # (E) on pair (x, y): the slot is y_i with i = m, or y_{i+j} with i + j = m.
-    if pair_rows:
-        for j in range(1, width - m + 1):
-            yield ("E", x, y, m, j)
-        for i in range(1, m):
-            yield ("E", x, y, i, m - i)
+    for j in range(1, width - m + 1):
+        yield ("E", x, y, m, j)
+    for i in range(1, m):
+        yield ("E", x, y, i, m - i)
 
     # Triples (x, y, t): the slot is x_i = y(r,s)_i in (T1), x_{i-h} with
     # i = m + h in (T3a) (i <= j <= c) and in (T3b) (h <= j < i).
@@ -835,7 +834,7 @@ def _t3_rows(
             if dead(offsets[r][s] + i - 1):
                 skipped = True
                 continue
-            for tag in _tags_touching(lam, (r, s, i), p, pair_rows=False):
+            for tag in _tags_touching(lam, (r, s, i), p):
                 if tag[0] not in ("T3a", "T3b") or tag in fed:
                     continue
                 fed.add(tag)
@@ -1414,18 +1413,12 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
     return dim_E(lam, p) - 1 + _h0(lam, p)
 
 
-def _rows_hold(
-    lam: Partition,
-    entries: Sequence[tuple[tuple[int, int, int], int]],
-    p: int,
-    pair_rows: bool = True,
-) -> bool:
+def _rows_hold(lam: Partition, entries: Sequence[tuple[tuple[int, int, int], int]], p: int) -> bool:
     """True iff every (E), (T1), (T2), (T3a) and (T3b) row of ``lam`` holds on ``entries``.
 
     ``entries`` are the nonzero slots of a vector, ((r, s, i), value) in
     canonical slot order with values nonzero mod p; every other slot is
-    0.  With ``pair_rows`` false the (E) rows are left out.  Only the
-    rows with a term on a slot of ``entries`` are evaluated
+    0.  Only the rows with a term on a slot of ``entries`` are evaluated
     (``_tags_touching``): every other row sums zero values and holds,
     whatever its coefficients.  A (T3a) or (T3b) row whose binomial
     C(a+i, h) on a slot is 0 mod p (by Lucas's theorem, some digit of h
@@ -1443,7 +1436,7 @@ def _rows_hold(
     support = {offsets[r][s] + i: value for (r, s, i), value in entries}  # canonical position + 1
     for (x, y, m), _value in entries:
         here = offsets[x][y] + m
-        for tag in _tags_touching(lam, (x, y, m), p, pair_rows):
+        for tag in _tags_touching(lam, (x, y, m), p):
             total = 0
             for r, s, i, sign, a1, b1, a2, b2 in _row_terms(lam, tag, p):
                 pos = offsets[r][s] + i
@@ -1467,39 +1460,40 @@ def _local_entries(*flats: tuple[int, ...]) -> list[tuple[tuple[int, int, int], 
 
 
 def _local_rows_hold(lam: Partition, entries: Sequence[tuple[SlotIndex, int]], p: int) -> bool:
-    """``_rows_hold(lam, entries, p)``, pair by pair and triple by triple once keys repeat.
+    """``_rows_hold(lam, entries, p)``, triple by triple once keys repeat.
 
-    Every (E) row lies on one pair r < s and its coefficients read only
-    part_r and part_s; every (T) row lies on one triple r < s < t, with
-    terms on its pairs (r, s), (r, t) and (s, t) only, and its
-    coefficients read only part_r, part_s and part_t (``_row_terms``).
-    Moved onto local rows 1, 2 (and 3), such a row is a row of the
-    two-row system of (part_r, part_s), or of the three-row system of
-    (part_r, part_s, part_t), and every row of that system is such a row
-    of ``lam``, moved, as ``_settle`` argues for its triple blocks.  So
-    the rows of ``lam`` hold exactly when, on each pair, the (E) rows of
-    the two-row system hold on the vector's restriction to the pair, and
-    on each triple, the (T) rows of the three-row system hold on its
-    restriction to the triple's three pairs, each moved onto the local
-    rows.  A zero restriction satisfies every row, so only the pairs of
-    the support and the triples that meet it count, and each local
-    verdict is fixed by its key: (part_r, part_s, restriction) for a
-    pair, (part_r, part_s, part_t, three restrictions) for a triple.
-    Each distinct key is checked once, by ``_rows_hold`` on the two- or
-    three-row partition, with (E) left out of the triple's; a pair of
-    width 1 has no (E) row.  The keys checked are kept in a set that
-    lives for this call.  Triples are streamed: each is visited from the
-    first of its pairs in the support, in canonical order.
+    Every (E) row lies on one pair r < s, and every (T) row on one triple
+    r < s < t, with terms on its pairs (r, s), (r, t) and (s, t) only; a
+    row's coefficients read only the parts of its rows (``_row_terms``).
+    Moved onto local rows 1, 2, 3, a (T) row of the triple is a row of
+    the three-row system of (part_r, part_s, part_t), and an (E) row of a
+    pair is an (E) row of that system for each triple that holds the
+    pair.  Conversely every row of a triple's three-row system is a row
+    of ``lam``, moved, as ``_settle`` argues for its triple blocks.  With
+    three rows or more every pair lies in a triple, so the rows of
+    ``lam`` hold exactly when, on each triple, the three-row system holds
+    on the vector's restriction to the triple's three pairs, moved onto
+    the local rows.  A zero restriction satisfies every row, so only the
+    triples that meet the support count: every (E) row of a pair of the
+    support is a row of each triple that holds the pair, and each such
+    triple meets the support and is visited.  Each local verdict is fixed
+    by its key, (part_r, part_s, part_t, three restrictions), and each
+    distinct key is checked once, by ``_rows_hold`` on the three-row
+    partition with every family included.  The keys checked are kept in
+    a set that lives for this call.  Triples are streamed: each is
+    visited from the first of its pairs in the support, in canonical
+    order.
 
     A local check costs a set-up that the whole walk does not pay, and
     with no key repeated the local checks read the same rows as it.  So
     they run only when the support's pairs outnumber their distinct keys
     by four or more, and ``lam`` is walked whole otherwise.  Measured on
-    the witnesses of four rows or more of the acceptance range, the
-    local checks made those with one or two repeats, 14 quadruples
-    among them, up to 1.7x slower, and those with four or more up to 13x
-    faster.  Four repeats need five pairs of the support, so
-    ``is_coherent`` sends no vector of four slots or fewer here.
+    the witnesses of four rows or more of the acceptance range (best of
+    30 calls each, 2-core Xeon), the local checks made those with one or
+    two repeats up to 2.2x slower, and those of more than four slots with
+    four repeats or more from as fast to 12x faster.  Four repeats need
+    five pairs of the support, so ``is_coherent`` sends no vector of four
+    slots or fewer here.
     """
     parts, n = lam.parts, lam.n
     flats: dict[tuple[int, int], list[int]] = {}
@@ -1512,9 +1506,6 @@ def _local_rows_hold(lam: Partition, entries: Sequence[tuple[SlotIndex, int]], p
     keys = {(parts[r - 1], parts[s - 1], flat) for (r, s), flat in restriction.items()}
     if len(restriction) - len(keys) < 4:
         return _rows_hold(lam, entries, p)
-    for a, b, flat in keys:
-        if b > 1 and not _rows_hold(Partition((a, b)), _local_entries(flat), p):
-            return False
     get = restriction.get
     checked: set[tuple] = set()
     for x, y in restriction:
@@ -1532,7 +1523,7 @@ def _local_rows_hold(lam: Partition, entries: Sequence[tuple[SlotIndex, int]], p
             if key in checked:
                 continue
             checked.add(key)
-            if not _rows_hold(Partition(key[:3]), _local_entries(*key[3:]), p, pair_rows=False):
+            if not _rows_hold(Partition(key[:3]), _local_entries(*key[3:]), p):
                 return False
     return True
 
@@ -1547,16 +1538,17 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     is the full check, as every other row sums zero values; it costs in
     proportion to those rows and their terms, and its memory does not
     grow with them.  With four rows or more ``_local_rows_hold`` checks
-    the same rows per pair for (E) and per triple for (T), each distinct
-    local restriction once per call, where the support's pairs repeat
-    their keys often enough, and walks them whole otherwise; why the two
-    checks agree, and the rule, are there.  (C) is then checked on the
-    support alone, as the per-pair label of ``_commuting_classes`` states
-    it, one lookup per slot: no slot of the support may lie on a pair
-    labelled 0, or on a class's head where std is 0; and the support's
-    slots on the heads of one class must share one value of y / std and
-    number |K|, the class's size, or none.  That is one binomial per slot
-    of the support on a class.
+    the same rows triple by triple, each triple's (E) and (T) rows in its
+    three-row system and each distinct local restriction once per call,
+    where the support's pairs repeat their keys often enough, and walks
+    them whole otherwise; why the two checks agree, and the rule, are
+    there.  (C) is then checked on the support alone, as the per-pair
+    label of ``_commuting_classes`` states it, one lookup per slot: no
+    slot of the support may lie on a pair labelled 0, or on a class's
+    head where std is 0; and the support's slots on the heads of one
+    class must share one value of y / std and number |K|, the class's
+    size, or none.  That is one binomial per slot of the support on a
+    class.
     Raises ``ValueError`` unless ``ms`` is a multi-sequence of ``lam`` at
     ``p``.
     """

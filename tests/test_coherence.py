@@ -1521,6 +1521,9 @@ def test_multisequence_rejects_bad_entries():
         ((SlotIndex(1.0, 2, 1), 1),),
         ((SlotIndex(1, 2.0, 1), 1),),
         ((SlotIndex(True, 2, 1), 1),),
+        # Not an (r, s, i) triple.
+        ((5, 1),),
+        (((1, 2, 1, 1), 1),),
     ):
         with pytest.raises(ValueError):
             MultiSequence(lam, 3, entries)
@@ -1551,14 +1554,22 @@ def test_multisequence_from_slots_validates():
 
 @pytest.mark.parametrize(
     "entries",
-    [{(1, 2, 5): 3}, {(1, 2, 1): 3.0}, {(1, 2, 1): True}, {(1, 2): 1}],
-    ids=["slot-it-does-not-have", "float", "bool", "two-index-slot"],
+    [
+        {(1, 2, 5): 3},
+        {(1, 2, 1): 3.0},
+        {(1, 2, 1): True},
+        {(1, 2): 1},
+        {5: 1},
+        {(1, 2, 1, 1): 1},
+    ],
+    ids=["slot-it-does-not-have", "float", "bool", "two-index-slot", "int-slot", "four-index-slot"],
 )
 def test_multisequence_from_slots_checks_an_entry_before_reducing_it(entries):
     # The first three values are 0 mod 3, or a bool that reduces to 1:
     # reduced before they were checked, they gave the zero vector or a
-    # witness of value 1.  The last slot gave a TypeError, where the same
-    # slot with a value 0 mod 3 gave a ValueError.
+    # witness of value 1.  The two-index slot gave a TypeError, where the
+    # same slot with a value 0 mod 3 gave a ValueError, and the int slot
+    # a TypeError; a slot that is not an (r, s, i) triple is refused.
     with pytest.raises(ValueError):
         multisequence_from_slots(Partition((3, 2)), 3, entries)
 
@@ -1698,7 +1709,7 @@ TALL_CHAINS = (
 @pytest.fixture
 def walks(monkeypatch):
     """The partitions ``_rows_hold`` is called on: lam itself when it is
-    walked whole, the two- and three-row partitions of a local check."""
+    walked whole, the three-row partitions of a local check."""
     seen = []
     real = spechtex.coherence._rows_hold
     monkeypatch.setattr(
@@ -1711,10 +1722,9 @@ def test_is_coherent_matches_dense_check_on_tall_chains(walks):
     """Dense vectors on tall chains, and one slot dropped or changed: the
     James witness where the chain is James, else the standard vector,
     nonzero on every slot.  From four rows on, a dense vector repeats its
-    pairs' keys and is checked pair by pair and triple by triple, and a
-    vector of fewer rows or repeats is walked whole; both sides of the
-    rule are counted here, by the two- and three-row walks a local check
-    makes."""
+    pairs' keys and is checked triple by triple, and a vector of fewer
+    rows or repeats is walked whole; both sides of the rule are counted
+    here, by the three-row walks a local check makes."""
     sides, verdicts = Counter(), Counter()
     for parts, p in TALL_CHAINS:
         lam = Partition(parts)
@@ -1744,17 +1754,115 @@ def test_is_coherent_matches_dense_check_on_tall_chains(walks):
 
 def test_is_coherent_checks_each_pairs_own_rows_on_the_local_path(walks):
     # On (4, 4, 1, 1, 1) at p = 2 this vector holds every (T) row and (C)
-    # but not the (E) rows of pair (1, 2), which the three-row systems of
-    # its triples do not imply.  Its six pairs (r, s), r <= 2 < s, share one
-    # key, so it is checked pair by pair and triple by triple.
+    # but not the (E) rows of pair (1, 2), which the (T) rows do not
+    # imply.  Its six pairs (r, s), r <= 2 < s, share one key, so it is
+    # checked triple by triple, and the (E) rows of pair (1, 2) are read
+    # in the three-row systems of the triples (1, 2, t).
     lam = Partition((4, 4, 1, 1, 1))
     values = {(1, 2, 2): 1, **{(r, s, 1): 1 for r in (1, 2) for s in (3, 4, 5)}}
     ms = multisequence_from_slots(lam, 2, values)
-    assert spechtex.coherence._rows_hold(lam, ms.entries, 2, pair_rows=False)
+    literal = transcribed_rows_mod_p(lam.parts, 2)
+    assert transcribed_is_coherent(ms, {tag: row for tag, row in literal.items() if tag[0] != "E"})
+    assert not transcribed_is_coherent(ms, literal)
     walks.clear()
     assert not is_coherent(ms, lam, 2)
     assert not dense_is_coherent(ms, lam, 2)
-    assert lam not in walks and Partition((4, 4)) in walks
+    assert walks and all(walked.n == 3 for walked in walks)
+
+
+#: Coherent vectors of four rows whose support repeats exactly three or
+#: four pair keys (part_r, part_s, restriction), each over more than four
+#: slots: nullspace vectors, and sums of two, of these shapes.
+BOUNDARY_WITNESSES = [
+    ((2, 2, 1, 1), 2, {(1, 2, 1): 1, (1, 3, 1): 1, (1, 4, 1): 1, (2, 3, 1): 1, (2, 4, 1): 1}),
+    ((2, 2, 2, 1), 2, {(r, s, 1): 1 for r, s in combinations(range(1, 5), 2)}),
+    (
+        (3, 3, 1, 1),
+        3,
+        {(1, 2, 1): 2, (1, 2, 2): 2, (1, 2, 3): 1, (1, 3, 1): 2}
+        | {(1, 4, 1): 2, (2, 3, 1): 2, (2, 4, 1): 2, (3, 4, 1): 1},
+    ),
+    (
+        (2, 2, 2, 1),
+        3,
+        {(r, s, 1): 1 for r, s in combinations(range(1, 5), 2)}
+        | {(r, s, 2): 2 for r, s in combinations(range(1, 4), 2)},
+    ),
+    (
+        (2, 2, 1, 1),
+        5,
+        {(1, 2, 1): 4, (1, 2, 2): 3, (1, 3, 1): 4, (1, 4, 1): 4}
+        | {(2, 3, 1): 4, (2, 4, 1): 4, (3, 4, 1): 1},
+    ),
+    (
+        (2, 1, 1, 1),
+        5,
+        {(1, 2, 1): 4, (1, 3, 1): 4, (1, 4, 1): 4, (2, 3, 1): 1, (2, 4, 1): 1, (3, 4, 1): 1},
+    ),
+    (
+        (4, 4, 1, 1),
+        7,
+        {(1, 2, 1): 6, (1, 2, 2): 4, (1, 3, 1): 6, (1, 4, 1): 6}
+        | {(2, 3, 1): 6, (2, 4, 1): 6, (3, 4, 1): 1},
+    ),
+    (
+        (4, 1, 1, 1),
+        7,
+        {(1, 2, 1): 6, (1, 3, 1): 6, (1, 4, 1): 6, (2, 3, 1): 1, (2, 4, 1): 1, (3, 4, 1): 1},
+    ),
+]
+
+
+def repeated_pair_keys(ms):
+    """The support's pairs less their distinct keys (part_r, part_s, restriction)."""
+    restriction = {}
+    for (r, s, i), value in ms.entries:
+        restriction.setdefault((r, s), []).extend((i, value))
+    parts = ms.lam.parts
+    keys = {(parts[r - 1], parts[s - 1], tuple(flat)) for (r, s), flat in restriction.items()}
+    return len(restriction) - len(keys)
+
+
+def test_is_coherent_takes_the_local_check_from_four_repeated_keys(walks):
+    """Vectors of four rows or more and more than four slots whose support
+    repeats exactly three or four pair keys: the first are walked whole,
+    the second checked triple by triple, and both agree with the dense
+    check.  The coherent ones are ``BOUNDARY_WITNESSES``, each also with
+    its last slot changed where more than four slots are left.  Those of
+    (2^k) at p = 3 hold one restriction on four or five pairs, and another
+    on one more pair or none."""
+    vectors = []
+    for parts, p, entries in BOUNDARY_WITNESSES:
+        lam = Partition(parts)
+        last = max(entries)
+        vectors.append(multisequence_from_slots(lam, p, entries))
+        changed = multisequence_from_slots(lam, p, {**entries, last: entries[last] + 1})
+        if len(changed.entries) > 4:  # at p = 2 the slot is dropped
+            vectors.append(changed)
+    restrictions = (((1, 2), ()), ((1, 2), (2, 1)), ((2, 1), (1, 1)), ((1, 1), (1, 2)))
+    for k in (4, 5):
+        lam = Partition((2,) * k)
+        pairs = list(combinations(range(1, k + 1), 2))
+        for m in (4, 5):
+            for chosen in (pairs[: m + 1], pairs[-m - 1 :]):
+                for first, other in restrictions:
+                    entries = {
+                        pair + (i,): v
+                        for pair, flat in zip(chosen, [first] * m + [other])
+                        for i, v in enumerate(flat, 1)
+                    }
+                    vectors.append(multisequence_from_slots(lam, 3, entries))
+    sides = Counter()
+    for ms in vectors:
+        lam, p = ms.lam, ms.p
+        repeats = repeated_pair_keys(ms)
+        assert len(ms.entries) > 4 and lam.n >= 4 and repeats in (3, 4), (lam.parts, p, ms.entries)
+        walks.clear()
+        verdict = is_coherent(ms, lam, p)
+        assert verdict == dense_is_coherent(ms, lam, p), (lam.parts, p, ms.entries)
+        assert walks == [lam] if repeats == 3 else walks and all(w.n == 3 for w in walks)
+        sides[repeats, verdict] += 1
+    assert set(sides) == {(3, True), (3, False), (4, True), (4, False)}, sides
 
 
 @settings(max_examples=60, deadline=None)

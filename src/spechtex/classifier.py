@@ -320,9 +320,11 @@ def gl2_ext_dim(r: int, s: int, t: int, u: int, p: int) -> int:
     """Extension dimension between two-row induced modules of equal degree.
 
     Nonzero exactly when the difference shape (t - s, u - s) is a James
-    or pointed two-part partition.
+    or pointed two-part partition.  The weights must be ints, not bools.
     """
     validate_prime(p)
+    if not type(r) is type(s) is type(t) is type(u) is int:  # no bool, no float
+        raise ValueError(f"weights must be ints, got ({r!r}, {s!r}) and ({t!r}, {u!r})")
     if r + s != t + u:
         raise ValueError(f"weights ({r},{s}) and ({t},{u}) differ in degree")
     if r < s or t < u:
@@ -344,11 +346,12 @@ def sl2_verdict(r: int, s: int, p: int) -> tuple[int, str]:
     """(dimension, reason) for extensions between SL2 symmetric powers.
 
     Nonzero iff r - s = 2m is a positive even number and the two-part
-    partition (s + m, m) is James or pointed.
+    partition (s + m, m) is James or pointed.  The weights must be ints,
+    not bools.
     """
     validate_prime(p)
-    if r < 0 or s < 0:
-        raise ValueError("sl2 weights must be non-negative")
+    if not (type(r) is type(s) is int and r >= 0 and s >= 0):  # no bool, no float
+        raise ValueError(f"sl2 weights must be non-negative ints, got ({r!r}, {s!r})")
     diff = r - s
     if diff <= 0:
         return 0, "non-positive-difference"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .padic import _binom_mod_p, _factorial_tables, _lucas_range, validate_prime
@@ -142,15 +142,25 @@ def standard_multisequence(lam: Partition, p: int) -> MultiSequence:
     return MultiSequence(lam, p, tuple(entries))
 
 
+def _kummer_listings(lam: Partition, p: int) -> Iterator[Sequence[int]]:
+    """L_q for q = 1, ..., n - 1, lazily: the i <= part_{q+1} with C(part_q + i, i) nonzero mod p.
+
+    By Kummer's theorem those are the i that add to part_q without a
+    base-p carry, which a carry-free ``_lucas_range`` lists with no
+    binomial.
+    """
+    parts = lam.parts
+    return map(_lucas_range, parts, repeat(1), parts[1:], repeat(p), repeat(True))
+
+
 def _h0(lam: Partition, p: int) -> int:
     """dim H^0: 1 if the standard multi-sequence is zero mod p, else 0.
 
     Its slot (r, s, i) is C(part_r + i, i), i <= part_s <= part_{r+1},
-    nonzero mod p iff i adds to part_r without a base-p carry (Kummer);
-    ``_lucas_range`` lists those i pair by pair, with no binomial.
+    so it is nonzero on some slot iff some L_r of ``_kummer_listings`` is
+    nonempty.  ``ext1_dim_oracle`` reads the listings the (C) plan holds.
     """
-    parts = lam.parts
-    return int(not any(_lucas_range(a, 1, b, p, carry_free=True) for a, b in zip(parts, parts[1:])))
+    return int(not any(_kummer_listings(lam, p)))
 
 
 RowTag = tuple
@@ -453,7 +463,7 @@ def _iter_relation_rows(lam: Partition, p: int) -> Iterator[tuple[RowTag, dict[i
     stream as a multiset.  Then both orders ("C", q, r, s, t, i, j) of
     every (C) row std_Q(i) y(P)_j - std_P(j) y(Q)_i, P = (q, r) and
     Q = (s, t) disjoint, with std_P(j) = C(part_q + j, j) mod p.  The
-    library reads (C) from the per-pair label of ``_commuting_classes``,
+    library reads (C) from the per-pair label of ``_commuting_labels``,
     which says what these rows say; the stream is for callers that count
     rows per family.
     """
@@ -504,10 +514,12 @@ def _candidate_row_count(lam: Partition) -> int:
     return total
 
 
-def _commuting_classes(
-    lam: Partition, p: int
-) -> tuple[int, list[Sequence[int]], list[list[int]], list[int]]:
-    """The (C) relations of ``lam`` at ``p``, as a label per pair of rows.
+#: ``_commuting_classes``: (rank, listings, reach, degree, classes).
+_Plan = tuple[int, list[Sequence[int]], list[int], list[int], list[Sequence[tuple[int, int]]]]
+
+
+def _commuting_classes(lam: Partition, p: int) -> _Plan:
+    """The heads pass of the (C) plan: the rank and classes of the (C) relations of ``lam``.
 
     For a pair P = (q, r) let std_P(j) = C(part_q + j, j) mod p for
     1 <= j <= part_r, S_P the j with std_P(j) nonzero, and call P a head
@@ -566,34 +578,34 @@ def _commuting_classes(
     four rows a pair is disjoint only from its complement, so there the
     components are the matchings.
 
-    Returns (rank, listings, label, sizes).  ``listings[q - 1]`` is L_q.
-    ``label[q][r]``, for q < r, is 0 for a zero pair, 1 << k for a head
-    of class k, the classes numbered in the order of their first head,
-    and -1 for a pair the (C) relations say nothing of; with fewer than
-    four rows or no head, no pair has a label and the table is empty.
-    ``sizes[k]`` is |K| for class k, the sum of |S_P| = bisect_right(L_q,
-    part_r) over its heads P = (q, r).
+    Returns (rank, listings, reach, degree, classes), which
+    ``_commuting_labels`` turns into the per-pair label and the class
+    sizes; no table and no size is built here.  ``listings[q - 1]`` is
+    L_q; ``reach[q]`` is the last r with (q, r) a head, else q, and
+    ``degree`` is as above, both indexed by row from 1; ``classes[k]``
+    holds the heads of class k in lexicographic order, the classes in
+    the order of their first head.  With fewer than four rows there are
+    no two disjoint pairs, and nothing is listed.
     """
-    n = lam.n
-    if n < 4:
-        return 0, [], [], []  # no two disjoint pairs
     parts = lam.parts
-    listings = [_lucas_range(a, 1, b, p, carry_free=True) for a, b in zip(parts, parts[1:])]
+    n = len(parts)
+    if n < 4:
+        return 0, [], [], [], []  # no two disjoint pairs
+    listings = list(_kummer_listings(lam, p))
     size = 0  # heads
     reach = list(range(n + 1))  # reach[q]: the last r with (q, r) a head, else q
     degree = [0] * (n + 1)  # row x -> heads that hold it
     for q, listing in enumerate(listings, start=1):
         if listing:
-            least, r = listing[0], q + 1
-            while r <= n and parts[r - 1] >= least:
-                degree[q] += 1
-                degree[r] += 1
+            least, r = listing[0], q
+            while r < n and parts[r] >= least:
                 r += 1
-            reach[q] = r - 1
-            size += r - 1 - q
+                degree[r] += 1
+            degree[q] += r - q
+            reach[q] = r
+            size += r - q
     if not size:
-        return 0, listings, [], []
-    label = [[-1] * (n + 1) for _ in range(n + 1)]
+        return 0, listings, reach, degree, []
     heads = []  # with a disjoint head, in lexicographic order
     rank = 0
     for q in range(1, n + 1):
@@ -605,24 +617,55 @@ def _commuting_classes(
                     heads.append((q, r))
                     rank += parts[r - 1]
             elif degree[r] < short:
-                label[q][r] = 0
                 rank += parts[r - 1]
-
     held = {x for head in heads for x in head}
     if len(held) > 4:
-        components = [heads]
+        classes = [heads]
     elif held:
         a, b, c, d = sorted(held)
         matchings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-        components = [pairs for pairs in matchings if pairs[0] in heads and pairs[1] in heads]
+        classes = [pairs for pairs in matchings if pairs[0] in heads and pairs[1] in heads]
     else:
-        components = []
+        classes = []
+    return rank - len(classes), listings, reach, degree, classes
+
+
+def _commuting_labels(lam: Partition, plan: _Plan) -> tuple[list[list[int]], list[int]]:
+    """The labelling of the (C) plan: ``_commuting_classes`` as a label per pair of rows.
+
+    ``plan`` is ``_commuting_classes`` of ``lam``, where what the pairs
+    mean is proved.  Returns (label, sizes).  ``label[q][r]``, for q < r,
+    is 1 << k for a head of class k, 0 for a zero pair, and -1 for a pair
+    the (C) relations say nothing of.  A zero pair is a pair past
+    reach[q], so no head, with a disjoint head: one that fewer heads than
+    all meet, degree[q] + degree[r] < the number of heads, which is half
+    the sum of the degrees.  With rank 0 no pair has a label, as each
+    zero pair and each class carries rank, and the table is empty.
+    ``sizes[k]`` is |K| for class k, the sum of |S_P| =
+    bisect_right(L_q, part_r) over its heads P = (q, r).
+    """
+    rank, listings, reach, degree, classes = plan
+    if not rank:
+        return [], []
+    parts = lam.parts
+    size = sum(degree) // 2  # each head holds two rows
+    label = [[-1] * len(degree)]
+    for q in range(1, len(degree)):
+        last, short = reach[q], size - degree[q]
+        row = [-1] * (last + 1)
+        for d in degree[last + 1 :]:
+            row.append(0 if d < short else -1)
+        label.append(row)
     sizes = []
-    for k, component in enumerate(components):
-        for q, r in component:
-            label[q][r] = 1 << k
-        sizes.append(sum(bisect_right(listings[q - 1], parts[r - 1]) for q, r in component))
-    return rank - len(sizes), listings, label, sizes
+    bit = 1
+    for heads in classes:
+        total = 0
+        for q, r in heads:
+            label[q][r] = bit
+            total += bisect_right(listings[q - 1], parts[r - 1])
+        sizes.append(total)
+        bit <<= 1
+    return label, sizes
 
 
 def _pair_feed(lam: Partition, p: int, lone: list[int]) -> Iterator[tuple[int, int]]:
@@ -856,7 +899,7 @@ def _unsettled_triples(lam: Partition, label: list[list[int]]) -> Iterator[tuple
 
     Every triple but those the (C) relations already settle: the triples
     whose three pairs (r, s), (r, t) and (s, t) have labels in ``label``,
-    the per-pair table of ``_commuting_classes``, whose union has at most
+    the per-pair table of ``_commuting_labels``, whose union has at most
     one bit, so each is a zero pair (0) or a head of one and the same
     class (1 << k); a free pair's -1 has every bit.  On the forest
     ``_commuting_forest`` starts from, every row of such a triple's block
@@ -895,13 +938,14 @@ def _commuting_forest(
 ) -> _GainForest:
     """A ``_GainForest`` on the V = ``size`` slots holding the (C) relations.
 
-    ``listings`` and ``label`` are those of ``_commuting_classes``.  The
-    table is expanded pair by pair, from the last pair in slot order:
-    every slot of a labelled pair is marked zero, then a class's head
-    unmarks its live j, the j of L_q up to part_r, and hangs them on the
-    class's root with gain std_v / std_root.  The root is the class's
-    largest slot: the last live j of its last head, which is the first of
-    its heads met.  Binomials are computed on class slots only.
+    ``listings`` are those of ``_commuting_classes`` and ``label`` the
+    table ``_commuting_labels`` makes of them.  The table is expanded
+    pair by pair, from the last pair in slot order: every slot of a
+    labelled pair is marked zero, then a class's head unmarks its live j,
+    the j of L_q up to part_r, and hangs them on the class's root with
+    gain std_v / std_root.  The root is the class's largest slot: the
+    last live j of its last head, which is the first of its heads met.
+    Binomials are computed on class slots only.
     """
     forest = _GainForest(size, p)
     parent, gain, zero, parts = forest.parent, forest.gain, forest.zero, lam.parts
@@ -932,15 +976,13 @@ def _commuting_forest(
 
 
 def _settle(
-    lam: Partition,
-    p: int,
-    size: int,
-    plan: tuple[int, list[Sequence[int]], list[list[int]], list[int]],
+    lam: Partition, p: int, size: int, plan: _Plan, label: list[list[int]]
 ) -> tuple[_GainForest, list[tuple[RowTag, dict[int, int]]], int]:
     """The gain graph of the paper's relations of ``lam``: (forest, long rows, live).
 
-    ``size`` is V, the slot count, and ``plan`` is ``_commuting_classes``
-    of ``lam`` and p: its rank, listings, per-pair label and class sizes.
+    ``size`` is V, the slot count, ``plan`` is ``_commuting_classes`` of
+    ``lam`` and p, whose rank and listings are read, and ``label`` the
+    per-pair table ``_commuting_labels`` makes of it.
     Relations are fed in turn to a ``_GainForest`` over the slot
     positions, which moves each onto the roots of its slots (y_v = g *
     y_root; ``_GainForest.settle``): terms on slots of zero trees are
@@ -1069,7 +1111,7 @@ def _settle(
     live = size
     long_rows: list[tuple[RowTag, dict[int, int]]] = []
     if lam.n >= 4:
-        rank, listings, label, _sizes = plan
+        rank, listings = plan[:2]
         forest = _commuting_forest(lam, p, size, listings, label)
         settle, parts, offsets = forest.settle, lam.parts, _pair_offsets(lam)
         live -= rank
@@ -1198,7 +1240,7 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     then the slots of the rows with one, then the (T3a) and (T3b)
     rows from the slots not forced to 0.
     With four or more the forest starts with the (C) relations of the
-    per-pair label of ``_commuting_classes``, and then, triple by triple,
+    per-pair label of ``_commuting_labels``, and then, triple by triple,
     the rows of each triple's three-row RREF (``_triple_block``) moved
     onto its pairs are fed, but for the triples whose rows the plan
     already settles (``_unsettled_triples``), so the unique RREF,
@@ -1211,7 +1253,8 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """
     validate_prime(p)
     size = check_budget(lam)
-    forest, long_rows, _live = _settle(lam, p, size, _commuting_classes(lam, p))
+    plan = _commuting_classes(lam, p)
+    forest, long_rows, _live = _settle(lam, p, size, plan, _commuting_labels(lam, plan)[0])
     rows, tags = _slot_rows(lam, forest, long_rows)
     return RelationSystem(lam, p, size, tuple(rows), tuple(tags))
 
@@ -1389,18 +1432,24 @@ def dim_E(lam: Partition, p: int) -> int:
     and the long rows are reduced as ``_slot_rows`` would write them,
     moved onto the final roots.  So this is live less the rank of those
     rows.  When the (C) relations alone leave one live root, V less the
-    rank of ``_commuting_classes``, ``_settle`` would feed no row, so
-    that 1 is returned before any forest is built; the plan's label and
-    sizes are not read.
+    rank of the heads pass ``_commuting_classes``, ``_settle`` would feed
+    no row, so that 1 is returned before any forest is built; the plan's
+    label and sizes are not built (``_commuting_labels`` runs only on the
+    way to ``_settle``).
     """
+    return _dim_E(lam, p)[0]
+
+
+def _dim_E(lam: Partition, p: int) -> tuple[int, list[Sequence[int]]]:
+    """(``dim_E``, the Kummer listings of its ``_commuting_classes``, empty below four rows)."""
     validate_prime(p)
     size = check_budget(lam)
     plan = _commuting_classes(lam, p)
     live = size - plan[0]
-    if live <= 1:
-        return live
-    forest, long_rows, live = _settle(lam, p, size, plan)
-    return live - len(_reduce([forest.move(row.items()) for _tag, row in long_rows], p))
+    if live > 1:
+        forest, long_rows, live = _settle(lam, p, size, plan, _commuting_labels(lam, plan)[0])
+        live -= len(_reduce([forest.move(row.items()) for _tag, row in long_rows], p))
+    return live, plan[1]
 
 
 def ext1_dim_oracle(lam: Partition, p: int) -> int:
@@ -1409,8 +1458,13 @@ def ext1_dim_oracle(lam: Partition, p: int) -> int:
     The standard multi-sequence solves every relation; when it is nonzero
     (``_h0`` is 0) it spans the part of E that is not an extension, so
     this is ``dim_E`` less 1 - ``_h0``.  No ``RelationSystem`` is built.
+    ``_h0`` is 1 iff no Kummer listing L_q is nonempty, and from four rows
+    on the (C) plan of ``dim_E`` already holds every L_q, so H^0 is read
+    off those and the digits of each pair are scanned once; below four
+    rows the plan lists nothing and ``_h0`` lists them.
     """
-    return dim_E(lam, p) - 1 + _h0(lam, p)
+    dim, listings = _dim_E(lam, p)
+    return dim - 1 + (_h0(lam, p) if lam.n < 4 else not any(listings))
 
 
 def _rows_hold(lam: Partition, entries: Sequence[tuple[tuple[int, int, int], int]], p: int) -> bool:
@@ -1543,7 +1597,7 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     where the support's pairs repeat their keys often enough, and walks
     them whole otherwise; why the two checks agree, and the rule, are
     there.  (C) is then checked on the support alone, as the per-pair
-    label of ``_commuting_classes`` states it, one lookup per slot: no
+    label of ``_commuting_labels`` states it, one lookup per slot: no
     slot of the support may lie on a pair labelled 0, or on a class's
     head where std is 0; and the support's slots on the heads of one
     class must share one value of y / std and number |K|, the class's
@@ -1561,7 +1615,7 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     walk = _local_rows_hold if len(entries) > 4 and lam.n > 3 else _rows_hold
     if not walk(lam, entries, p):
         return False
-    _rank, _listings, label, sizes = _commuting_classes(lam, p)
+    label, sizes = _commuting_labels(lam, _commuting_classes(lam, p))
     held: dict[int, list[int]] = {}  # class bit -> [its support slots, y and std at the first]
     parts = lam.parts
     for (q, r, j), value in entries if label else ():

@@ -46,18 +46,18 @@ def _check_prime(p: int) -> int:
 
 
 def digit_p(a: int, i: int, p: int) -> int:
-    """The ``i``-th base-p digit of ``a >= 0``."""
+    """The ``i``-th base-p digit of ``a >= 0``; a and i must be ints, not bools."""
     validate_prime(p)
-    if a < 0 or i < 0:
-        raise ValueError("digit_p requires a >= 0 and i >= 0")
+    if not (type(a) is type(i) is int and a >= 0 and i >= 0):  # no bool, no float
+        raise ValueError(f"digit_p requires ints a >= 0 and i >= 0, got ({a!r}, {i!r})")
     return (a // p**i) % p
 
 
 def len_p(a: int, p: int) -> int:
-    """Index of the top nonzero base-p digit of ``a >= 1``."""
+    """Index of the top nonzero base-p digit of ``a >= 1``, an int and not a bool."""
     validate_prime(p)
-    if a < 1:
-        raise ValueError(f"len_p undefined for {a}; argument must be positive")
+    if not (type(a) is int and a >= 1):  # no bool, no float
+        raise ValueError(f"len_p undefined for {a!r}; argument must be a positive int")
     return _len_p(a, p)
 
 
@@ -71,10 +71,10 @@ def _len_p(a: int, p: int) -> int:
 
 
 def val_p(a: int, p: int) -> int:
-    """Largest v with ``p**v`` dividing ``a >= 1``."""
+    """Largest v with ``p**v`` dividing ``a >= 1``, an int and not a bool."""
     validate_prime(p)
-    if a < 1:
-        raise ValueError(f"val_p undefined for {a}; argument must be positive")
+    if not (type(a) is int and a >= 1):  # no bool, no float
+        raise ValueError(f"val_p undefined for {a!r}; argument must be a positive int")
     return _val_p(a, p)
 
 
@@ -104,11 +104,12 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
     """C(a, b) mod p by the digit-wise product of small binomials.
 
     Returns 0 as soon as some digit of ``b`` exceeds the matching digit
-    of ``a`` (this covers b > a), and 1 for b = 0.
+    of ``a`` (this covers b > a), and 1 for b = 0.  ``a`` and ``b`` must
+    be ints, not bools.
     """
     validate_prime(p)
-    if a < 0 or b < 0:
-        raise ValueError("binom_mod_p requires non-negative arguments")
+    if not (type(a) is type(b) is int and a >= 0 and b >= 0):  # no bool, no float
+        raise ValueError(f"binom_mod_p requires non-negative ints, got ({a!r}, {b!r})")
     return _binom_mod_p(a, b, p)
 
 

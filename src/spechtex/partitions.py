@@ -87,9 +87,11 @@ def is_james_pair(a: int, b: int, p: int) -> bool:
     """True iff (a, b) is a James pair: b < p**val_p(a+1).
 
     ``b == 0`` is rejected; callers treat a missing second part as
-    vacuously James.
+    vacuously James.  ``a`` and ``b`` must be ints, not bools.
     """
     validate_prime(p)
+    if not type(a) is type(b) is int:  # no bool, no float
+        raise ValueError(f"is_james_pair requires ints, got ({a!r}, {b!r})")
     if b < 1:
         raise ValueError("is_james_pair requires b >= 1")
     if a < b:
@@ -130,10 +132,10 @@ class TwoPartClass:
 
 
 def classify_two_part(a: int, b: int, p: int) -> TwoPartClass:
-    """Classify (a, b) with a >= b >= 1 as james / pointed / split."""
+    """Classify (a, b), ints (not bools) with a >= b >= 1, as james / pointed / split."""
     validate_prime(p)
-    if not a >= b >= 1:
-        raise ValueError(f"classify_two_part requires a >= b >= 1, got ({a}, {b})")
+    if not (type(a) is type(b) is int and a >= b >= 1):  # no bool, no float
+        raise ValueError(f"classify_two_part requires ints a >= b >= 1, got ({a!r}, {b!r})")
     v = _val_p(a + 1, p)
     if b < p**v:
         return TwoPartClass(JAMES)
@@ -207,7 +209,9 @@ def p_segments(lam: Partition, p: int) -> PSegments:
 
 
 def enumerate_partitions(d: int, max_parts: int) -> Iterator[Partition]:
-    """All partitions of d with at most max_parts parts, lex decreasing."""
+    """All partitions of d with at most max_parts parts, lex decreasing; both ints, not bools."""
+    if not type(d) is type(max_parts) is int:  # no bool, no float
+        raise ValueError(f"enumerate_partitions requires ints, got ({d!r}, {max_parts!r})")
     if d < 0:
         raise ValueError("degree must be non-negative")
     if max_parts < 1:

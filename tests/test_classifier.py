@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import spechtex.classifier
+import spechtex.coherence
 import spechtex.padic
 from oracles import rref_mod_p
 from spechtex.classifier import (
@@ -19,7 +20,9 @@ from spechtex.coherence import (
     MultiSequence,
     SlotIndex,
     SystemTooLargeError,
+    _local_rows_hold,
     canonical_slot_order,
+    check_budget,
     ext1_dim_oracle,
     is_coherent,
     multisequence_from_slots,
@@ -380,6 +383,29 @@ def test_deep_james_witness_is_verified(parts, p):
             changed = dict(entries)
             changed[SlotIndex(r, s, i)] += 1
             assert not is_coherent(multisequence_from_slots(lam, p, changed), lam, p)
+
+
+@pytest.mark.parametrize("parts, p", [((255,) * 8, 2), ((242,) * 6, 3)])
+def test_deep_james_chain_witness_is_checked_triple_by_triple(parts, p, monkeypatch):
+    # The witnesses repeat one local restriction on every pair, so the
+    # check reads each triple's rows once (``_local_rows_hold``).  Each
+    # triple, such as (255, 255, 255), is over the size bound, so its
+    # rows could not be read off a built three-row system instead.
+    lam = Partition(parts)
+    with pytest.raises(SystemTooLargeError):
+        check_budget(Partition(parts[:3]))
+    local = []
+
+    def counted(lam, entries, p):
+        local.append(lam)
+        return _local_rows_hold(lam, entries, p)
+
+    monkeypatch.setattr(spechtex.coherence, "_local_rows_hold", counted)
+    c = ext1_dim(lam, p)
+    assert c.case_tag == "james"
+    assert c.ext1_dim == james_ext_dim(lam, p)
+    assert local == [lam]
+    assert is_coherent(c.witness, lam, p)
 
 
 def test_classifier_matches_oracle_small_sweep():

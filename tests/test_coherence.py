@@ -33,6 +33,7 @@ from spechtex.coherence import (
     _candidate_row_count,
     _commuting_classes,
     _commuting_forest,
+    _commuting_labels,
     _echelon,
     _h0,
     _iter_relation_rows,
@@ -267,7 +268,9 @@ def commuting_slots(lam, p):
     Every label is one of these, for one of the classes ``sizes`` counts,
     and the table is empty or has a row and a column per row of ``lam``
     and one more."""
-    _rank, listings, label, sizes = _commuting_classes(lam, p)
+    plan = _commuting_classes(lam, p)
+    listings = plan[1]
+    label, sizes = _commuting_labels(lam, plan)
     parts = lam.parts
     assert label == [] or [len(row) for row in label] == [lam.n + 1] * (lam.n + 1), (p, parts)
     position = {slot: k for k, slot in enumerate(canonical_slot_order(lam))}
@@ -1166,12 +1169,12 @@ def test_the_triples_the_commuting_plan_settles_add_nothing():
                 if lam.n < 4:
                     continue
                 size, plan = slot_count(lam), _commuting_classes(lam, p)
-                _rank, listings, label, _sizes = plan
+                listings, (label, _sizes) = plan[1], _commuting_labels(lam, plan)
                 fed = set(_unsettled_triples(lam, label))
                 rows = [row for tag, row in spanning_rows(lam, p) if tag[1:4] not in fed]
                 forests = [
                     _commuting_forest(lam, p, size, listings, label),
-                    _settle(lam, p, size, plan)[0],
+                    _settle(lam, p, size, plan, label)[0],
                 ]
                 for forest in forests:
                     for row in rows:
@@ -1182,7 +1185,7 @@ def test_the_triples_the_commuting_plan_settles_add_nothing():
     # class, every pair of rows below the second is a zero pair, and
     # (1, 2) is neither, so only the triples (1, 2, t) are fed.
     lam = Partition((2, 2) + (1,) * 10)
-    fed = list(_unsettled_triples(lam, _commuting_classes(lam, 2)[2]))
+    fed = list(_unsettled_triples(lam, _commuting_labels(lam, _commuting_classes(lam, 2))[0]))
     assert fed == [(1, 2, t) for t in range(3, 13)]
     assert math.comb(12, 3) - len(fed) == 210
 
@@ -1277,8 +1280,9 @@ def assert_classes_are_the_components(lam, p):
     ]
     assert commuting_slots(lam, p) == (zeros, classes), (p, parts)
     rank = len(zeros) + sum(len(cls) - 1 for cls in classes)
-    plan_rank, _listings, _label, sizes = _commuting_classes(lam, p)
-    assert plan_rank == rank, (p, parts)
+    plan = _commuting_classes(lam, p)
+    _label, sizes = _commuting_labels(lam, plan)
+    assert plan[0] == rank, (p, parts)
     assert sizes == [len(cls) for cls in classes], (p, parts)
 
 
@@ -1290,7 +1294,7 @@ def test_commuting_classes_are_the_components_of_the_disjointness_graph():
     for parts, p, pairs in SEVERAL_CLASSES:
         lam = Partition(parts)
         assert_classes_are_the_components(lam, p)
-        _rank, _listings, label, sizes = _commuting_classes(lam, p)
+        label, sizes = _commuting_labels(lam, _commuting_classes(lam, p))
         heads = [
             [(q, r) for q, r in combinations(range(1, lam.n + 1), 2) if label[q][r] == 1 << k]
             for k in range(len(sizes))
@@ -1303,7 +1307,10 @@ def plan_live_count(lam, p):
     the rank of the transcribed (C) rows; ``dim_E``, which returns that
     count when it is 1, must be the nullspace dimension of the built
     system.  Of each (C) block only the order with (q, r) < (s, t) is
-    reduced: the other order's rows are their negatives."""
+    reduced: the other order's rows are their negatives.  The heads
+    pass's rank must also be the one its labelled table implies: the
+    slots of the pairs labelled 0 or with a class bit, less one per
+    class."""
     size = slot_count(lam)
     basis = nullspace(build_relation_system(lam, p))
     assert dim_E(lam, p) == len(basis), (p, lam.parts)
@@ -1315,9 +1322,13 @@ def plan_live_count(lam, p):
             for slot, coef in row.items():
                 vec[position[slot]] = coef
             vectors.append(vec)
-    rank, _listings, _label, _sizes = _commuting_classes(lam, p)
+    plan = _commuting_classes(lam, p)
+    rank = plan[0]
     live = size - rank
     assert live == size - len(rref_mod_p(vectors, p)[1]), (p, lam.parts)
+    label, sizes = _commuting_labels(lam, plan)
+    labelled = [(q, r) for q, r in combinations(range(1, len(label)), 2) if label[q][r] >= 0]
+    assert rank == sum(lam.parts[r - 1] for _q, r in labelled) - len(sizes), (p, lam.parts)
     return live
 
 
@@ -1361,6 +1372,45 @@ def test_dim_e_builds_no_forest_when_the_commuting_relations_reach_the_ceiling(
         build_relation_system(lam, p)
     assert dim_E(lam, p) == len(basis) == 1
     assert ext1_dim_oracle(lam, p) == ext1_dim(lam, p).ext1_dim
+
+    def unlabelled(*args):
+        raise AssertionError("the (C) plan was labelled")
+
+    # Nor is the plan labelled: ``dim_E`` runs the heads pass alone.
+    monkeypatch.setattr("spechtex.coherence._commuting_labels", unlabelled)
+    assert dim_E(lam, p) == len(basis) == 1
+    assert ext1_dim_oracle(lam, p) == ext1_dim(lam, p).ext1_dim
+
+
+@pytest.mark.parametrize("parts, p", [((1, 1, 1, 1), 3), ((4, 4, 4, 4), 7)])
+def test_dim_e_labels_the_plan_when_the_commuting_relations_leave_roots_to_feed(
+    parts, p, monkeypatch
+):
+    # On these shapes the (C) relations alone leave more than one live
+    # root, so ``dim_E`` labels the plan and goes on to ``_settle``.
+    lam = Partition(parts)
+    assert slot_count(lam) - _commuting_classes(lam, p)[0] > 1
+    labelled = []
+
+    def counted(lam, plan):
+        labelled.append(lam)
+        return _commuting_labels(lam, plan)
+
+    monkeypatch.setattr("spechtex.coherence._commuting_labels", counted)
+    assert dim_E(lam, p) == len(nullspace(build_relation_system(lam, p)))
+    assert labelled == [lam, lam]
+
+
+def test_oracle_h0_is_whether_the_standard_multisequence_is_zero():
+    # From four rows on ``ext1_dim_oracle`` reads H^0 off the Kummer
+    # listings of its (C) plan, and below four off ``_h0``.  At p = 131
+    # ``_lucas_range`` has no digit table.
+    for p in (2, 3, 5, 7, 131):
+        for d in range(13):
+            for lam in enumerate_partitions(d, max(d, 1)):
+                h0 = int(standard_multisequence(lam, p).is_zero())
+                assert ext1_dim_oracle(lam, p) - dim_E(lam, p) + 1 == h0, (p, lam.parts)
+                assert _h0(lam, p) == h0, (p, lam.parts)
 
 
 def disjointness_components(heads):

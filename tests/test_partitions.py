@@ -1,8 +1,8 @@
 import pytest
 
 from oracles import james_index_by_divisibility, partition_counts, pascal_binom
-from spechtex.classifier import sl2_verdict
-from spechtex.padic import digit_p
+from spechtex.classifier import gl2_ext_dim, sl2_ext_dim, sl2_verdict
+from spechtex.padic import binom_mod_p, digit_p, len_p, val_p
 from spechtex.partitions import (
     InvalidPartitionError,
     Partition,
@@ -183,6 +183,38 @@ def test_p_segments_rejects_non_james():
 )
 def test_arguments_out_of_range_are_refused(call, error):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # Floats past 2**53 lose their low digits, so these four gave a
+        # wrong answer instead of an error: the ints give False, "split",
+        # 0 and 1.
+        pytest.param(lambda: is_james_pair(float(2**60), 1, 2), id="is_james_pair-float"),
+        pytest.param(lambda: classify_two_part(float(2**60), 1, 2), id="classify_two_part-float"),
+        pytest.param(lambda: val_p(float(2**60) + 1, 2), id="val_p-float"),
+        pytest.param(lambda: sl2_ext_dim(float(2**61 + 2), 2, 2), id="sl2_ext_dim-float"),
+        pytest.param(lambda: binom_mod_p(5.0, 2, 3), id="binom_mod_p-float"),
+        pytest.param(lambda: binom_mod_p(5, True, 3), id="binom_mod_p-bool"),
+        pytest.param(lambda: list(enumerate_partitions(True, 3)), id="enumerate-bool-d"),
+        pytest.param(lambda: list(enumerate_partitions(3, 2.0)), id="enumerate-float-max-parts"),
+        pytest.param(lambda: len_p(True, 3), id="len_p-bool"),
+        pytest.param(lambda: len_p(9.0, 3), id="len_p-float"),
+        pytest.param(lambda: digit_p(8.0, 1, 3), id="digit_p-float-a"),
+        pytest.param(lambda: digit_p(8, True, 3), id="digit_p-bool-i"),
+        pytest.param(lambda: is_james_pair(2, True, 3), id="is_james_pair-bool"),
+        pytest.param(lambda: classify_two_part(True, True, 3), id="classify_two_part-bool"),
+        pytest.param(lambda: gl2_ext_dim(12.0, 0, 9, 3, 3), id="gl2_ext_dim-float"),
+        pytest.param(lambda: gl2_ext_dim(4, 0, 3, True, 3), id="gl2_ext_dim-bool"),
+        pytest.param(lambda: sl2_verdict(4, 0.0, 2), id="sl2_verdict-float"),
+        pytest.param(lambda: sl2_verdict(True, 0, 2), id="sl2_verdict-bool"),
+    ],
+)
+def test_arguments_that_are_not_ints_are_refused(call):
+    # The rule ``Partition`` applies to its parts: an int, and not a bool.
+    with pytest.raises(ValueError):
         call()
 
 

@@ -15,13 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .classifier import Classification, ext1_dim, sl2_verdict
-from .coherence import (
-    _h0,
-    build_relation_system,
-    check_budget,
-    ext1_dim_oracle,
-    nullspace,
-)
+from .coherence import _oracle, build_relation_system, check_budget, nullspace
 from .padic import InvalidModulusError, validate_prime
 from .partitions import (
     InvalidPartitionError,
@@ -75,7 +69,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if method in ("closed", "both"):
         closed = ext1_dim(lam, p)
     if method in ("oracle", "both"):
-        oracle_dim, oracle_h0 = ext1_dim_oracle(lam, p), _h0(lam, p)
+        _dim, oracle_dim, oracle_h0 = _oracle(lam, p)
 
     report = closed
     if method == "oracle":
@@ -111,13 +105,14 @@ def _sweep_instance(task: tuple[int, tuple[int, ...]]) -> dict:
     p, parts = task
     lam = Partition(parts)
     classification = ext1_dim(lam, p)
+    _dim, oracle_dim, oracle_h0 = _oracle(lam, p)
     return {
         "lambda": list(parts),
         "classifier_dim": classification.ext1_dim,
-        "oracle_dim": ext1_dim_oracle(lam, p),
+        "oracle_dim": oracle_dim,
         "case_tag": classification.case_tag,
         "classifier_h0": classification.h0,
-        "oracle_h0": _h0(lam, p),
+        "oracle_h0": oracle_h0,
     }
 
 

@@ -11,9 +11,11 @@ here, whose row families are:
 * (C)    commuting relations between disjoint row-pairs.
 
 The standard multi-sequence y(r,s)_i = C(part_r + i, i) always lies in
-the nullspace; ``_h0`` reads from base-p carries whether it is zero.
-The dimension of the first extension group is the nullspace dimension,
-minus one when the standard multi-sequence is nonzero.
+the nullspace.  The dimension of the first extension group is the
+nullspace dimension, minus one when the standard multi-sequence is
+nonzero.  ``_oracle`` reads both from one pass: the heads pass of the
+(C) plan lists, from base-p carries, the slots where std is nonzero, and
+the gain graph it seeds gives the nullspace dimension.
 """
 
 from __future__ import annotations
@@ -75,10 +77,12 @@ class MultiSequence:
 
     ``entries`` holds one (SlotIndex, value) pair per nonzero slot, in
     canonical slot order, with values in [1, p).  The constructor rejects
-    a slot that is not an (r, s, i) triple, a slot index or value that is
-    not an int, a bool included (as ``Partition`` does a part), a slot
-    that ``lam`` does not have, a value outside [1, p), and slots that
-    repeat or are out of order, so equal vectors compare equal.
+    entries held in any container but a tuple (a list would neither
+    compare equal to its tuple nor hash), a slot that is not an (r, s, i)
+    triple, a slot index or value that is not an int, a bool included (as
+    ``Partition`` does a part), a slot that ``lam`` does not have, a value
+    outside [1, p), and slots that repeat or are out of order, so equal
+    vectors compare equal.
     """
 
     lam: Partition
@@ -87,6 +91,8 @@ class MultiSequence:
 
     def __post_init__(self) -> None:
         validate_prime(self.p)
+        if not isinstance(self.entries, tuple):
+            raise ValueError(f"entries {self.entries!r} are not a tuple")
         _check_slots(self.lam, self.entries)
         previous = (0, 0, 0)
         for slot, value in self.entries:
@@ -140,27 +146,6 @@ def standard_multisequence(lam: Partition, p: int) -> MultiSequence:
         if value:
             entries.append((slot, value))
     return MultiSequence(lam, p, tuple(entries))
-
-
-def _kummer_listings(lam: Partition, p: int) -> Iterator[Sequence[int]]:
-    """L_q for q = 1, ..., n - 1, lazily: the i <= part_{q+1} with C(part_q + i, i) nonzero mod p.
-
-    By Kummer's theorem those are the i that add to part_q without a
-    base-p carry, which a carry-free ``_lucas_range`` lists with no
-    binomial.
-    """
-    parts = lam.parts
-    return map(_lucas_range, parts, repeat(1), parts[1:], repeat(p), repeat(True))
-
-
-def _h0(lam: Partition, p: int) -> int:
-    """dim H^0: 1 if the standard multi-sequence is zero mod p, else 0.
-
-    Its slot (r, s, i) is C(part_r + i, i), i <= part_s <= part_{r+1},
-    so it is nonzero on some slot iff some L_r of ``_kummer_listings`` is
-    nonempty.  ``ext1_dim_oracle`` reads the listings the (C) plan holds.
-    """
-    return int(not any(_kummer_listings(lam, p)))
 
 
 RowTag = tuple
@@ -551,8 +536,10 @@ def _commuting_classes(lam: Partition, p: int) -> _Plan:
 
     All of it is read per pair from one Kummer listing per row: S_P is
     the prefix up to part_r of L_q, the j <= part_{q+1} with std_P(j)
-    nonzero (a carry-free ``_lucas_range``), as part_r <= part_{q+1} and
-    std_P(j) depends on q alone.  So P is a head iff L_q[0] <= part_r,
+    nonzero, as part_r <= part_{q+1} and std_P(j) depends on q alone.  By
+    Kummer's theorem those j are the ones that add to part_q without a
+    base-p carry, which a carry-free ``_lucas_range`` lists with no
+    binomial.  So P is a head iff L_q[0] <= part_r,
     and as parts never increase, the heads of row q are the pairs (q, r)
     for r up to some bound.  P has a disjoint head
     exactly when fewer heads than all meet it: degree[q] + degree[r],
@@ -584,14 +571,18 @@ def _commuting_classes(lam: Partition, p: int) -> _Plan:
     L_q; ``reach[q]`` is the last r with (q, r) a head, else q, and
     ``degree`` is as above, both indexed by row from 1; ``classes[k]``
     holds the heads of class k in lexicographic order, the classes in
-    the order of their first head.  With fewer than four rows there are
-    no two disjoint pairs, and nothing is listed.
+    the order of their first head.  The listings are made for every
+    shape, as the standard multi-sequence, C(part_r + i, i) on slot (r,
+    s, i) with i <= part_s <= part_{r+1}, is nonzero exactly when some
+    L_r is nonempty: that is H^0 = 0, which ``_oracle`` reads off them.
+    With fewer than four rows there are no two disjoint pairs, and the
+    rest of the plan is empty.
     """
     parts = lam.parts
     n = len(parts)
+    listings = list(map(_lucas_range, parts, repeat(1), parts[1:], repeat(p), repeat(True)))
     if n < 4:
-        return 0, [], [], [], []  # no two disjoint pairs
-    listings = list(_kummer_listings(lam, p))
+        return 0, listings, [], [], []  # no two disjoint pairs
     size = 0  # heads
     reach = list(range(n + 1))  # reach[q]: the last r with (q, r) a head, else q
     degree = [0] * (n + 1)  # row x -> heads that hold it
@@ -976,13 +967,13 @@ def _commuting_forest(
 
 
 def _settle(
-    lam: Partition, p: int, size: int, plan: _Plan, label: list[list[int]]
+    lam: Partition, p: int, size: int, plan: _Plan
 ) -> tuple[_GainForest, list[tuple[RowTag, dict[int, int]]], int]:
     """The gain graph of the paper's relations of ``lam``: (forest, long rows, live).
 
-    ``size`` is V, the slot count, ``plan`` is ``_commuting_classes`` of
-    ``lam`` and p, whose rank and listings are read, and ``label`` the
-    per-pair table ``_commuting_labels`` makes of it.
+    ``size`` is V, the slot count, and ``plan`` is ``_commuting_classes``
+    of ``lam`` and p, whose rank and listings are read; with four rows or
+    more it is labelled here (``_commuting_labels``).
     Relations are fed in turn to a ``_GainForest`` over the slot
     positions, which moves each onto the roots of its slots (y_v = g *
     y_root; ``_GainForest.settle``): terms on slots of zero trees are
@@ -1112,6 +1103,7 @@ def _settle(
     long_rows: list[tuple[RowTag, dict[int, int]]] = []
     if lam.n >= 4:
         rank, listings = plan[:2]
+        label = _commuting_labels(lam, plan)[0]
         forest = _commuting_forest(lam, p, size, listings, label)
         settle, parts, offsets = forest.settle, lam.parts, _pair_offsets(lam)
         live -= rank
@@ -1253,8 +1245,7 @@ def build_relation_system(lam: Partition, p: int) -> RelationSystem:
     """
     validate_prime(p)
     size = check_budget(lam)
-    plan = _commuting_classes(lam, p)
-    forest, long_rows, _live = _settle(lam, p, size, plan, _commuting_labels(lam, plan)[0])
+    forest, long_rows, _live = _settle(lam, p, size, _commuting_classes(lam, p))
     rows, tags = _slot_rows(lam, forest, long_rows)
     return RelationSystem(lam, p, size, tuple(rows), tuple(tags))
 
@@ -1422,49 +1413,46 @@ def nullspace(system: RelationSystem) -> list[MultiSequence]:
 
 
 def dim_E(lam: Partition, p: int) -> int:
-    """Dimension of the space of coherent multi-sequences, counted on the gain graph.
+    """Dimension of the space of coherent multi-sequences, counted on the gain graph (``_oracle``)."""
+    return _oracle(lam, p)[0]
 
-    V less the rank of the rows ``build_relation_system`` would write,
-    read off the ``_settle``d forest before any row is written.  That
-    rank is the number of zero and link rows plus the rank of the long
-    rows (``_echelon`` proves it).  Every slot that is not a live root
-    gets exactly one zero or link row, so there are V - live of them,
-    and the long rows are reduced as ``_slot_rows`` would write them,
-    moved onto the final roots.  So this is live less the rank of those
-    rows.  When the (C) relations alone leave one live root, V less the
-    rank of the heads pass ``_commuting_classes``, ``_settle`` would feed
-    no row, so that 1 is returned before any forest is built; the plan's
-    label and sizes are not built (``_commuting_labels`` runs only on the
-    way to ``_settle``).
+
+def ext1_dim_oracle(lam: Partition, p: int) -> int:
+    """dim of the first extension group: dim_E, less one unless H^0 is 1 (``_oracle``)."""
+    return _oracle(lam, p)[1]
+
+
+def _oracle(lam: Partition, p: int) -> tuple[int, int, int]:
+    """(dim E, ext^1, H^0) of ``lam`` at p, from one heads pass and no ``RelationSystem``.
+
+    dim E is V less the rank of the rows ``build_relation_system`` would
+    write, read off the ``_settle``d forest before any row is written.
+    That rank is the number of zero and link rows plus the rank of the
+    long rows (``_echelon`` proves it).  Every slot that is not a live
+    root gets exactly one zero or link row, so there are V - live of
+    them, and the long rows are reduced as ``_slot_rows`` would write
+    them, moved onto the final roots.  So dim E is live less the rank of
+    those rows.  When the (C) relations alone leave one live root, V less
+    the rank of the heads pass ``_commuting_classes``, ``_settle`` would
+    feed no row, so that 1 is returned before any forest is built and the
+    plan is not labelled (``_commuting_labels``).
+
+    H^0 is 1 iff the standard multi-sequence is zero mod p, which is iff
+    no Kummer listing L_q of the heads pass is nonempty (the proof is
+    there); the heads pass lists every L_q once, whatever the shape.  The
+    standard multi-sequence solves every relation; when it is nonzero it
+    spans the part of E that is not an extension, so ext^1 is dim E less
+    1 - H^0.
     """
-    return _dim_E(lam, p)[0]
-
-
-def _dim_E(lam: Partition, p: int) -> tuple[int, list[Sequence[int]]]:
-    """(``dim_E``, the Kummer listings of its ``_commuting_classes``, empty below four rows)."""
     validate_prime(p)
     size = check_budget(lam)
     plan = _commuting_classes(lam, p)
     live = size - plan[0]
     if live > 1:
-        forest, long_rows, live = _settle(lam, p, size, plan, _commuting_labels(lam, plan)[0])
+        forest, long_rows, live = _settle(lam, p, size, plan)
         live -= len(_reduce([forest.move(row.items()) for _tag, row in long_rows], p))
-    return live, plan[1]
-
-
-def ext1_dim_oracle(lam: Partition, p: int) -> int:
-    """dim of the first extension group: dim_E, less one unless H^0 is 1.
-
-    The standard multi-sequence solves every relation; when it is nonzero
-    (``_h0`` is 0) it spans the part of E that is not an extension, so
-    this is ``dim_E`` less 1 - ``_h0``.  No ``RelationSystem`` is built.
-    ``_h0`` is 1 iff no Kummer listing L_q is nonempty, and from four rows
-    on the (C) plan of ``dim_E`` already holds every L_q, so H^0 is read
-    off those and the digits of each pair are scanned once; below four
-    rows the plan lists nothing and ``_h0`` lists them.
-    """
-    dim, listings = _dim_E(lam, p)
-    return dim - 1 + (_h0(lam, p) if lam.n < 4 else not any(listings))
+    h0 = int(not any(plan[1]))
+    return live, live - 1 + h0, h0
 
 
 def _rows_hold(lam: Partition, entries: Sequence[tuple[tuple[int, int, int], int]], p: int) -> bool:
@@ -1545,9 +1533,7 @@ def _local_rows_hold(lam: Partition, entries: Sequence[tuple[SlotIndex, int]], p
     the witnesses of four rows or more of the acceptance range (best of
     30 calls each, 2-core Xeon), the local checks made those with one or
     two repeats up to 2.2x slower, and those of more than four slots with
-    four repeats or more from as fast to 12x faster.  Four repeats need
-    five pairs of the support, so ``is_coherent`` sends no vector of four
-    slots or fewer here.
+    four repeats or more from as fast to 12x faster.
     """
     parts, n = lam.parts, lam.n
     flats: dict[tuple[int, int], list[int]] = {}
@@ -1589,9 +1575,11 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
     three rows ``_rows_hold`` walks them whole: only the rows with a term
     on a nonzero slot of ``ms`` are evaluated, each once, at the first
     nonzero slot it has a term on, with no record of the rows read.  That
-    is the full check, as every other row sums zero values; it costs in
-    proportion to those rows and their terms, and its memory does not
-    grow with them.  With four rows or more ``_local_rows_hold`` checks
+    is the full check of those rows, as every other row sums zero values;
+    it costs in proportion to those rows and their terms, and its memory
+    does not grow with them.  No two pairs of three rows are disjoint, so
+    there is no (C) row, and the check ends there.  With four rows or
+    more ``_local_rows_hold`` checks
     the same rows triple by triple, each triple's (E) and (T) rows in its
     three-row system and each distinct local restriction once per call,
     where the support's pairs repeat their keys often enough, and walks
@@ -1612,8 +1600,9 @@ def is_coherent(ms: MultiSequence, lam: Partition, p: int) -> bool:
             f"multi-sequence of {ms.lam} at p={ms.p} checked against {lam} at p={p}"
         )
     entries = ms.entries
-    walk = _local_rows_hold if len(entries) > 4 and lam.n > 3 else _rows_hold
-    if not walk(lam, entries, p):
+    if lam.n < 4:
+        return _rows_hold(lam, entries, p)
+    if not _local_rows_hold(lam, entries, p):
         return False
     label, sizes = _commuting_labels(lam, _commuting_classes(lam, p))
     held: dict[int, list[int]] = {}  # class bit -> [its support slots, y and std at the first]

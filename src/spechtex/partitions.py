@@ -28,13 +28,16 @@ class InvalidPartitionError(ValueError):
 class Partition:
     """Weakly decreasing positive parts; the empty partition is allowed.
 
-    A part must be an ``int`` and not a ``bool``, as p must be in
-    ``validate_prime``.
+    The parts must be held in a tuple: a list would neither compare equal
+    to its tuple nor hash.  A part must be an ``int`` and not a ``bool``,
+    as p must be in ``validate_prime``.
     """
 
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.parts, tuple):
+            raise InvalidPartitionError(f"parts {self.parts!r} are not a tuple")
         for k, part in enumerate(self.parts):
             if not isinstance(part, int) or isinstance(part, bool):
                 raise InvalidPartitionError(f"part {part!r} at index {k} is not an int")

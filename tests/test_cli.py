@@ -11,6 +11,7 @@ import pytest
 import spechtex.cli
 import spechtex.coherence
 from spechtex.cli import main
+from spechtex.partitions import enumerate_partitions
 
 
 def run_cli(capsys, *argv):
@@ -100,7 +101,7 @@ def test_classify_oracle_method(capsys):
 def test_classify_reads_the_oracles_own_h0_with_the_output_unchanged(
     capsys, lam, p, method, expected
 ):
-    # `--method oracle` reports the oracle's H^0 (coherence._h0), and
+    # `--method oracle` reports the oracle's H^0 (coherence._oracle), and
     # `--method both` compares it with the classifier's; where the two
     # agree, the JSON is the one the classifier's H^0 alone gave.
     argv = ("classify", "--p", p, "--lambda", lam, "--method", method, "--json")
@@ -108,8 +109,18 @@ def test_classify_reads_the_oracles_own_h0_with_the_output_unchanged(
     assert (code, out, err) == (0, expected + "\n", "")
 
 
+def oracle_with(**forced):
+    """``coherence._oracle`` with its ext^1 or H^0 replaced by a forced value."""
+
+    def oracle(lam, p):
+        dim, ext1, h0 = spechtex.coherence._oracle(lam, p)
+        return dim, forced.get("ext1", ext1), forced.get("h0", h0)
+
+    return oracle
+
+
 def test_classify_both_exits_1_when_the_oracles_h0_disagrees(capsys, monkeypatch):
-    monkeypatch.setattr(spechtex.cli, "_h0", lambda lam, p: 0)
+    monkeypatch.setattr(spechtex.cli, "_oracle", oracle_with(h0=0))
     code, out, err = run_cli(capsys, "classify", "--p", "2", "--lambda", "3,3", "--method", "both")
     assert code == 1
     assert "h0 = 1" in out and "oracle ext1_B = 1" in out
@@ -117,7 +128,7 @@ def test_classify_both_exits_1_when_the_oracles_h0_disagrees(capsys, monkeypatch
 
 
 def test_classify_both_exits_1_when_the_oracles_ext1_disagrees(capsys, monkeypatch):
-    monkeypatch.setattr(spechtex.cli, "ext1_dim_oracle", lambda lam, p: 0)
+    monkeypatch.setattr(spechtex.cli, "_oracle", oracle_with(ext1=0))
     code, out, err = run_cli(capsys, "classify", "--p", "2", "--lambda", "3,3", "--method", "both")
     assert code == 1
     assert "ext1_B = 1" in out and "oracle ext1_B = 0" in out
@@ -202,7 +213,7 @@ def test_sweep_check_counts_a_differing_h0_as_a_mismatch(capsys, monkeypatch):
     # With the oracle's H^0 forced to 0, the five λ with d <= 3 that are
     # James at p = 3 mismatch on H^0 alone; each line keeps the four keys
     # of a dimension mismatch, in order, and then gives both H^0.
-    monkeypatch.setattr(spechtex.cli, "_h0", lambda lam, p: 0)
+    monkeypatch.setattr(spechtex.cli, "_oracle", oracle_with(h0=0))
     code, out, err = run_cli(capsys, "sweep", "--p", "3", "--d-max", "3", "--check")
     assert code == 1
     *lines, report = out.splitlines()
@@ -216,6 +227,32 @@ def test_sweep_check_counts_a_differing_h0_as_a_mismatch(capsys, monkeypatch):
     ]
     assert json.loads(report)["mismatches"] == 5
     assert "7 instances, 5 mismatches" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--p", "3", "--d-max", "6"),
+        ("classify", "--p", "3", "--lambda", "2,1,1,1", "--method", "both"),
+        ("classify", "--p", "5", "--lambda", "4,2", "--method", "oracle", "--json"),
+    ],
+)
+def test_the_cli_runs_the_oracle_once_per_partition(capsys, monkeypatch, argv):
+    # ext^1 and H^0 come from one ``_oracle`` call, so every Kummer
+    # listing is made once per λ: 30 calls for the sweep, with d <= 6.
+    calls = []
+
+    def counted(lam, p):
+        calls.append(lam.parts)
+        return spechtex.coherence._oracle(lam, p)
+
+    monkeypatch.setattr(spechtex.cli, "_oracle", counted)
+    code, _out, _err = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "sweep":
+        assert calls == [lam.parts for d in range(7) for lam in enumerate_partitions(d, max(d, 1))]
+    else:
+        assert calls == [tuple(map(int, argv[4].split(",")))]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])

@@ -35,8 +35,8 @@ from spechtex.coherence import (
     _commuting_forest,
     _commuting_labels,
     _echelon,
-    _h0,
     _iter_relation_rows,
+    _oracle,
     _pair_feed,
     _reduce,
     _row_terms,
@@ -113,7 +113,7 @@ def test_standard_zero_iff_james():
             for lam in enumerate_partitions(d, max(d, 1)):
                 james = is_james_partition(lam, p)
                 assert standard_multisequence(lam, p).is_zero() == james
-                assert _h0(lam, p) == int(james), (lam.parts, p)
+                assert _oracle(lam, p)[2] == int(james), (lam.parts, p)
 
 
 def test_oracle_reads_none_of_the_classifiers_digit_formulas():
@@ -1174,7 +1174,7 @@ def test_the_triples_the_commuting_plan_settles_add_nothing():
                 rows = [row for tag, row in spanning_rows(lam, p) if tag[1:4] not in fed]
                 forests = [
                     _commuting_forest(lam, p, size, listings, label),
-                    _settle(lam, p, size, plan, label)[0],
+                    _settle(lam, p, size, plan)[0],
                 ]
                 for forest in forests:
                     for row in rows:
@@ -1204,7 +1204,7 @@ def test_oracle_counts_the_rank_on_the_forest_without_building_a_system(parts, p
 
     monkeypatch.setattr("spechtex.coherence.RelationSystem", refuse)
     assert dim_E(lam, p) == slot_count(lam) - rank
-    assert ext1_dim_oracle(lam, p) == slot_count(lam) - rank - 1 + _h0(lam, p)
+    assert ext1_dim_oracle(lam, p) == slot_count(lam) - rank - 1 + _oracle(lam, p)[2]
 
 
 def test_gain_graph_system_has_the_rref_of_the_paper_rows_on_random_wide_shapes():
@@ -1402,15 +1402,19 @@ def test_dim_e_labels_the_plan_when_the_commuting_relations_leave_roots_to_feed(
 
 
 def test_oracle_h0_is_whether_the_standard_multisequence_is_zero():
-    # From four rows on ``ext1_dim_oracle`` reads H^0 off the Kummer
-    # listings of its (C) plan, and below four off ``_h0``.  At p = 131
-    # ``_lucas_range`` has no digit table.
+    # ``_oracle`` reads H^0 off the Kummer listings of its heads pass, for
+    # every shape, and ext^1 off the same pass.  At p = 131 ``_lucas_range``
+    # has no digit table.
     for p in (2, 3, 5, 7, 131):
         for d in range(13):
             for lam in enumerate_partitions(d, max(d, 1)):
                 h0 = int(standard_multisequence(lam, p).is_zero())
-                assert ext1_dim_oracle(lam, p) - dim_E(lam, p) + 1 == h0, (p, lam.parts)
-                assert _h0(lam, p) == h0, (p, lam.parts)
+                dim, ext1, oracle_h0 = _oracle(lam, p)
+                assert (dim, ext1, oracle_h0) == (dim_E(lam, p), ext1_dim_oracle(lam, p), h0), (
+                    p,
+                    lam.parts,
+                )
+                assert ext1 == dim - 1 + h0, (p, lam.parts)
 
 
 def disjointness_components(heads):
@@ -1574,6 +1578,10 @@ def test_multisequence_rejects_bad_entries():
         # Not an (r, s, i) triple.
         ((5, 1),),
         (((1, 2, 1, 1), 1),),
+        # Not a tuple: a list compared unequal to its tuple and did not hash.
+        [(a, 1)],
+        [],
+        None,
     ):
         with pytest.raises(ValueError):
             MultiSequence(lam, 3, entries)

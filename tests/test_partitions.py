@@ -179,6 +179,12 @@ def test_p_segments_rejects_non_james():
         pytest.param(lambda: list(enumerate_partitions(3, 0)), ValueError, id="enumerate-no-rows"),
         pytest.param(lambda: sl2_verdict(-1, 0, 3), ValueError, id="sl2_verdict-negative-r"),
         pytest.param(lambda: sl2_verdict(4, -2, 3), ValueError, id="sl2_verdict-negative-s"),
+        # Parts held in a list compared unequal to their tuple and did not
+        # hash; None and 5 raised TypeError.
+        pytest.param(lambda: Partition([3, 2]), InvalidPartitionError, id="partition-list"),
+        pytest.param(lambda: Partition(None), InvalidPartitionError, id="partition-none"),
+        pytest.param(lambda: Partition(5), InvalidPartitionError, id="partition-int"),
+        pytest.param(lambda: Partition(range(2)), InvalidPartitionError, id="partition-range"),
     ],
 )
 def test_arguments_out_of_range_are_refused(call, error):
